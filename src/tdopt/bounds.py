@@ -259,12 +259,16 @@ class RegionSample:
     cardinalities: tuple[int, int, int]
     samples: int
 
-    def csv_text(self) -> str:
-        lines = ["source,R1,R2"]
+
+def region_csv(samples, scale: float = 1.0) -> str:
+    """CSV of the rate points of `samples`, one header line, rates multiplied
+    by `scale` (1.0 for bits) and written to 12 significant digits."""
+    lines = ["source,R1,R2"]
+    for sample in samples:
         lines.extend(
-            f"{self.source},{pt.r1:.12g},{pt.r2:.12g}" for pt in self.points
+            f"{sample.source},{pt.r1 * scale:.12g},{pt.r2 * scale:.12g}" for pt in sample.points
         )
-        return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)

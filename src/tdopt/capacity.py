@@ -11,15 +11,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LN2, Channel, Distribution
+from .config import RunConfig
+from .core import FLOOR, LN2, Channel, Distribution, neg_entropy, row_divergences
 from .simplex import OPTIMAL, lp_solve_max_coordinate
 
-DEFAULT_TOL = 1e-10       # bits, bracket width
+DEFAULT_TOL = RunConfig.tol            # bits, bracket width
 DEFAULT_MAX_ITER = 100_000
-DEFAULT_PEAK_TOL = 1e-6   # bits, slack below capacity still counted as peak
-DEFAULT_LP_TOL = 1e-9     # mass threshold deciding support-union membership
-
-_P_FLOOR = 1e-300  # keeps reachable outputs strictly positive during iteration
+DEFAULT_PEAK_TOL = RunConfig.peak_tol  # bits, slack below capacity still counted as peak
+DEFAULT_LP_TOL = 1e-9                  # mass threshold deciding support-union membership
 
 
 class ConvergenceError(RuntimeError):
@@ -55,12 +54,6 @@ class CapacityReport:
     support_union: tuple[str, ...] | None = None
 
 
-def _row_divergences(rows: np.ndarray, row_neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(row_x || q) in nats for every row; q must be positive where rows are."""
-    logq = np.where(q > 0.0, np.log(np.maximum(q, _P_FLOOR)), 0.0)
-    return row_neg_ent - rows @ logq
-
-
 def _newton_refine(rows, row_neg_ent, p_start, support):
     """Solve D(row_x || q) = const for x in `support` with q the pushforward
     of p supported there. Returns (p, iterations_used) or None if the system
@@ -77,7 +70,7 @@ def _newton_refine(rows, row_neg_ent, p_start, support):
         q = p @ sub
         if not np.all(np.isfinite(q)) or np.any((q <= 0.0) & (sub.max(axis=0) > 0.0)):
             return None
-        d = _row_divergences(sub, row_neg_ent[support], q)
+        d = row_divergences(sub, row_neg_ent[support], q)
         if c is None:
             c = float(p @ d)
         f = np.concatenate([d - c, [p.sum() - 1.0]])
@@ -107,7 +100,7 @@ def _polish(rows, row_neg_ent, p_ba, gap_nats):
     stationarity system on the near-peak support. Returns a refined full-length
     input vector or None."""
     q = p_ba @ rows
-    d = _row_divergences(rows, row_neg_ent, q)
+    d = row_divergences(rows, row_neg_ent, q)
     upper = d.max()
     kappa = max(1e-5, 1e3 * gap_nats)
     support = np.flatnonzero(d >= upper - kappa)
@@ -146,8 +139,7 @@ def compute_capacity(
     reachable = ch.reachable_outputs()
     rows = ch.rows[:, reachable]
     n_x = rows.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_neg_ent = np.where(rows > 0.0, rows * np.log(np.maximum(rows, _P_FLOOR)), 0.0).sum(axis=1)
+    row_neg_ent = neg_entropy(rows)
 
     if init is None:
         p = np.full(n_x, 1.0 / n_x)
@@ -164,7 +156,7 @@ def compute_capacity(
         if refined is None:
             return None
         q2 = refined @ rows
-        d2 = _row_divergences(rows, row_neg_ent, q2)
+        d2 = row_divergences(rows, row_neg_ent, q2)
         up2, lo2 = float(d2.max()), float(refined @ d2)
         if 0.0 <= up2 - lo2 <= min(tol_nats, gap_cur):
             return refined, q2, lo2, up2
@@ -175,7 +167,7 @@ def compute_capacity(
     converged_at = 0
     for it in range(1, max_iter + 1):
         q = p @ rows
-        d = _row_divergences(rows, row_neg_ent, q)
+        d = row_divergences(rows, row_neg_ent, q)
         upper = float(d.max())
         lower = float(p @ d)
         if upper - lower <= tol_nats:
@@ -194,7 +186,7 @@ def compute_capacity(
                 converged_at = it
                 break
         p = p * np.exp(d - upper)
-        p = np.maximum(p, _P_FLOOR)
+        p = np.maximum(p, FLOOR)  # keeps reachable outputs strictly positive
         p /= p.sum()
     else:
         raise ConvergenceError((lower / LN2, upper / LN2), max_iter)
@@ -229,9 +221,7 @@ def divergence_profile(ch: Channel, r_star: Distribution) -> np.ndarray:
             f"reference assigns zero mass to an output reachable from input "
             f"{ch.input.symbols[x]!r}; divergence is infinite"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_neg_ent = np.where(rows > 0.0, rows * np.log(np.maximum(rows, _P_FLOOR)), 0.0).sum(axis=1)
-    return _row_divergences(rows, row_neg_ent, ref) / LN2
+    return row_divergences(rows, neg_entropy(rows), ref) / LN2
 
 
 def compute_peak_set(report: CapacityReport, tol_peak: float = DEFAULT_PEAK_TOL) -> tuple[str, ...]:

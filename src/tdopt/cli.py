@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from .bounds import sample_marton, sample_uv, td_boundary_sample
+from .bounds import region_csv, sample_marton, sample_uv, td_boundary_sample
 from .capacity import CapacityReport, ConvergenceError, analyze_channel
 from .comparison import (
     SearchConfig,
@@ -29,7 +28,7 @@ from .comparison import (
 from .config import RunConfig
 from .core import Alphabet, AlphabetMismatchError, BroadcastPair, Channel
 from .families import make_bec, make_bsc, make_partition_pair
-from .verdict import decide_td_optimality, verdict_to_dict
+from .verdict import decide_td_optimality, sig12, unit_scale, verdict_to_dict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -41,10 +40,6 @@ class ChannelFileError(ValueError):
     and the offending field."""
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -53,7 +48,7 @@ def channel_to_dict(ch: Channel) -> dict:
     return {
         "input": list(ch.input.symbols),
         "output": list(ch.output.symbols),
-        "matrix": [[_sig12(v) for v in row] for row in ch.rows],
+        "matrix": [[sig12(v) for v in row] for row in ch.rows],
     }
 
 
@@ -117,10 +112,6 @@ def save_channel(ch: Channel, path: str):
     atomic_write_text(path, json.dumps(channel_to_dict(ch), indent=2) + "\n")
 
 
-def _unit_scale(units: str) -> float:
-    return 1.0 if units == "bits" else math.log(2.0)
-
-
 def _config_header(cfg: RunConfig) -> str:
     card = ",".join(str(c) for c in cfg.cardinalities)
     return (
@@ -132,7 +123,7 @@ def _config_header(cfg: RunConfig) -> str:
 
 
 def _print_capacity_report(name: str, rep: CapacityReport, cfg: RunConfig, out):
-    scale = _unit_scale(cfg.units)
+    scale = unit_scale(cfg.units)
     print(f"channel: {name}", file=out)
     print(
         f"  alphabet: {len(rep.channel.input)} inputs, {len(rep.channel.output)} outputs",
@@ -162,17 +153,17 @@ def _write_json(path: str, doc: dict):
 
 
 def _capacity_json(rep: CapacityReport, cfg: RunConfig) -> dict:
-    scale = _unit_scale(cfg.units)
+    scale = unit_scale(cfg.units)
     return {
         "units": cfg.units,
-        "capacity": _sig12(rep.capacity * scale),
-        "bracket": _sig12(rep.gap * scale),
+        "capacity": sig12(rep.capacity * scale),
+        "bracket": sig12(rep.gap * scale),
         "iterations": rep.iterations,
-        "achieving_input": [_sig12(p) for p in rep.achieving_input.probs],
-        "optimal_output": [_sig12(p) for p in rep.optimal_output.probs],
+        "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
+        "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
         "divergence_profile": None
         if rep.divergence_profile is None
-        else [_sig12(d * scale) for d in rep.divergence_profile],
+        else [sig12(d * scale) for d in rep.divergence_profile],
         "peak_set": None if rep.peak_set is None else list(rep.peak_set),
         "support_union": None if rep.support_union is None else list(rep.support_union),
     }
@@ -200,7 +191,7 @@ def _load_pair(args) -> BroadcastPair:
 def cmd_verdict(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
     v = decide_td_optimality(pair, cfg)
-    scale = _unit_scale(cfg.units)
+    scale = unit_scale(cfg.units)
     print(_config_header(cfg), file=out)
     print(f"status: {v.status}", file=out)
     print(f"branch: {v.branch}", file=out)
@@ -254,14 +245,7 @@ def cmd_region(args, cfg: RunConfig, out) -> int:
     uv = sample_uv(pair.first, pair.second, **shared)
     td = td_boundary_sample(rep1.capacity, rep2.capacity, 101)
 
-    scale = _unit_scale(cfg.units)
-    lines = ["source,R1,R2"]
-    for sample in (marton.sample, uv.sample, td):
-        lines.extend(
-            f"{sample.source},{_fmt(pt.r1 * scale)},{_fmt(pt.r2 * scale)}"
-            for pt in sample.points
-        )
-    text = "\n".join(lines) + "\n"
+    text = region_csv((marton.sample, uv.sample, td), unit_scale(cfg.units))
     if args.out:
         atomic_write_text(args.out, text)
         print(_config_header(cfg), file=out)
@@ -316,32 +300,40 @@ def cmd_example_gen(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+# analyze's check keys (as in its JSON) and their labels in the text report
+_ANALYZE_LABELS = {
+    "more_capable_forward": "more_capable first>=second",
+    "more_capable_backward": "more_capable second>=first",
+    "ratio_condition": "ratio_condition",
+    "divergence_form": "divergence_form",
+}
+
+
 def cmd_analyze(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
     rep1 = analyze_channel(pair.first, tol=cfg.tol, tol_peak=cfg.peak_tol)
     rep2 = analyze_channel(pair.second, tol=cfg.tol, tol_peak=cfg.peak_tol)
-    scale = _unit_scale(cfg.units)
+    scale = unit_scale(cfg.units)
     print(_config_header(cfg), file=out)
     _print_capacity_report(args.file1, rep1, cfg, out)
     _print_capacity_report(args.file2, rep2, cfg, out)
 
     search = SearchConfig(starts=cfg.starts, seed=cfg.seed, violation_tol=cfg.violation_tol)
-    forward = more_capable_check(pair.first, pair.second, search)
-    backward = more_capable_check(pair.second, pair.first, search)
-    ratio = ratio_condition_check(pair.first, pair.second, rep1.capacity, rep2.capacity, search)
-    print("comparison:", file=out)
-    for name, check in (
-        ("more_capable first>=second", forward),
-        ("more_capable second>=first", backward),
-        ("ratio_condition", ratio),
-    ):
-        print(f"  {name}: {check.status} gap={_fmt(check.gap * scale)}", file=out)
+    checks = {
+        "more_capable_forward": more_capable_check(pair.first, pair.second, search),
+        "more_capable_backward": more_capable_check(pair.second, pair.first, search),
+        "ratio_condition": ratio_condition_check(
+            pair.first, pair.second, rep1.capacity, rep2.capacity, search
+        ),
+    }
     full1 = rep1.support_union is not None and len(rep1.support_union) == len(pair.first.input)
     full2 = rep2.support_union is not None and len(rep2.support_union) == len(pair.second.input)
     if full1 and full2:
-        div = divergence_form_check(pair.first, pair.second, rep1, rep2, search)
-        print(f"  divergence_form: {div.status} gap={_fmt(div.gap * scale)}", file=out)
-    else:
+        checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, search)
+    print("comparison:", file=out)
+    for key, check in checks.items():
+        print(f"  {_ANALYZE_LABELS[key]}: {check.status} gap={_fmt(check.gap * scale)}", file=out)
+    if "divergence_form" not in checks:
         print("  divergence_form: skipped (support union misses input symbols)", file=out)
 
     screen = vertex_screen(pair.first, pair.second, rep1, rep2)
@@ -363,13 +355,19 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         file=out,
     )
     if args.json:
+        statuses = {key: check.status for key, check in checks.items()}
+        gaps = {key: sig12(check.gap * scale) for key, check in checks.items()}
+        statuses.setdefault("divergence_form", "SKIPPED")
+        gaps.setdefault("divergence_form", None)
         doc = {
             "first": _capacity_json(rep1, cfg),
             "second": _capacity_json(rep2, cfg),
-            "checks": {
-                "more_capable_forward": forward.status,
-                "more_capable_backward": backward.status,
-                "ratio_condition": ratio.status,
+            "checks": statuses,
+            "gaps": gaps,
+            "vertex_screen": {
+                "first_family_holds": screen.first_family_holds,
+                "second_family_holds": screen.second_family_holds,
+                "mixed_output_gap": sig12(screen.mixed_output_gap),
             },
         }
         _write_json(args.json, doc)

@@ -17,13 +17,18 @@ from itertools import combinations
 import numpy as np
 
 from .capacity import CapacityReport
+from .config import RunConfig
 from .core import (
     LN2,
     AlphabetMismatchError,
     Channel,
     Distribution,
-    kl_divergence,
+    information,
+    kl,
+    neg_entropy,
     push_forward,
+    row_divergences,
+    row_log_ratios,
 )
 
 HOLDS_UP_TO_SEARCH = "HOLDS_UP_TO_SEARCH"
@@ -41,12 +46,11 @@ class AssumptionNotMetError(RuntimeError):
 class SearchConfig:
     """Budget and tolerances for simplex minimization."""
 
-    starts: int = 64
-    seed: int = 0
+    starts: int = RunConfig.starts
+    seed: int = RunConfig.seed
     max_iters: int = 400
     grid_step: float | None = None  # None picks a per-dimension default
-    violation_tol: float = 1e-7     # bits below zero that count as a violation
-    fd_step: float = 1e-6
+    violation_tol: float = RunConfig.violation_tol  # bits below zero that count as a violation
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,36 +138,25 @@ def _projected_gradient(objective, gradient, x0, max_iters):
 
 def dc_minimize(
     objective,
+    gradient,
     dim: int,
     cfg: SearchConfig = SearchConfig(),
-    gradient=None,
-    batch_objective=None,
 ) -> MinimizationResult:
     """Minimize a (typically difference-of-concave) function over the simplex.
 
+    `objective` maps points of shape (..., dim) to values of shape (...): it
+    is called on single points and on the whole grid at once. `gradient`
+    maps a single point to its gradient.
+
     Runs projected gradient descent from the uniform point, every vertex,
     `cfg.starts` seeded Dirichlet draws, and the best point of a deterministic
-    grid (included whenever its size stays under a megapoint). Gradients fall
-    back to central finite differences when no formula is supplied. Ties are
+    grid (included whenever its size stays under a megapoint). Ties are
     broken toward the lexicographically smallest minimizer, so results are
     reproducible regardless of evaluation order.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     evals = 0
-
-    if gradient is None:
-        h = cfg.fd_step
-
-        def gradient(x, _f=objective):
-            g = np.empty(dim)
-            for i in range(dim):
-                bump = np.zeros(dim)
-                bump[i] = h
-                up = np.maximum(x + bump, 0.0)
-                dn = np.maximum(x - bump, 0.0)
-                g[i] = (_f(up / up.sum()) - _f(dn / dn.sum())) / (2.0 * h)
-            return g
 
     rng = np.random.default_rng(cfg.seed)
     starts = [np.full(dim, 1.0 / dim)]
@@ -179,10 +172,7 @@ def dc_minimize(
     )
     if _grid_size(dim, subdivisions) <= _GRID_LIMIT:
         grid = _simplex_grid(dim, subdivisions)
-        if batch_objective is not None:
-            values = np.asarray(batch_objective(grid), dtype=float)
-        else:
-            values = np.array([objective(p) for p in grid])
+        values = np.asarray(objective(grid), dtype=float)
         evals += len(grid)
         best = int(values.argmin())
         candidates.append((float(values[best]), grid[best]))
@@ -197,32 +187,49 @@ def dc_minimize(
     return MinimizationResult(value, argmin, len(starts), evals)
 
 
-def _info_pieces(ch: Channel):
-    """(rows restricted to reachable outputs, per-row negative entropy)."""
-    rows = ch.rows[:, ch.reachable_outputs()]
-    rne = np.where(rows > 0.0, rows * np.log(np.maximum(rows, 1e-300)), 0.0).sum(axis=1)
-    return rows, rne
+def _rate_gap(ch_minus: Channel, ch_plus: Channel, c_minus: float = 1.0, c_plus: float = 1.0):
+    """Objective p -> I(p; ch_plus)/c_plus - I(p; ch_minus)/c_minus in bits,
+    and its gradient. The gradient of I(X;Y) in p(x) is D(W(.|x) || p_Y) less
+    a constant, and projection onto the simplex ignores constant shifts."""
+    pieces = []
+    for ch in (ch_minus, ch_plus):
+        rows = ch.rows[:, ch.reachable_outputs()]
+        pieces.append((rows, neg_entropy(rows)))
+    (rows_m, rne_m), (rows_p, rne_p) = pieces
+
+    def objective(p):
+        return information(p, rows_p, rne_p) / c_plus - information(p, rows_m, rne_m) / c_minus
+
+    def gradient(p):
+        return (
+            row_divergences(rows_p, rne_p, p @ rows_p) / LN2 / c_plus
+            - row_divergences(rows_m, rne_m, p @ rows_m) / LN2 / c_minus
+        )
+
+    return objective, gradient
 
 
-def _mi_bits(rows, rne, p):
-    q = p @ rows
-    ent = -np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0).sum()
-    return (float(p @ rne) + float(ent)) / LN2
+def _divergence_gap(ch1: Channel, ch2: Channel, rep1: CapacityReport, rep2: CapacityReport):
+    """Objective p -> D(p_Y || r*)/c1 - D(p_Z || s*)/c2 in bits against the
+    optimal outputs, and its gradient. The gradient of D(p_Y || r) in p(x) is
+    sum_y W(y|x) ln(p_Y(y)/r(y)) plus a constant."""
+    c1, c2 = rep1.capacity, rep2.capacity
+    pieces = []
+    for ch, rep in ((ch1, rep1), (ch2, rep2)):
+        reachable = ch.reachable_outputs()
+        pieces.append((ch.rows[:, reachable], rep.optimal_output.probs[reachable]))
+    (rows1, ref1), (rows2, ref2) = pieces
 
+    def objective(p):
+        return kl(p @ rows1, ref1) / c1 - kl(p @ rows2, ref2) / c2
 
-def _mi_bits_batch(rows, rne, pts):
-    q = pts @ rows
-    ent = -np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0).sum(axis=1)
-    return (pts @ rne + ent) / LN2
+    def gradient(p):
+        return (
+            row_log_ratios(rows1, p @ rows1, ref1) / c1
+            - row_log_ratios(rows2, p @ rows2, ref2) / c2
+        ) / LN2
 
-
-def _div_vector_bits(rows, rne, p):
-    """D(row_x || pushforward of p) for every x, in bits; +inf clipped later."""
-    q = p @ rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logq = np.where(q > 0.0, np.log(np.maximum(q, 1e-300)), -np.inf)
-        out = rne - rows @ np.where(np.isfinite(logq), logq, -1e9)
-    return out / LN2
+    return objective, gradient
 
 
 def _check_from_minimum(res: MinimizationResult, alphabet, violation_tol) -> SearchVerdict:
@@ -244,19 +251,8 @@ def more_capable_check(ch1: Channel, ch2: Channel, cfg: SearchConfig = SearchCon
     ordering and the witness input is returned.
     """
     _require_shared_input(ch1, ch2)
-    rows1, rne1 = _info_pieces(ch1)
-    rows2, rne2 = _info_pieces(ch2)
-
-    def objective(p):
-        return _mi_bits(rows1, rne1, p) - _mi_bits(rows2, rne2, p)
-
-    def batch(pts):
-        return _mi_bits_batch(rows1, rne1, pts) - _mi_bits_batch(rows2, rne2, pts)
-
-    def gradient(p):
-        return _div_vector_bits(rows1, rne1, p) - _div_vector_bits(rows2, rne2, p)
-
-    res = dc_minimize(objective, len(ch1.input), cfg, gradient=gradient, batch_objective=batch)
+    objective, gradient = _rate_gap(ch2, ch1)
+    res = dc_minimize(objective, gradient, len(ch1.input), cfg)
     return _check_from_minimum(res, ch1.input, cfg.violation_tol)
 
 
@@ -275,19 +271,8 @@ def ratio_condition_check(
     _require_shared_input(ch1, ch2)
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("the per-capacity ratio condition needs positive capacities")
-    rows1, rne1 = _info_pieces(ch1)
-    rows2, rne2 = _info_pieces(ch2)
-
-    def objective(p):
-        return _mi_bits(rows2, rne2, p) / c2 - _mi_bits(rows1, rne1, p) / c1
-
-    def batch(pts):
-        return _mi_bits_batch(rows2, rne2, pts) / c2 - _mi_bits_batch(rows1, rne1, pts) / c1
-
-    def gradient(p):
-        return _div_vector_bits(rows2, rne2, p) / c2 - _div_vector_bits(rows1, rne1, p) / c1
-
-    res = dc_minimize(objective, len(ch1.input), cfg, gradient=gradient, batch_objective=batch)
+    objective, gradient = _rate_gap(ch1, ch2, c1, c2)
+    res = dc_minimize(objective, gradient, len(ch1.input), cfg)
     return _check_from_minimum(res, ch1.input, cfg.violation_tol)
 
 
@@ -314,54 +299,11 @@ def divergence_form_check(
                 f"the {name} channel's optimizers miss part of the input alphabet; "
                 "the divergence form does not apply"
             )
-    c1, c2 = rep1.capacity, rep2.capacity
-    if c1 <= 0.0 or c2 <= 0.0:
+    if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
         raise ValueError("the divergence form needs positive capacities")
-    mask1 = ch1.reachable_outputs()
-    mask2 = ch2.reachable_outputs()
-    rows1, rows2 = ch1.rows[:, mask1], ch2.rows[:, mask2]
-    ref1 = rep1.optimal_output.probs[mask1]
-    ref2 = rep2.optimal_output.probs[mask2]
-    log_ref1, log_ref2 = np.log(ref1), np.log(ref2)
-
-    def _dout(rows, log_ref, p):
-        q = p @ rows
-        mask = q > 0.0
-        return float((q[mask] * (np.log(q[mask]) - log_ref[mask])).sum()) / LN2
-
-    def objective(p):
-        return _dout(rows1, log_ref1, p) / c1 - _dout(rows2, log_ref2, p) / c2
-
-    def batch(pts):
-        q1 = pts @ rows1
-        q2 = pts @ rows2
-        d1 = np.where(q1 > 0.0, q1 * (np.log(np.maximum(q1, 1e-300)) - log_ref1), 0.0).sum(axis=1)
-        d2 = np.where(q2 > 0.0, q2 * (np.log(np.maximum(q2, 1e-300)) - log_ref2), 0.0).sum(axis=1)
-        return (d1 / c1 - d2 / c2) / LN2
-
-    def gradient(p):
-        q1 = p @ rows1
-        q2 = p @ rows2
-        with np.errstate(divide="ignore"):
-            t1 = rows1 @ np.where(q1 > 0.0, np.log(np.maximum(q1, 1e-300)) - log_ref1, -1e9)
-            t2 = rows2 @ np.where(q2 > 0.0, np.log(np.maximum(q2, 1e-300)) - log_ref2, -1e9)
-        return (t1 / c1 - t2 / c2) / LN2
-
-    res = dc_minimize(objective, len(ch1.input), cfg, gradient=gradient, batch_objective=batch)
+    objective, gradient = _divergence_gap(ch1, ch2, rep1, rep2)
+    res = dc_minimize(objective, gradient, len(ch1.input), cfg)
     return _check_from_minimum(res, ch1.input, cfg.violation_tol)
-
-
-def _profile_allow_inf(ch: Channel, ref: Distribution) -> np.ndarray:
-    """Per-input divergence to `ref` in bits, +inf where support escapes."""
-    out = np.empty(len(ch.input))
-    for i in range(len(ch.input)):
-        row = ch.rows[i]
-        mask = row > 0.0
-        if np.any(ref.probs[mask] == 0.0):
-            out[i] = np.inf
-        else:
-            out[i] = float((row[mask] * np.log(row[mask] / ref.probs[mask])).sum()) / LN2
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,8 +353,8 @@ def vertex_screen(
     s_y = push_forward(rep2.achieving_input, ch1)
     r_z = push_forward(rep1.achieving_input, ch2)
 
-    div1_mix = _profile_allow_inf(ch1, s_y)
-    div2_mix = _profile_allow_inf(ch2, r_z)
+    div1_mix = kl(ch1.rows, s_y.probs)
+    div2_mix = kl(ch2.rows, r_z.probs)
     div1_peak = rep1.divergence_profile
     div2_peak = rep2.divergence_profile
 
@@ -487,18 +429,13 @@ def perturbation_identity_check(probe: PerturbationProbe, ch: Channel) -> Pertur
 
     base_y = push_forward(base, ch).probs
     mix_y = push_forward(mixing, ch).probs
-    d_ref = _kl_bits(base_y, mix_y)
+    d_ref = float(kl(base_y, mix_y))
 
     rates, slopes, remainders = [], [], []
     for eps in probe.epsilons:
         comp = (mixing.probs - eps * base.probs) / (1.0 - eps)
-        comp_y = np.maximum(comp, 0.0) @ ch.rows
-        joint = np.vstack([eps * base_y, (1.0 - eps) * comp_y])
-        marg_y = joint.sum(axis=0)
-        pv = joint.sum(axis=1)
-        nz = joint > 0.0
-        ratio = joint[nz] / (np.outer(pv, marg_y)[nz])
-        rate = float((joint[nz] * np.log(ratio)).sum()) / LN2
+        branches = np.vstack([base_y, np.maximum(comp, 0.0) @ ch.rows])
+        rate = float(information(np.array([eps, 1.0 - eps]), branches, neg_entropy(branches)))
         rates.append(rate)
         slopes.append(rate / eps)
         remainders.append(abs(rate - eps * d_ref))
@@ -524,9 +461,3 @@ def perturbation_identity_check(probe: PerturbationProbe, ch: Channel) -> Pertur
         divergence=d_ref,
     )
 
-
-def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return math.inf
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum()) / LN2

@@ -3,7 +3,10 @@ joints, and the information quantities everything else is built from.
 
 All information quantities are computed in natural log internally and reported
 in bits. Conventions: 0*log(0) = 0 and 0*log(0/0) = 0; a strictly positive
-probability against a zero reference yields +inf (never an exception).
+probability against a zero reference yields +inf (never an exception), except
+in the per-row divergences that drive the capacity iteration and the search
+gradients, which use a large finite stand-in. The kernel functions below are
+the only place these conventions are written down.
 """
 
 from __future__ import annotations
@@ -209,25 +212,79 @@ def _check_axes(joint: JointDistribution, axes: tuple[int, ...]):
             raise ValueError(f"axis {a} out of range for {joint.ndim}-axis joint")
 
 
+# The information kernel. Every function reduces over the last axis and
+# broadcasts over any leading ones, so one call evaluates a single point or a
+# whole batch; natural logs throughout, bits where a docstring says so.
+
+FLOOR = 1e-300  # smallest probability put under a logarithm
+_ZERO_REF_LOG = -1e9  # stands in for ln 0 where a reference misses an output a row reaches
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(a, FLOOR))
+
+
+def _rows_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v for v of shape (..., |Y|). Each v row takes the same BLAS
+    call as a lone vector, so a batch agrees bit for bit with single calls."""
+    return (rows @ v[..., None])[..., 0]
+
+
+def xlogx(a: np.ndarray) -> np.ndarray:
+    """Elementwise a*ln(a) in nats, with 0*ln(0) = 0."""
+    return np.where(a > 0.0, a * _log(a), 0.0)
+
+
+def neg_entropy(a: np.ndarray) -> np.ndarray:
+    """sum a*ln(a) over the last axis in nats: minus each row's entropy."""
+    return xlogx(a).sum(axis=-1)
+
+
+def information(p: np.ndarray, rows: np.ndarray, rows_neg_ent: np.ndarray) -> np.ndarray:
+    """I(X;Y) in bits for input distributions `p` (shape (..., |X|)) through
+    the channel matrix `rows`, given `neg_entropy(rows)`. A batch of points
+    takes one matrix product, which BLAS may sum in another order than a
+    single point's, so rows can differ from single calls in the last bits."""
+    return (p @ rows_neg_ent - neg_entropy(p @ rows)) / LN2
+
+
+def row_divergences(rows: np.ndarray, rows_neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(rows[x] || q) in nats for every row x, for references `q` of shape
+    (..., |Y|); returns shape (..., |X|). With q = p @ rows this is the
+    gradient of I(X;Y) in p(x), less a constant.
+
+    Where q misses an output some row reaches, ln 0 is replaced by a large
+    negative constant, so that row's divergence is huge but finite.
+    """
+    return rows_neg_ent - _rows_dot(rows, np.where(q > 0.0, _log(q), _ZERO_REF_LOG))
+
+
+def row_log_ratios(rows: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_y rows[x, y] ln(q(y) / r(y)) in nats for every row x, for `q` of
+    shape (..., |Y|) and a positive reference `r`. With q = p @ rows this is
+    the gradient of D(q || r) in p(x), less a constant. Where q misses an
+    output, the same stand-in as in `row_divergences` replaces the log ratio.
+    """
+    return _rows_dot(rows, np.where(q > 0.0, _log(q) - np.log(r), _ZERO_REF_LOG))
+
+
+def kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(p || q) in bits over the last axis; +inf where supp(p) escapes supp(q)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * (_log(p) - np.log(q)), 0.0)
+    return terms.sum(axis=-1) / LN2
+
+
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits."""
-    p = dist.probs
-    mask = p > 0.0
-    return float(-(p[mask] * np.log(p[mask])).sum() / LN2)
+    return float(-neg_entropy(dist.probs) / LN2)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Relative entropy D(p || q) in bits; +inf when supp(p) escapes supp(q)."""
     if p.alphabet != q.alphabet:
         raise AlphabetMismatchError("KL divergence needs a common alphabet")
-    return _kl_vectors(p.probs, q.probs)
-
-
-def _kl_vectors(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return math.inf
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum() / LN2)
+    return float(kl(p.probs, q.probs))
 
 
 def push_forward(p: Distribution, ch: Channel) -> Distribution:
@@ -241,32 +298,7 @@ def mutual_information(p: Distribution, ch: Channel) -> float:
     """I(X;Y) in bits between `p` and the output of `ch`."""
     if p.alphabet != ch.input:
         raise AlphabetMismatchError("input distribution does not match channel input alphabet")
-    q = p.probs @ ch.rows
-    total = 0.0
-    for i in range(len(p.alphabet)):
-        if p.probs[i] > 0.0:
-            total += p.probs[i] * _kl_vectors(ch.rows[i], q)
-    return total
-
-
-def expected_divergence(p: Distribution, ref: Distribution, ch: Channel) -> float:
-    """Average divergence sum_x p(x) D(ch(.|x) || ref) in bits; may be +inf.
-
-    Decomposes as I(X;Y) + D(p_Y || ref), which is what makes a reference
-    output distribution a capacity certificate.
-    """
-    if p.alphabet != ch.input:
-        raise AlphabetMismatchError("input distribution does not match channel input alphabet")
-    if ref.alphabet != ch.output:
-        raise AlphabetMismatchError("reference distribution does not match channel output alphabet")
-    total = 0.0
-    for i in range(len(p.alphabet)):
-        if p.probs[i] > 0.0:
-            d = _kl_vectors(ch.rows[i], ref.probs)
-            if math.isinf(d):
-                return math.inf
-            total += p.probs[i] * d
-    return total
+    return float(information(p.probs, ch.rows, neg_entropy(ch.rows)))
 
 
 def extend_with_channel(joint: JointDistribution, axis: int, ch: Channel) -> JointDistribution:

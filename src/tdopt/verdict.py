@@ -25,8 +25,8 @@ from .comparison import (
     more_capable_check,
     ratio_condition_check,
 )
-from .config import RunConfig
-from .core import BroadcastPair, Distribution
+from .config import BITS_UNITS, RunConfig
+from .core import LN2, BroadcastPair, Distribution
 
 TD_OPTIMAL = "TD_OPTIMAL"
 TD_NOT_OPTIMAL = "TD_NOT_OPTIMAL"
@@ -201,30 +201,30 @@ def decide_td_optimality(
     )
 
 
-def _sig12(x: float) -> float:
+def sig12(x: float) -> float:
+    """`x` rounded to 12 significant digits, so equal runs serialize byte-identically."""
     return float(f"{x:.12g}")
 
 
-def _unit_scale(units: str) -> float:
-    import math
-
-    return 1.0 if units == "bits" else math.log(2.0)
+def unit_scale(units: str) -> float:
+    """Factor taking a quantity in bits to `units`."""
+    return 1.0 if units == BITS_UNITS else LN2
 
 
 def _report_dict(rep: CapacityReport, scale: float) -> dict:
     return {
-        "capacity": _sig12(rep.capacity * scale),
+        "capacity": sig12(rep.capacity * scale),
         "peak_set": list(rep.peak_set) if rep.peak_set is not None else None,
         "support_union": list(rep.support_union) if rep.support_union is not None else None,
-        "optimal_output": [_sig12(v) for v in rep.optimal_output.probs],
+        "optimal_output": [sig12(v) for v in rep.optimal_output.probs],
     }
 
 
 def _check_dict(v: SearchVerdict, scale: float) -> dict:
     return {
         "status": v.status,
-        "gap": _sig12(v.gap * scale),
-        "witness": None if v.witness is None else [_sig12(p) for p in v.witness.probs],
+        "gap": sig12(v.gap * scale),
+        "witness": None if v.witness is None else [sig12(p) for p in v.witness.probs],
         "starts": v.starts,
         "evaluations": v.evaluations,
     }
@@ -237,7 +237,7 @@ def verdict_to_dict(v: TDVerdict) -> dict:
     unitless. All reals are rounded to 12 significant digits so equal runs
     serialize byte-identically.
     """
-    scale = _unit_scale(v.config.units)
+    scale = unit_scale(v.config.units)
     doc = {
         "status": v.status,
         "branch": v.branch,
@@ -249,7 +249,7 @@ def verdict_to_dict(v: TDVerdict) -> dict:
             "second": _report_dict(v.second_report, scale),
         },
         "checks": {name: _check_dict(c, scale) for name, c in v.checks.items()},
-        "witnesses": [[_sig12(p) for p in w.probs] for w in v.witnesses],
+        "witnesses": [[sig12(p) for p in w.probs] for w in v.witnesses],
         "config": {
             "seed": v.config.seed,
             "starts": v.config.starts,
@@ -268,7 +268,7 @@ def verdict_to_dict(v: TDVerdict) -> dict:
 
 
 def evidence_to_dict(ev: EvidenceReport, units: str = "bits") -> dict:
-    scale = _unit_scale(units)
+    scale = unit_scale(units)
 
     def side(rep: SampleReport) -> dict:
         return {
@@ -276,10 +276,10 @@ def evidence_to_dict(ev: EvidenceReport, units: str = "bits") -> dict:
             "samples": rep.sample.samples,
             "seed": rep.sample.seed,
             "cardinalities": list(rep.sample.cardinalities),
-            "min_td_slack": _sig12(rep.min_slack),
+            "min_td_slack": sig12(rep.min_slack),
             "worst_point": None
             if rep.worst_point is None
-            else [_sig12(rep.worst_point.r1 * scale), _sig12(rep.worst_point.r2 * scale)],
+            else [sig12(rep.worst_point.r1 * scale), sig12(rep.worst_point.r2 * scale)],
         }
 
     return {

@@ -1,6 +1,8 @@
 """Region machinery: TD membership, constraint pentagons, the time-sharing
 construction identities, and seeded sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from tdopt.bounds import (
     RatePoint,
     RegionSample,
     marton_rates,
+    region_csv,
     sample_marton,
     sample_uv,
     td_boundary_sample,
@@ -400,12 +403,22 @@ class TestSerialization:
         sample = RegionSample(
             (RatePoint(1.0 / 3.0, 0.25), RatePoint(0.0, 1.0)), MARTON, 0, (2, 2, 2), 2
         )
-        text = sample.csv_text()
+        text = region_csv((sample,))
         lines = text.splitlines()
         assert lines[0] == "source,R1,R2"
         assert lines[1] == "MARTON,0.333333333333,0.25"
         assert lines[2] == "MARTON,0,1"
         assert text.endswith("\n")
+
+    def test_csv_joins_samples_under_one_header_and_scales(self):
+        first = RegionSample((RatePoint(1.0, 0.5),), MARTON, 0, (2, 2, 2), 1)
+        second = RegionSample((RatePoint(0.25, 2.0),), TD, 0, (1, 1, 1), 1)
+        lines = region_csv((first, second), math.log(2.0)).splitlines()
+        assert lines == [
+            "source,R1,R2",
+            f"MARTON,{math.log(2.0):.12g},{0.5 * math.log(2.0):.12g}",
+            f"TD,{0.25 * math.log(2.0):.12g},{2.0 * math.log(2.0):.12g}",
+        ]
 
     def test_td_boundary_endpoints_and_midpoint(self):
         sample = td_boundary_sample(2.0, 1.0, 101)

@@ -334,6 +334,44 @@ class TestAnalyzeCommand:
         p1, p2 = tmp_path / "p1.json", tmp_path / "p2.json"
         save_channel(pair.first, str(p1))
         save_channel(pair.second, str(p2))
-        code, out = run(["analyze", str(p1), str(p2)])
+        dest = tmp_path / "a.json"
+        code, out = run(["analyze", str(p1), str(p2), "--json", str(dest)])
         assert code == EXIT_OK
         assert "divergence_form: skipped" in out
+        doc = json.loads(dest.read_text())
+        assert doc["checks"]["divergence_form"] == "SKIPPED"
+        assert doc["gaps"]["divergence_form"] is None
+
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    def test_json_carries_the_text_report(self, tmp_path, units):
+        b1 = write_bsc(tmp_path / "b1.json", 0.1)
+        b2 = write_bsc(tmp_path / "b2.json", 0.3)
+        dest = tmp_path / "a.json"
+        code, out = run(["analyze", b1, b2, "--units", units, "--json", str(dest)])
+        assert code == EXIT_OK
+        doc = json.loads(dest.read_text())
+        assert doc["checks"] == {
+            "more_capable_forward": "HOLDS_UP_TO_SEARCH",
+            "more_capable_backward": "VIOLATED",
+            "ratio_condition": "VIOLATED",
+            "divergence_form": "VIOLATED",
+        }
+        labels = {
+            "more_capable_forward": "more_capable first>=second",
+            "more_capable_backward": "more_capable second>=first",
+            "ratio_condition": "ratio_condition",
+            "divergence_form": "divergence_form",
+        }
+        for key, label in labels.items():
+            line = f"  {label}: {doc['checks'][key]} gap={doc['gaps'][key]:.12g}\n"
+            assert line in out
+        scale = 1.0 if units == "bits" else math.log(2.0)
+        assert doc["gaps"]["ratio_condition"] == pytest.approx(-0.0317392992283 * scale, abs=1e-11)
+        screen = doc["vertex_screen"]
+        assert screen["first_family_holds"] is False
+        assert screen["second_family_holds"] is True
+        assert 0.0 <= screen["mixed_output_gap"] < 1e-12
+        assert (
+            "first family holds: false; second family holds: true; "
+            f"mixed output gap: {screen['mixed_output_gap']:.12g}\n"
+        ) in out
