@@ -5,14 +5,13 @@ The package computes single-user capacities with certified brackets, the
 divergence geometry behind them (optimal output distribution, peak input set,
 support union of optimizers), channel-ordering and per-capacity-ratio checks,
 inner/outer rate-region sampling, and a verdict engine tying it together.
+
+The names below are the ones the demos and the README use; everything else
+is imported from its submodule. One `RunConfig` carries every tolerance,
+budget and seed of a run.
 """
 
 from .bounds import (
-    RateConstraints,
-    RatePoint,
-    RegionSample,
-    SampleReport,
-    TimeshareConstruction,
     marton_rates,
     sample_marton,
     sample_uv,
@@ -20,124 +19,60 @@ from .bounds import (
     td_region_contains,
     timeshare_construction,
     timeshare_identities,
-    uv_bound_rates,
 )
-from .capacity import (
-    CapacityReport,
-    ConvergenceError,
-    analyze_channel,
-    compute_capacity,
-    compute_peak_set,
-    compute_support_union,
-    divergence_profile,
-    is_capacity_achieving,
-    support_union_witness,
-)
+from .capacity import analyze_channel, compute_capacity, is_capacity_achieving
 from .comparison import (
-    AssumptionNotMetError,
-    MinimizationResult,
     PerturbationProbe,
-    PerturbationResult,
-    SearchConfig,
-    SearchVerdict,
-    VertexScreen,
-    dc_minimize,
     divergence_form_check,
     more_capable_check,
     perturbation_feasibility_bound,
     perturbation_identity_check,
-    project_to_simplex,
     ratio_condition_check,
-    vertex_screen,
 )
 from .config import RunConfig
 from .core import (
     Alphabet,
-    AlphabetMismatchError,
     BroadcastPair,
     Channel,
     Distribution,
     JointDistribution,
-    entropy,
-    extend_with_channel,
     kl_divergence,
     mutual_information,
-    mutual_information_pair,
     push_forward,
 )
-from .families import make_bec, make_bsc, make_identity, make_partition_pair
-from .verdict import (
-    EvidenceReport,
-    TDVerdict,
-    decide_td_optimality,
-    evidence_mode,
-    evidence_to_dict,
-    theorem_statement_normalization,
-    verdict_to_dict,
-)
+from .families import make_bec, make_bsc, make_partition_pair
+from .verdict import decide_td_optimality
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "AlphabetMismatchError",
-    "AssumptionNotMetError",
     "BroadcastPair",
-    "CapacityReport",
     "Channel",
-    "ConvergenceError",
     "Distribution",
-    "EvidenceReport",
     "JointDistribution",
-    "MinimizationResult",
     "PerturbationProbe",
-    "PerturbationResult",
-    "RateConstraints",
-    "RatePoint",
-    "RegionSample",
     "RunConfig",
-    "SampleReport",
-    "SearchConfig",
-    "SearchVerdict",
-    "TDVerdict",
-    "TimeshareConstruction",
-    "VertexScreen",
     "analyze_channel",
     "compute_capacity",
-    "compute_peak_set",
-    "compute_support_union",
-    "dc_minimize",
     "decide_td_optimality",
     "divergence_form_check",
-    "divergence_profile",
-    "entropy",
-    "evidence_mode",
-    "evidence_to_dict",
-    "extend_with_channel",
     "is_capacity_achieving",
     "kl_divergence",
     "make_bec",
     "make_bsc",
-    "make_identity",
     "make_partition_pair",
     "marton_rates",
     "more_capable_check",
     "mutual_information",
-    "mutual_information_pair",
     "perturbation_feasibility_bound",
     "perturbation_identity_check",
-    "project_to_simplex",
     "push_forward",
     "ratio_condition_check",
     "sample_marton",
     "sample_uv",
-    "support_union_witness",
     "td_boundary_sample",
     "td_region_contains",
-    "theorem_statement_normalization",
     "timeshare_construction",
     "timeshare_identities",
-    "uv_bound_rates",
-    "vertex_screen",
-    "verdict_to_dict",
 ]

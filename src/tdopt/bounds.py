@@ -17,7 +17,6 @@ from .core import (
     Alphabet,
     AlphabetMismatchError,
     Channel,
-    Distribution,
     JointDistribution,
     extend_with_channel,
     mutual_information_pair,
@@ -283,11 +282,6 @@ class SampleReport:
     worst_aux: JointDistribution | None
 
 
-def _copy_plan(p: Distribution) -> JointDistribution:
-    """(X, U) joint with U a noiseless copy of X distributed as `p`."""
-    return JointDistribution((p.alphabet, p.alphabet), np.diag(p.probs))
-
-
 def _resolve_reports(ch1, ch2, reports):
     rep1, rep2 = reports if reports is not None else (compute_capacity(ch1), compute_capacity(ch2))
     if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
@@ -324,8 +318,59 @@ class _WorstTracker:
                 self.aux = aux
 
 
-def _timeshare_probe_fractions() -> np.ndarray:
-    return np.linspace(0.0, 1.0, 11)
+def _timeshare_probes(rep1: CapacityReport, rep2: CapacityReport):
+    """Time-sharing joints between the two copy plans (an auxiliary that
+    copies X at a capacity-achieving input), at 11 fractions from 0 to 1,
+    built one at a time since each has 4|X|^2(|X|+1)^2 cells."""
+    plan1, plan2 = (
+        JointDistribution((p.alphabet, p.alphabet), np.diag(p.probs))
+        for p in (rep1.achieving_input, rep2.achieving_input)
+    )
+    for lam in np.linspace(0.0, 1.0, 11):
+        yield timeshare_construction(plan1, plan2, float(lam)).marton_joint()
+
+
+def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
+    """One auxiliary copies X at a capacity-achieving input, the other is
+    constant."""
+    const = Alphabet(("c0",))
+    p1, p2 = rep1.achieving_input, rep2.achieving_input
+    yield JointDistribution((p1.alphabet, const, p1.alphabet), np.diag(p1.probs)[:, None, :])
+    yield JointDistribution((const, p2.alphabet, p2.alphabet), np.diag(p2.probs)[None, :, :])
+
+
+def _sample(ch1, ch2, cardinalities, n_samples, seed, reports, arity, rates, probes, source):
+    """The sampling loop both bounds share: the structured `probes` joints,
+    then `n_samples` Dirichlet joints over the first `arity` auxiliaries and
+    X, drawn in batches seeded by [seed, batch index]. Every joint's
+    `rates` corners become points, and the one with the smallest
+    time-division slack is kept."""
+    if ch1.input != ch2.input:
+        raise AlphabetMismatchError("channels must share the input alphabet")
+    nx = len(ch1.input)
+    cards, cells = _check_cells(cardinalities, nx, arity)
+    rep1, rep2 = _resolve_reports(ch1, ch2, reports)
+    tracker = _WorstTracker(rep1.capacity, rep2.capacity)
+    points: list[RatePoint] = []
+
+    def offer(aux: JointDistribution):
+        corners = rates(aux, ch1, ch2).corners()
+        points.extend(corners)
+        tracker.offer(corners, aux)
+
+    if n_samples > 0:
+        for aux in probes(rep1, rep2):
+            offer(aux)
+        alphas = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards[:arity], "uvw"))
+        alphas += (ch1.input,)
+        shape = cards[:arity] + (nx,)
+        for batch_index, done in enumerate(range(0, n_samples, _BATCH)):
+            rng = np.random.default_rng([seed, batch_index])
+            for row in rng.dirichlet(np.ones(cells), size=min(_BATCH, n_samples - done)):
+                offer(JointDistribution(alphas, row.reshape(shape)))
+
+    sample = RegionSample(tuple(points), source, seed, cards, n_samples)
+    return SampleReport(sample, tracker.min_slack, tracker.point, tracker.aux)
 
 
 def sample_marton(
@@ -340,42 +385,10 @@ def sample_marton(
     (|U|, |V|, |W|) cardinalities plus structured time-sharing probes built
     from capacity-achieving inputs. Deterministic given the seed; with
     n_samples = 0 the sample is empty and the slack defaults to +1."""
-    if ch1.input != ch2.input:
-        raise AlphabetMismatchError("channels must share the input alphabet")
-    nx = len(ch1.input)
-    cards, cells = _check_cells(cardinalities, nx, 3)
-    rep1, rep2 = _resolve_reports(ch1, ch2, reports)
-    tracker = _WorstTracker(rep1.capacity, rep2.capacity)
-    points: list[RatePoint] = []
-
-    if n_samples > 0:
-        plan1 = _copy_plan(rep1.achieving_input)
-        plan2 = _copy_plan(rep2.achieving_input)
-        for lam in _timeshare_probe_fractions():
-            aux = timeshare_construction(plan1, plan2, float(lam)).marton_joint()
-            corners = marton_rates(aux, ch1, ch2).corners()
-            points.extend(corners)
-            tracker.offer(corners, aux)
-
-        alphas = tuple(
-            Alphabet.of_size(cards[i], prefix) for i, prefix in enumerate(("u", "v", "w"))
-        )
-        shape = (cards[0], cards[1], cards[2], nx)
-        done, batch_index = 0, 0
-        while done < n_samples:
-            take = min(_BATCH, n_samples - done)
-            rng = np.random.default_rng([seed, batch_index])
-            draws = rng.dirichlet(np.ones(cells), size=take)
-            for row in draws:
-                aux = JointDistribution(alphas + (ch1.input,), row.reshape(shape))
-                corners = marton_rates(aux, ch1, ch2).corners()
-                points.extend(corners)
-                tracker.offer(corners, aux)
-            done += take
-            batch_index += 1
-
-    sample = RegionSample(tuple(points), MARTON, seed, cards, n_samples)
-    return SampleReport(sample, tracker.min_slack, tracker.point, tracker.aux)
+    return _sample(
+        ch1, ch2, cardinalities, n_samples, seed, reports,
+        3, marton_rates, _timeshare_probes, MARTON,
+    )
 
 
 def sample_uv(
@@ -393,48 +406,10 @@ def sample_uv(
     Sampled outer-bound points witness what the converse permits; they do
     not certify achievability.
     """
-    if ch1.input != ch2.input:
-        raise AlphabetMismatchError("channels must share the input alphabet")
-    nx = len(ch1.input)
-    cards, cells = _check_cells(cardinalities, nx, 2)
-    rep1, rep2 = _resolve_reports(ch1, ch2, reports)
-    tracker = _WorstTracker(rep1.capacity, rep2.capacity)
-    points: list[RatePoint] = []
-    const = Alphabet(("c0",))
-
-    if n_samples > 0:
-        p1 = rep1.achieving_input
-        first = JointDistribution(
-            (p1.alphabet, const, p1.alphabet), np.diag(p1.probs)[:, None, :]
-        )
-        p2 = rep2.achieving_input
-        second = JointDistribution(
-            (const, p2.alphabet, p2.alphabet), np.diag(p2.probs)[None, :, :]
-        )
-        for aux in (first, second):
-            corners = uv_bound_rates(aux, ch1, ch2).corners()
-            points.extend(corners)
-            tracker.offer(corners, aux)
-
-        alphas = tuple(
-            Alphabet.of_size(cards[i], prefix) for i, prefix in enumerate(("u", "v"))
-        )
-        shape = (cards[0], cards[1], nx)
-        done, batch_index = 0, 0
-        while done < n_samples:
-            take = min(_BATCH, n_samples - done)
-            rng = np.random.default_rng([seed, batch_index])
-            draws = rng.dirichlet(np.ones(cells), size=take)
-            for row in draws:
-                aux = JointDistribution(alphas + (ch1.input,), row.reshape(shape))
-                corners = uv_bound_rates(aux, ch1, ch2).corners()
-                points.extend(corners)
-                tracker.offer(corners, aux)
-            done += take
-            batch_index += 1
-
-    sample = RegionSample(tuple(points), UV, seed, cards, n_samples)
-    return SampleReport(sample, tracker.min_slack, tracker.point, tracker.aux)
+    return _sample(
+        ch1, ch2, cardinalities, n_samples, seed, reports,
+        2, uv_bound_rates, _single_user_probes, UV,
+    )
 
 
 def td_boundary_sample(c1: float, c2: float, count: int = 101) -> RegionSample:

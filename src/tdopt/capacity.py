@@ -18,7 +18,7 @@ from .simplex import OPTIMAL, lp_solve_max_coordinate
 DEFAULT_TOL = RunConfig.tol            # bits, bracket width
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_PEAK_TOL = RunConfig.peak_tol  # bits, slack below capacity still counted as peak
-DEFAULT_LP_TOL = 1e-9                  # mass threshold deciding support-union membership
+_LP_TOL = 1e-9                         # mass threshold deciding support-union membership
 
 
 class ConvergenceError(RuntimeError):
@@ -56,11 +56,30 @@ class CapacityReport:
 
 def _newton_refine(rows, row_neg_ent, p_start, support):
     """Solve D(row_x || q) = const for x in `support` with q the pushforward
-    of p supported there. Returns (p, iterations_used) or None if the system
-    misbehaves (singular Jacobian, mass escaping the simplex)."""
+    of p supported there. Returns p on `support`, or None if the system
+    misbehaves (singular Jacobian, mass escaping the simplex).
+
+    Identical rows would make the Jacobian singular, so each group of them is
+    solved as one row and its mass is then shared as `p_start` shares it."""
     sub = rows[support]
-    k = len(support)
-    p = p_start[support].astype(float)
+    keys: dict[bytes, int] = {}
+    group = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in sub])
+    if len(keys) == len(support):
+        return _newton_solve(sub, row_neg_ent[support], p_start[support])
+    share = p_start[support]
+    mass = np.bincount(group, weights=share)
+    first = support[np.unique(group, return_index=True)[1]]
+    solved = _newton_solve(rows[first], row_neg_ent[first], mass)
+    if solved is None:
+        return None
+    return solved[group] * share / mass[group]
+
+
+def _newton_solve(sub, sub_neg_ent, p_start):
+    """Newton's method for the stationarity system on the rows `sub`, started
+    from the (unnormalized) weights `p_start`."""
+    k = len(sub)
+    p = p_start.astype(float)
     total = p.sum()
     if total <= 0.0:
         return None
@@ -70,7 +89,7 @@ def _newton_refine(rows, row_neg_ent, p_start, support):
         q = p @ sub
         if not np.all(np.isfinite(q)) or np.any((q <= 0.0) & (sub.max(axis=0) > 0.0)):
             return None
-        d = row_divergences(sub, row_neg_ent[support], q)
+        d = row_divergences(sub, sub_neg_ent, q)
         if c is None:
             c = float(p @ d)
         f = np.concatenate([d - c, [p.sum() - 1.0]])
@@ -241,9 +260,14 @@ def compute_peak_set(report: CapacityReport, tol_peak: float = DEFAULT_PEAK_TOL)
     return tuple(s for s, m in zip(report.channel.input, mask) if m)
 
 
-def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution, lp_tol: float):
-    """Per-symbol LP probes over capacity-achieving inputs supported on the
-    peak set; returns (union symbols, averaged witness vector)."""
+def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
+    """Union of supports over all capacity-achieving inputs, plus one such
+    input whose support is the whole union.
+
+    A symbol belongs iff some distribution supported on the peak set whose
+    pushforward equals the optimal output gives it mass above `_LP_TOL`; one
+    LP per peak symbol maximizes its mass, and the witness is the equal-weight
+    average of the LP vertices."""
     idx = [ch.input.index(s) for s in peak]
     reachable = ch.reachable_outputs()
     a_eq = np.vstack([ch.rows[idx][:, reachable].T, np.ones(len(idx))])
@@ -259,37 +283,12 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution, 
                 "the capacity certificate is inconsistent"
             )
         witnesses.append(res.x)
-        if res.value > lp_tol:
+        if res.value > _LP_TOL:
             member.append(peak[j])
     avg = np.mean(witnesses, axis=0)
     full = np.zeros(len(ch.input))
     full[idx] = avg
     return tuple(member), full
-
-
-def compute_support_union(
-    ch: Channel,
-    peak: tuple[str, ...],
-    r_star: Distribution,
-    lp_tol: float = DEFAULT_LP_TOL,
-) -> tuple[str, ...]:
-    """Union of supports over all capacity-achieving input distributions.
-
-    A symbol belongs iff some distribution supported on the peak set whose
-    pushforward equals the optimal output gives it mass above `lp_tol`.
-    """
-    return _support_union_lp(ch, peak, r_star, lp_tol)[0]
-
-
-def support_union_witness(
-    ch: Channel,
-    peak: tuple[str, ...],
-    r_star: Distribution,
-    lp_tol: float = DEFAULT_LP_TOL,
-) -> Distribution:
-    """A single capacity-achieving input whose support is the whole union
-    (equal-weight average of the per-symbol LP vertices)."""
-    return Distribution(ch.input, _support_union_lp(ch, peak, r_star, lp_tol)[1])
 
 
 def is_capacity_achieving(p: Distribution, report: CapacityReport, tol: float = 1e-6) -> bool:
@@ -305,21 +304,15 @@ def is_capacity_achieving(p: Distribution, report: CapacityReport, tol: float = 
     return bool(np.abs(pushed - report.optimal_output.probs).max() <= tol)
 
 
-def analyze_channel(
-    ch: Channel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol_peak: float = DEFAULT_PEAK_TOL,
-    lp_tol: float = DEFAULT_LP_TOL,
-) -> CapacityReport:
-    """Full capacity certificate: bracketed capacity, optimal output,
-    divergence profile, peak set, support union, and an achieving input whose
-    support is exactly the union."""
-    base = compute_capacity(ch, tol=tol, max_iter=max_iter)
+def analyze_channel(ch: Channel, cfg: RunConfig = RunConfig()) -> CapacityReport:
+    """Full capacity certificate: capacity bracketed to `cfg.tol`, optimal
+    output, divergence profile, peak set at `cfg.peak_tol`, support union,
+    and an achieving input whose support is exactly the union."""
+    base = compute_capacity(ch, tol=cfg.tol)
     profile = divergence_profile(ch, base.optimal_output)
     staged = replace(base, divergence_profile=profile)
-    peak = compute_peak_set(staged, tol_peak)
-    union, witness = _support_union_lp(ch, peak, base.optimal_output, lp_tol)
+    peak = compute_peak_set(staged, cfg.peak_tol)
+    union, witness = _support_union_lp(ch, peak, base.optimal_output)
     return replace(
         staged,
         peak_set=peak,

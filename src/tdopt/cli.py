@@ -19,7 +19,6 @@ import numpy as np
 from .bounds import region_csv, sample_marton, sample_uv, td_boundary_sample
 from .capacity import CapacityReport, ConvergenceError, analyze_channel
 from .comparison import (
-    SearchConfig,
     divergence_form_check,
     more_capable_check,
     ratio_condition_check,
@@ -28,7 +27,14 @@ from .comparison import (
 from .config import RunConfig
 from .core import Alphabet, AlphabetMismatchError, BroadcastPair, Channel
 from .families import make_bec, make_bsc, make_partition_pair
-from .verdict import decide_td_optimality, sig12, unit_scale, verdict_to_dict
+from .verdict import (
+    _full_support,
+    capacity_to_dict,
+    decide_td_optimality,
+    sig12,
+    unit_scale,
+    verdict_to_dict,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,30 +158,13 @@ def _write_json(path: str, doc: dict):
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _capacity_json(rep: CapacityReport, cfg: RunConfig) -> dict:
-    scale = unit_scale(cfg.units)
-    return {
-        "units": cfg.units,
-        "capacity": sig12(rep.capacity * scale),
-        "bracket": sig12(rep.gap * scale),
-        "iterations": rep.iterations,
-        "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
-        "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
-        "divergence_profile": None
-        if rep.divergence_profile is None
-        else [sig12(d * scale) for d in rep.divergence_profile],
-        "peak_set": None if rep.peak_set is None else list(rep.peak_set),
-        "support_union": None if rep.support_union is None else list(rep.support_union),
-    }
-
-
 def cmd_capacity(args, cfg: RunConfig, out) -> int:
     ch = load_channel(args.file)
-    rep = analyze_channel(ch, tol=cfg.tol, tol_peak=cfg.peak_tol)
+    rep = analyze_channel(ch, cfg)
     print(_config_header(cfg), file=out)
     _print_capacity_report(args.file, rep, cfg, out)
     if args.json:
-        _write_json(args.json, _capacity_json(rep, cfg))
+        _write_json(args.json, capacity_to_dict(rep, cfg.units))
     return EXIT_OK
 
 
@@ -233,8 +222,8 @@ def cmd_verdict(args, cfg: RunConfig, out) -> int:
 
 def cmd_region(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
-    rep1 = analyze_channel(pair.first, tol=cfg.tol, tol_peak=cfg.peak_tol)
-    rep2 = analyze_channel(pair.second, tol=cfg.tol, tol_peak=cfg.peak_tol)
+    rep1 = analyze_channel(pair.first, cfg)
+    rep2 = analyze_channel(pair.second, cfg)
     shared = dict(
         cardinalities=cfg.cardinalities,
         n_samples=cfg.samples,
@@ -311,25 +300,23 @@ _ANALYZE_LABELS = {
 
 def cmd_analyze(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
-    rep1 = analyze_channel(pair.first, tol=cfg.tol, tol_peak=cfg.peak_tol)
-    rep2 = analyze_channel(pair.second, tol=cfg.tol, tol_peak=cfg.peak_tol)
+    rep1 = analyze_channel(pair.first, cfg)
+    rep2 = analyze_channel(pair.second, cfg)
     scale = unit_scale(cfg.units)
     print(_config_header(cfg), file=out)
     _print_capacity_report(args.file1, rep1, cfg, out)
     _print_capacity_report(args.file2, rep2, cfg, out)
 
-    search = SearchConfig(starts=cfg.starts, seed=cfg.seed, violation_tol=cfg.violation_tol)
     checks = {
-        "more_capable_forward": more_capable_check(pair.first, pair.second, search),
-        "more_capable_backward": more_capable_check(pair.second, pair.first, search),
+        "more_capable_forward": more_capable_check(pair.first, pair.second, cfg),
+        "more_capable_backward": more_capable_check(pair.second, pair.first, cfg),
         "ratio_condition": ratio_condition_check(
-            pair.first, pair.second, rep1.capacity, rep2.capacity, search
+            pair.first, pair.second, rep1.capacity, rep2.capacity, cfg
         ),
     }
-    full1 = rep1.support_union is not None and len(rep1.support_union) == len(pair.first.input)
-    full2 = rep2.support_union is not None and len(rep2.support_union) == len(pair.second.input)
-    if full1 and full2:
-        checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, search)
+    n_inputs = len(pair.first.input)
+    if _full_support(rep1, n_inputs) and _full_support(rep2, n_inputs):
+        checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, cfg)
     print("comparison:", file=out)
     for key, check in checks.items():
         print(f"  {_ANALYZE_LABELS[key]}: {check.status} gap={_fmt(check.gap * scale)}", file=out)
@@ -360,8 +347,8 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         statuses.setdefault("divergence_form", "SKIPPED")
         gaps.setdefault("divergence_form", None)
         doc = {
-            "first": _capacity_json(rep1, cfg),
-            "second": _capacity_json(rep2, cfg),
+            "first": capacity_to_dict(rep1, cfg.units),
+            "second": capacity_to_dict(rep2, cfg.units),
             "checks": statuses,
             "gaps": gaps,
             "vertex_screen": {

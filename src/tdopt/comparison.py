@@ -36,21 +36,12 @@ VIOLATED = "VIOLATED"
 
 _GRID_LIMIT = 1_000_000
 _AUTO_SUBDIVISIONS = {1: 1, 2: 1000, 3: 100, 4: 40, 5: 20, 6: 10, 7: 8, 8: 7}
+_MAX_ITERS = 400     # projected-gradient steps per start
+_SCREEN_TOL = 1e-9   # slack allowed in the vertex screen's inequalities (bits)
 
 
 class AssumptionNotMetError(RuntimeError):
     """A check was invoked outside the regime where its statement applies."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budget and tolerances for simplex minimization."""
-
-    starts: int = RunConfig.starts
-    seed: int = RunConfig.seed
-    max_iters: int = 400
-    grid_step: float | None = None  # None picks a per-dimension default
-    violation_tol: float = RunConfig.violation_tol  # bits below zero that count as a violation
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +95,13 @@ def _grid_size(dim: int, subdivisions: int) -> int:
     return math.comb(subdivisions + dim - 1, dim - 1)
 
 
-def _projected_gradient(objective, gradient, x0, max_iters):
+def _projected_gradient(objective, gradient, x0):
     """Armijo-backtracked projected gradient descent; returns (x, f(x), evals)."""
     x = project_to_simplex(np.asarray(x0, dtype=float))
     fx = objective(x)
     evals = 1
     scale = 1.0
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         g = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
         alpha = scale
         accepted = False
@@ -140,7 +131,7 @@ def dc_minimize(
     objective,
     gradient,
     dim: int,
-    cfg: SearchConfig = SearchConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> MinimizationResult:
     """Minimize a (typically difference-of-concave) function over the simplex.
 
@@ -149,10 +140,12 @@ def dc_minimize(
     maps a single point to its gradient.
 
     Runs projected gradient descent from the uniform point, every vertex,
-    `cfg.starts` seeded Dirichlet draws, and the best point of a deterministic
-    grid (included whenever its size stays under a megapoint). Ties are
-    broken toward the lexicographically smallest minimizer, so results are
-    reproducible regardless of evaluation order.
+    `cfg.starts` Dirichlet draws seeded by `cfg.seed`, and the best point of a
+    deterministic grid (searched whenever its size stays under a megapoint).
+    Every candidate value is computed the single-point way, so the reported
+    value replays exactly at the reported minimizer. Ties are broken toward
+    the lexicographically smallest minimizer, so results are reproducible
+    regardless of evaluation order.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
@@ -164,22 +157,19 @@ def dc_minimize(
     if cfg.starts > 0:
         starts.extend(rng.dirichlet(np.ones(dim), size=cfg.starts))
 
-    candidates = []
-
-    subdivisions = (
-        _AUTO_SUBDIVISIONS.get(dim, 6) if cfg.grid_step is None
-        else max(1, round(1.0 / cfg.grid_step))
-    )
+    subdivisions = _AUTO_SUBDIVISIONS.get(dim, 6)
     if _grid_size(dim, subdivisions) <= _GRID_LIMIT:
         grid = _simplex_grid(dim, subdivisions)
         values = np.asarray(objective(grid), dtype=float)
         evals += len(grid)
-        best = int(values.argmin())
-        candidates.append((float(values[best]), grid[best]))
-        starts.append(grid[best])
+        # the descent from the grid's best point is a candidate no worse than
+        # it; the batch value itself may differ from the single-point one in
+        # the last bits, so it never becomes a candidate
+        starts.append(grid[int(values.argmin())])
 
+    candidates = []
     for x0 in starts:
-        x, fx, used = _projected_gradient(objective, gradient, x0, cfg.max_iters)
+        x, fx, used = _projected_gradient(objective, gradient, x0)
         evals += used
         candidates.append((float(fx), x))
 
@@ -244,7 +234,7 @@ def _require_shared_input(ch1: Channel, ch2: Channel):
         raise AlphabetMismatchError("checks need channels with a shared input alphabet")
 
 
-def more_capable_check(ch1: Channel, ch2: Channel, cfg: SearchConfig = SearchConfig()) -> SearchVerdict:
+def more_capable_check(ch1: Channel, ch2: Channel, cfg: RunConfig = RunConfig()) -> SearchVerdict:
     """Does I(X;Y) >= I(X;Z) hold for every input distribution?
 
     Minimizes the difference; a minimum below -violation_tol refutes the
@@ -261,7 +251,7 @@ def ratio_condition_check(
     ch2: Channel,
     c1: float,
     c2: float,
-    cfg: SearchConfig = SearchConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> SearchVerdict:
     """Does I(X;Y)/c1 <= I(X;Z)/c2 hold for every input distribution?
 
@@ -281,7 +271,7 @@ def divergence_form_check(
     ch2: Channel,
     rep1: CapacityReport,
     rep2: CapacityReport,
-    cfg: SearchConfig = SearchConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> SearchVerdict:
     """Capacity-normalized output-divergence form of the ratio condition:
     minimize D(p_Y || r*)/c1 - D(p_Z || s*)/c2.
@@ -337,7 +327,6 @@ def vertex_screen(
     ch2: Channel,
     rep1: CapacityReport,
     rep2: CapacityReport,
-    tol: float = 1e-9,
 ) -> VertexScreen:
     """Evaluate both point-mass inequality families exactly (no search).
 
@@ -358,9 +347,9 @@ def vertex_screen(
     div1_peak = rep1.divergence_profile
     div2_peak = rep2.divergence_profile
 
-    first_holds = bool(np.all(div1_mix <= div2_peak + tol))
+    first_holds = bool(np.all(div1_mix <= div2_peak + _SCREEN_TOL))
     second_holds = bool(
-        np.all(div2_mix / rep2.capacity <= div1_peak / rep1.capacity + tol)
+        np.all(div2_mix / rep2.capacity <= div1_peak / rep1.capacity + _SCREEN_TOL)
     )
     gap = float(np.abs(r_z.probs - rep2.optimal_output.probs).max())
     return VertexScreen(

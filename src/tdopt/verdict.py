@@ -20,7 +20,6 @@ from .capacity import CapacityReport, analyze_channel
 from .comparison import (
     HOLDS_UP_TO_SEARCH,
     VIOLATED,
-    SearchConfig,
     SearchVerdict,
     more_capable_check,
     ratio_condition_check,
@@ -114,19 +113,15 @@ def evidence_mode(
     )
 
 
-def decide_td_optimality(
-    pair: BroadcastPair,
-    cfg: RunConfig = RunConfig(),
-    evidence_on_assumption_failure: bool = True,
-) -> TDVerdict:
+def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> TDVerdict:
     """Run the full decision procedure on a broadcast pair.
 
     Returns TD_OPTIMAL only when the branch-selecting condition survived the
     search budget (recorded via `search_limited`); TD_NOT_OPTIMAL always
     carries at least one witness input that replays its violation.
     """
-    rep_first = analyze_channel(pair.first, tol=cfg.tol, tol_peak=cfg.peak_tol)
-    rep_second = analyze_channel(pair.second, tol=cfg.tol, tol_peak=cfg.peak_tol)
+    rep_first = analyze_channel(pair.first, cfg)
+    rep_second = analyze_channel(pair.second, cfg)
     for name, rep in (("first", rep_first), ("second", rep_second)):
         if rep.capacity <= 0.0:
             raise ValueError(
@@ -135,9 +130,6 @@ def decide_td_optimality(
 
     n_inputs = len(pair.first.input)
     if not (_full_support(rep_first, n_inputs) and _full_support(rep_second, n_inputs)):
-        evidence = None
-        if evidence_on_assumption_failure:
-            evidence = evidence_mode(pair, cfg, reports=(rep_first, rep_second))
         return TDVerdict(
             status=ASSUMPTION_VIOLATED,
             branch=NO_BRANCH,
@@ -147,7 +139,7 @@ def decide_td_optimality(
             checks={},
             witnesses=(),
             search_limited=False,
-            evidence=evidence,
+            evidence=evidence_mode(pair, cfg, reports=(rep_first, rep_second)),
             config=cfg,
         )
 
@@ -162,12 +154,11 @@ def decide_td_optimality(
     branch = theorem_statement_normalization(
         strong_rep.capacity, weak_rep.capacity, cfg.cap_eq_tol
     )
-    search = SearchConfig(starts=cfg.starts, seed=cfg.seed, violation_tol=cfg.violation_tol)
     checks: dict[str, SearchVerdict] = {}
 
     if branch == CAPACITY_GAP_RATIO:
         ratio = ratio_condition_check(
-            strong_ch, weak_ch, strong_rep.capacity, weak_rep.capacity, search
+            strong_ch, weak_ch, strong_rep.capacity, weak_rep.capacity, cfg
         )
         checks["ratio_condition"] = ratio
         if ratio.status == VIOLATED:
@@ -175,8 +166,8 @@ def decide_td_optimality(
         else:
             status, witnesses = TD_OPTIMAL, ()
     else:
-        forward = more_capable_check(strong_ch, weak_ch, search)
-        backward = more_capable_check(weak_ch, strong_ch, search)
+        forward = more_capable_check(strong_ch, weak_ch, cfg)
+        backward = more_capable_check(weak_ch, strong_ch, cfg)
         checks["more_capable_forward"] = forward
         checks["more_capable_backward"] = backward
         if HOLDS_UP_TO_SEARCH in (forward.status, backward.status):
@@ -211,13 +202,28 @@ def unit_scale(units: str) -> float:
     return 1.0 if units == BITS_UNITS else LN2
 
 
-def _report_dict(rep: CapacityReport, scale: float) -> dict:
+def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
+    """Plain-dict form of a capacity certificate for JSON emission, with
+    magnitudes in `units` and reals rounded to 12 significant digits."""
+    scale = unit_scale(units)
     return {
+        "units": units,
         "capacity": sig12(rep.capacity * scale),
-        "peak_set": list(rep.peak_set) if rep.peak_set is not None else None,
-        "support_union": list(rep.support_union) if rep.support_union is not None else None,
-        "optimal_output": [sig12(v) for v in rep.optimal_output.probs],
+        "bracket": sig12(rep.gap * scale),
+        "iterations": rep.iterations,
+        "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
+        "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
+        "divergence_profile": None
+        if rep.divergence_profile is None
+        else [sig12(d * scale) for d in rep.divergence_profile],
+        "peak_set": None if rep.peak_set is None else list(rep.peak_set),
+        "support_union": None if rep.support_union is None else list(rep.support_union),
     }
+
+
+def _report_dict(rep: CapacityReport, units: str) -> dict:
+    full = capacity_to_dict(rep, units)
+    return {key: full[key] for key in ("capacity", "peak_set", "support_union", "optimal_output")}
 
 
 def _check_dict(v: SearchVerdict, scale: float) -> dict:
@@ -245,8 +251,8 @@ def verdict_to_dict(v: TDVerdict) -> dict:
         "search_limited": v.search_limited,
         "units": v.config.units,
         "channels": {
-            "first": _report_dict(v.first_report, scale),
-            "second": _report_dict(v.second_report, scale),
+            "first": _report_dict(v.first_report, v.config.units),
+            "second": _report_dict(v.second_report, v.config.units),
         },
         "checks": {name: _check_dict(c, scale) for name, c in v.checks.items()},
         "witnesses": [[sig12(p) for p in w.probs] for w in v.witnesses],

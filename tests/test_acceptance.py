@@ -17,7 +17,6 @@ from tdopt import (
     Distribution,
     PerturbationProbe,
     RunConfig,
-    SearchConfig,
     analyze_channel,
     compute_capacity,
     decide_td_optimality,

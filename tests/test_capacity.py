@@ -9,10 +9,8 @@ from tdopt.capacity import (
     analyze_channel,
     compute_capacity,
     compute_peak_set,
-    compute_support_union,
     divergence_profile,
     is_capacity_achieving,
-    support_union_witness,
 )
 from tdopt.core import (
     Alphabet,
@@ -192,9 +190,20 @@ class TestSupportUnion:
         for _ in range(10):
             ch = random_channel(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
             rep = analyze_channel(ch)
-            w = support_union_witness(ch, rep.peak_set, rep.optimal_output)
+            w = rep.achieving_input
             assert w.support() == rep.support_union
             assert is_capacity_achieving(w, rep, tol=1e-6)
+
+    def test_identical_rows_certify(self):
+        # four identical rows make the polish's Newton system singular; each
+        # group of identical rows is solved as one row, so the bracket closes
+        # and the peak set reproduces the optimal output
+        rows = np.array([[0, 0, 0, 1, 0]] * 4 + [[0, 0, 0.25, 0, 0.75], [0, 0, 0.5, 0.5, 0]])
+        ch = Channel(Alphabet.of_size(6), Alphabet.of_size(5, "y"), rows)
+        rep = analyze_channel(ch)
+        assert abs(rep.capacity - 1.0) <= 1e-9
+        assert rep.support_union == ("x0", "x1", "x2", "x3", "x4")
+        assert is_capacity_achieving(rep.achieving_input, rep)
 
     def test_report_achieving_input_is_the_witness(self):
         pair = make_partition_pair(4, 2)

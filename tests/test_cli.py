@@ -206,6 +206,15 @@ class TestCapacityCommand:
         assert code == EXIT_OK
         assert "support union: a0 a1 a2 a3" in out
 
+    def test_identical_rows_exit_zero(self, tmp_path):
+        rows = np.array([[0, 0, 0, 1, 0]] * 4 + [[0, 0, 0.25, 0, 0.75], [0, 0, 0.5, 0.5, 0]])
+        path = str(tmp_path / "dup.json")
+        save_channel(Channel(Alphabet.of_size(6), Alphabet.of_size(5, "y"), rows), path)
+        code, out = run(["capacity", path])
+        assert code == EXIT_OK
+        assert "capacity: 1 bits" in out
+        assert run(["verdict", path, path, "--samples", "20"])[0] == EXIT_OK
+
     def test_seed_from_environment(self, tmp_path, monkeypatch):
         b = write_bsc(tmp_path / "b.json", 0.11)
         monkeypatch.setenv("TDOPT_SEED", "7")

@@ -12,7 +12,6 @@ from tdopt.comparison import (
     VIOLATED,
     AssumptionNotMetError,
     PerturbationProbe,
-    SearchConfig,
     dc_minimize,
     divergence_form_check,
     more_capable_check,
@@ -22,6 +21,8 @@ from tdopt.comparison import (
     ratio_condition_check,
     vertex_screen,
 )
+from tdopt.comparison import _divergence_gap, _rate_gap
+from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,
     AlphabetMismatchError,
@@ -78,7 +79,7 @@ class TestProjection:
 class TestMinimizer:
     def test_linear_objective_hits_vertex(self):
         c = np.array([3.0, -1.0, 2.0, 0.5])
-        res = dc_minimize(lambda p: p @ c, lambda p: c, 4, SearchConfig(starts=8))
+        res = dc_minimize(lambda p: p @ c, lambda p: c, 4, RunConfig(starts=8))
         assert res.value == pytest.approx(-1.0, abs=1e-10)
         assert np.allclose(res.argmin, [0.0, 1.0, 0.0, 0.0], atol=1e-8)
 
@@ -88,12 +89,12 @@ class TestMinimizer:
         def f(p):
             return np.sum((p - target) ** 2, axis=-1)
 
-        res = dc_minimize(f, lambda p: 2.0 * (p - target), 3, SearchConfig(starts=8))
+        res = dc_minimize(f, lambda p: 2.0 * (p - target), 3, RunConfig(starts=8))
         assert res.value <= 1e-10
         assert np.allclose(res.argmin, target, atol=1e-5)
 
     def test_deterministic_across_calls(self):
-        rng_free = SearchConfig(starts=16, seed=3)
+        rng_free = RunConfig(starts=16, seed=3)
 
         def f(p):
             return np.cos(4.0 * p[..., 0]) + p[..., 1] ** 2 - p[..., 2]
@@ -106,6 +107,28 @@ class TestMinimizer:
         assert a.value == b.value
         assert np.array_equal(a.argmin, b.argmin)
         assert a.evaluations == b.evaluations
+
+    @pytest.mark.parametrize(
+        "ch1, ch2",
+        [
+            (make_bsc(0.11), make_bsc(0.89)),
+            (make_bec(0.2), make_bec(0.5)),
+            (make_bsc(0.1), make_bsc(0.3)),
+        ],
+        ids=["bsc-0.11-0.89", "bec-0.2-0.5", "bsc-0.1-0.3"],
+    )
+    def test_reported_value_replays_at_argmin(self, ch1, ch2):
+        # the objectives of the more-capable, ratio and divergence-form
+        # checks: the value reported is the single-point value at the argmin,
+        # never a grid value that the batch arithmetic rounded differently
+        rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+        for objective, gradient in (
+            _rate_gap(ch2, ch1),
+            _rate_gap(ch1, ch2, rep1.capacity, rep2.capacity),
+            _divergence_gap(ch1, ch2, rep1, rep2),
+        ):
+            res = dc_minimize(objective, gradient, len(ch1.input))
+            assert res.value == objective(res.argmin)
 
     def test_partition_info_gap_matches_derived_minimum(self):
         # min of I(X;Y) - I(X;Z) sits at the uniform input on the small
@@ -126,7 +149,7 @@ class TestMinimizer:
             f,
             lambda p: dvec(pair.first, p) - dvec(pair.second, p),
             6,
-            SearchConfig(starts=32),
+            RunConfig(starts=32),
         )
         assert res.value == pytest.approx(-1.0, abs=1e-6)
 

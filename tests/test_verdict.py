@@ -89,14 +89,6 @@ class TestDecide:
         assert v.evidence.min_marton_slack >= -1e-9
         assert v.evidence.violating_aux is None
 
-    def test_evidence_can_be_suppressed(self):
-        pair = make_partition_pair(4, 2)
-        v = decide_td_optimality(
-            BroadcastPair(pair.first, pair.second), FAST, evidence_on_assumption_failure=False
-        )
-        assert v.status == ASSUMPTION_VIOLATED
-        assert v.evidence is None
-
     def test_degraded_bsc_status_matches_grid_oracle(self):
         ch1, ch2 = make_bsc(0.1), make_bsc(0.3)
         v = decide_td_optimality(BroadcastPair(ch1, ch2), FAST)
