@@ -64,15 +64,13 @@ def _newton_refine(rows, row_neg_ent, p_start, support):
     sub = rows[support]
     keys: dict[bytes, int] = {}
     group = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in sub])
-    if len(keys) == len(support):
-        return _newton_solve(sub, row_neg_ent[support], p_start[support])
     share = p_start[support]
     mass = np.bincount(group, weights=share)
     first = support[np.unique(group, return_index=True)[1]]
     solved = _newton_solve(rows[first], row_neg_ent[first], mass)
     if solved is None:
         return None
-    return solved[group] * share / mass[group]
+    return solved[group] * (share / mass[group])
 
 
 def _newton_solve(sub, sub_neg_ent, p_start):

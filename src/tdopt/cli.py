@@ -28,7 +28,7 @@ from .config import RunConfig
 from .core import Alphabet, AlphabetMismatchError, BroadcastPair, Channel
 from .families import make_bec, make_bsc, make_partition_pair
 from .verdict import (
-    _full_support,
+    full_support,
     capacity_to_dict,
     decide_td_optimality,
     sig12,
@@ -315,7 +315,7 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         ),
     }
     n_inputs = len(pair.first.input)
-    if _full_support(rep1, n_inputs) and _full_support(rep2, n_inputs):
+    if full_support(rep1, n_inputs) and full_support(rep2, n_inputs):
         checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, cfg)
     print("comparison:", file=out)
     for key, check in checks.items():

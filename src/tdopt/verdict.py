@@ -90,7 +90,8 @@ class TDVerdict:
     config: RunConfig
 
 
-def _full_support(report: CapacityReport, n_inputs: int) -> bool:
+def full_support(report: CapacityReport, n_inputs: int) -> bool:
+    """Whether the support union of `report`'s optimizers covers all `n_inputs` symbols."""
     return report.support_union is not None and len(report.support_union) == n_inputs
 
 
@@ -129,7 +130,7 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
             )
 
     n_inputs = len(pair.first.input)
-    if not (_full_support(rep_first, n_inputs) and _full_support(rep_second, n_inputs)):
+    if not (full_support(rep_first, n_inputs) and full_support(rep_second, n_inputs)):
         return TDVerdict(
             status=ASSUMPTION_VIOLATED,
             branch=NO_BRANCH,
@@ -221,11 +222,6 @@ def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
     }
 
 
-def _report_dict(rep: CapacityReport, units: str) -> dict:
-    full = capacity_to_dict(rep, units)
-    return {key: full[key] for key in ("capacity", "peak_set", "support_union", "optimal_output")}
-
-
 def _check_dict(v: SearchVerdict, scale: float) -> dict:
     return {
         "status": v.status,
@@ -251,8 +247,14 @@ def verdict_to_dict(v: TDVerdict) -> dict:
         "search_limited": v.search_limited,
         "units": v.config.units,
         "channels": {
-            "first": _report_dict(v.first_report, v.config.units),
-            "second": _report_dict(v.second_report, v.config.units),
+            name: {
+                key: full[key]
+                for key in ("capacity", "peak_set", "support_union", "optimal_output")
+            }
+            for name, full in (
+                ("first", capacity_to_dict(v.first_report, v.config.units)),
+                ("second", capacity_to_dict(v.second_report, v.config.units)),
+            )
         },
         "checks": {name: _check_dict(c, scale) for name, c in v.checks.items()},
         "witnesses": [[sig12(p) for p in w.probs] for w in v.witnesses],
