@@ -18,6 +18,9 @@ from .core import (
     AlphabetMismatchError,
     Channel,
     JointDistribution,
+    _clean_probs,
+    conditional_information,
+    extend_batch,
     extend_with_channel,
     mutual_information_pair,
 )
@@ -30,7 +33,8 @@ U_STAR = "__u_star"
 V_STAR = "__v_star"
 
 _CELL_LIMIT = 1_000_000
-_BATCH = 512
+_BATCH = 512  # Dirichlet draws per seeded generator
+_CHUNK = 128  # joints evaluated at once
 _CONTAIN_TOL = 1e-12
 
 
@@ -50,8 +54,13 @@ def td_region_contains(pt: RatePoint, c1: float, c2: float) -> tuple[bool, float
     """Membership in {R1/c1 + R2/c2 <= 1} plus the slack 1 - R1/c1 - R2/c2."""
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("the time-division region needs positive capacities")
-    slack = 1.0 - pt.r1 / c1 - pt.r2 / c2
+    slack = _td_slack(pt.r1, pt.r2, c1, c2)
     return slack >= -_CONTAIN_TOL, slack
+
+
+def _td_slack(r1, r2, c1: float, c2: float):
+    """1 - R1/c1 - R2/c2, for floats or arrays of rates."""
+    return 1.0 - r1 / c1 - r2 / c2
 
 
 @dataclass(frozen=True)
@@ -70,15 +79,16 @@ class RateConstraints:
         segment already dominated by a single-user point, so the corners
         are always safe inputs to time-division slack checks.
         """
-        a = RatePoint(
-            max(self.max_r1, 0.0),
-            max(min(self.max_r2, self.max_sum - self.max_r1), 0.0),
-        )
-        b = RatePoint(
-            max(min(self.max_r1, self.max_sum - self.max_r2), 0.0),
-            max(self.max_r2, 0.0),
-        )
-        return a, b
+        (a1, a2), (b1, b2) = _corners(self.max_r1, self.max_r2, self.max_sum).tolist()
+        return RatePoint(a1, a2), RatePoint(b1, b2)
+
+
+def _corners(max_r1, max_r2, max_sum) -> np.ndarray:
+    """The corners of `RateConstraints.corners` for arrays of triples, shape
+    (..., 2, 2): corner a then b, each as (R1, R2)."""
+    a = (np.maximum(max_r1, 0.0), np.maximum(np.minimum(max_r2, max_sum - max_r1), 0.0))
+    b = (np.maximum(np.minimum(max_r1, max_sum - max_r2), 0.0), np.maximum(max_r2, 0.0))
+    return np.stack([np.stack(a, axis=-1), np.stack(b, axis=-1)], axis=-2)
 
 
 def _require_pair(ch1: Channel, ch2: Channel, joint: JointDistribution, x_axis: int):
@@ -90,6 +100,37 @@ def _require_pair(ch1: Channel, ch2: Channel, joint: JointDistribution, x_axis: 
         )
 
 
+def _marton(probs: np.ndarray, rows1: np.ndarray, rows2: np.ndarray):
+    """Inner-bound triples in bits for a batch of (U, V, W, X) joints, with
+    outputs appended through the channel matrices `rows1` and `rows2`."""
+    jy = extend_batch(probs, 3, rows1)
+    jz = extend_batch(probs, 3, rows2)
+    iw_y = conditional_information(jy, (2,), (4,))
+    iw_z = conditional_information(jz, (2,), (4,))
+    max_r1 = conditional_information(jy, (0, 2), (4,))
+    max_r2 = conditional_information(jz, (1, 2), (4,))
+    max_sum = (
+        np.minimum(iw_y, iw_z)
+        + conditional_information(jy, (0,), (4,), (2,))
+        + conditional_information(jz, (1,), (4,), (2,))
+        - conditional_information(probs, (0,), (1,), (2,))
+    )
+    return max_r1, max_r2, max_sum
+
+
+def _uv(probs: np.ndarray, rows1: np.ndarray, rows2: np.ndarray):
+    """Outer-bound triples in bits for a batch of (U, V, X) joints."""
+    jy = extend_batch(probs, 2, rows1)
+    jz = extend_batch(probs, 2, rows2)
+    iu_y = conditional_information(jy, (0,), (3,))
+    iv_z = conditional_information(jz, (1,), (3,))
+    max_sum = np.minimum(
+        iu_y + conditional_information(jz, (1,), (3,), (0,)),
+        iv_z + conditional_information(jy, (0,), (3,), (1,)),
+    )
+    return iu_y, iv_z, max_sum
+
+
 def marton_rates(aux_joint: JointDistribution, ch1: Channel, ch2: Channel) -> RateConstraints:
     """Inner-bound constraint triple for an auxiliary joint over (U, V, W, X).
 
@@ -99,19 +140,8 @@ def marton_rates(aux_joint: JointDistribution, ch1: Channel, ch2: Channel) -> Ra
     if aux_joint.ndim != 4:
         raise ValueError("inner-bound evaluation needs a 4-axis joint (U, V, W, X)")
     _require_pair(ch1, ch2, aux_joint, 3)
-    jy = extend_with_channel(aux_joint, 3, ch1)
-    jz = extend_with_channel(aux_joint, 3, ch2)
-    iw_y = mutual_information_pair(jy, (2,), (4,))
-    iw_z = mutual_information_pair(jz, (2,), (4,))
-    max_r1 = mutual_information_pair(jy, (0, 2), (4,))
-    max_r2 = mutual_information_pair(jz, (1, 2), (4,))
-    max_sum = (
-        min(iw_y, iw_z)
-        + mutual_information_pair(jy, (0,), (4,), (2,))
-        + mutual_information_pair(jz, (1,), (4,), (2,))
-        - mutual_information_pair(aux_joint, (0,), (1,), (2,))
-    )
-    return RateConstraints(max_r1, max_r2, max_sum)
+    triple = _marton(aux_joint.probs[None], ch1.rows, ch2.rows)
+    return RateConstraints(*(float(v[0]) for v in triple))
 
 
 def uv_bound_rates(aux_joint: JointDistribution, ch1: Channel, ch2: Channel) -> RateConstraints:
@@ -120,15 +150,8 @@ def uv_bound_rates(aux_joint: JointDistribution, ch1: Channel, ch2: Channel) -> 
     if aux_joint.ndim != 3:
         raise ValueError("outer-bound evaluation needs a 3-axis joint (U, V, X)")
     _require_pair(ch1, ch2, aux_joint, 2)
-    jy = extend_with_channel(aux_joint, 2, ch1)
-    jz = extend_with_channel(aux_joint, 2, ch2)
-    iu_y = mutual_information_pair(jy, (0,), (3,))
-    iv_z = mutual_information_pair(jz, (1,), (3,))
-    max_sum = min(
-        iu_y + mutual_information_pair(jz, (1,), (3,), (0,)),
-        iv_z + mutual_information_pair(jy, (0,), (3,), (1,)),
-    )
-    return RateConstraints(iu_y, iv_z, max_sum)
+    triple = _uv(aux_joint.probs[None], ch1.rows, ch2.rows)
+    return RateConstraints(*(float(v[0]) for v in triple))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,22 +325,6 @@ def _check_cells(cardinalities, nx: int, arity: int):
     return cards, cells
 
 
-class _WorstTracker:
-    def __init__(self, c1: float, c2: float):
-        self.c1, self.c2 = c1, c2
-        self.min_slack = 1.0
-        self.point: RatePoint | None = None
-        self.aux: JointDistribution | None = None
-
-    def offer(self, pts, aux: JointDistribution):
-        for pt in pts:
-            _, slack = td_region_contains(pt, self.c1, self.c2)
-            if slack < self.min_slack:
-                self.min_slack = slack
-                self.point = pt
-                self.aux = aux
-
-
 def _timeshare_probes(rep1: CapacityReport, rep2: CapacityReport):
     """Time-sharing joints between the two copy plans (an auxiliary that
     copies X at a capacity-achieving input), at 11 fractions from 0 to 1,
@@ -342,35 +349,44 @@ def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
 def _sample(ch1, ch2, cardinalities, n_samples, seed, reports, arity, rates, probes, source):
     """The sampling loop both bounds share: the structured `probes` joints,
     then `n_samples` Dirichlet joints over the first `arity` auxiliaries and
-    X, drawn in batches seeded by [seed, batch index]. Every joint's
-    `rates` corners become points, and the one with the smallest
-    time-division slack is kept."""
+    X, drawn in batches seeded by [seed, batch index], each batch validated
+    at once and evaluated by the array formulas `rates` in chunks. Every
+    joint's two corners become points, in order, and the first point with
+    the smallest time-division slack is kept with its joint."""
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("channels must share the input alphabet")
     nx = len(ch1.input)
     cards, cells = _check_cells(cardinalities, nx, arity)
     rep1, rep2 = _resolve_reports(ch1, ch2, reports)
-    tracker = _WorstTracker(rep1.capacity, rep2.capacity)
+    c1, c2 = rep1.capacity, rep2.capacity
     points: list[RatePoint] = []
+    worst = [1.0, None, None]  # slack, point, auxiliary joint
 
-    def offer(aux: JointDistribution):
-        corners = rates(aux, ch1, ch2).corners()
-        points.extend(corners)
-        tracker.offer(corners, aux)
+    def fold(probs, joint_of):
+        corners = _corners(*rates(probs, ch1.rows, ch2.rows)).reshape(-1, 2)
+        first = len(points)
+        points.extend(RatePoint(r1, r2) for r1, r2 in corners.tolist())
+        slack = _td_slack(corners[:, 0], corners[:, 1], c1, c2)
+        i = int(slack.argmin())
+        if slack[i] < worst[0]:
+            worst[:] = float(slack[i]), points[first + i], joint_of(i // 2)
 
     if n_samples > 0:
         for aux in probes(rep1, rep2):
-            offer(aux)
+            fold(aux.probs[None], lambda _: aux)
         alphas = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards[:arity], "uvw"))
         alphas += (ch1.input,)
         shape = cards[:arity] + (nx,)
         for batch_index, done in enumerate(range(0, n_samples, _BATCH)):
             rng = np.random.default_rng([seed, batch_index])
-            for row in rng.dirichlet(np.ones(cells), size=min(_BATCH, n_samples - done)):
-                offer(JointDistribution(alphas, row.reshape(shape)))
+            draws = rng.dirichlet(np.ones(cells), size=min(_BATCH, n_samples - done))
+            draws = _clean_probs(draws.reshape((-1,) + shape), "joint distribution", batch=True)
+            for lo in range(0, len(draws), _CHUNK):
+                chunk = draws[lo:lo + _CHUNK]
+                fold(chunk, lambda i: JointDistribution(alphas, chunk[i]))
 
     sample = RegionSample(tuple(points), source, seed, cards, n_samples)
-    return SampleReport(sample, tracker.min_slack, tracker.point, tracker.aux)
+    return SampleReport(sample, *worst)
 
 
 def sample_marton(
@@ -387,7 +403,7 @@ def sample_marton(
     n_samples = 0 the sample is empty and the slack defaults to +1."""
     return _sample(
         ch1, ch2, cardinalities, n_samples, seed, reports,
-        3, marton_rates, _timeshare_probes, MARTON,
+        3, _marton, _timeshare_probes, MARTON,
     )
 
 
@@ -408,7 +424,7 @@ def sample_uv(
     """
     return _sample(
         ch1, ch2, cardinalities, n_samples, seed, reports,
-        2, uv_bound_rates, _single_user_probes, UV,
+        2, _uv, _single_user_probes, UV,
     )
 
 

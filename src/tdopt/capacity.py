@@ -34,6 +34,18 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+class InconsistentCertificateError(ConvergenceError):
+    """The capacity iteration stopped, but no input supported on the peak set
+    reproduces the optimal output, so no support union can be certified."""
+
+    def __init__(self):
+        RuntimeError.__init__(
+            self,
+            "no input supported on the peak set reproduces the optimal output; "
+            "the capacity certificate is inconsistent",
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class CapacityReport:
     """Capacity certificate for one channel.
@@ -276,10 +288,7 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
     for j in range(len(idx)):
         res = lp_solve_max_coordinate(a_eq, b_eq, j)
         if res.status != OPTIMAL:
-            raise RuntimeError(
-                "no input supported on the peak set reproduces the optimal output; "
-                "the capacity certificate is inconsistent"
-            )
+            raise InconsistentCertificateError()
         witnesses.append(res.x)
         if res.value > _LP_TOL:
             member.append(peak[j])

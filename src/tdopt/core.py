@@ -28,32 +28,47 @@ class AlphabetMismatchError(ValueError):
     """Raised when two objects that must share an alphabet do not."""
 
 
-def _clean_probs(values, what: str) -> np.ndarray:
+def _clean_probs(values, what: str, batch: bool = False) -> np.ndarray:
     """Validate a probability array (any shape), returning a normalized copy.
 
     Entries below -RENORM_TOL or total mass off by more than RENORM_TOL are
     rejected; small negatives are clamped to zero and near-unit mass is left
     untouched so that clean inputs round-trip bit-for-bit.
+
+    With `batch`, the first axis indexes independent arrays: each is checked
+    and normalized exactly as it would be alone, and the first one that fails
+    raises the message it would raise alone.
     """
     arr = np.array(values, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{what} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
-    low = arr.min()
-    if low < -RENORM_TOL:
-        idx = np.unravel_index(int(arr.argmin()), arr.shape)
-        raise ValueError(f"{what} has negative entry {float(low):.12g} at position {tuple(idx)}")
-    if low < 0.0:
-        arr[arr < 0.0] = 0.0
-    total = arr.sum()
-    if abs(total - 1.0) > RENORM_TOL:
-        raise ValueError(f"{what} sums to {float(total):.12g}, not 1")
+    # sums run over each array's own memory order, as a lone array's would
+    rows = arr if batch else arr[None]
+    axes = tuple(range(1, rows.ndim))
+    finite = np.isfinite(rows).all(axis=axes)
+    low = rows.min(axis=axes)
+    clamp = low.min() < 0.0
+    clamped = np.where(rows < 0.0, 0.0, rows) if clamp else rows
+    total = clamped.sum(axis=axes)
+    bad = ~finite | (low < -RENORM_TOL) | (np.abs(total - 1.0) > RENORM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise ValueError(f"{what} contains non-finite entries")
+        if low[i] < -RENORM_TOL:
+            idx = np.unravel_index(int(rows[i].argmin()), rows.shape[1:])
+            raise ValueError(
+                f"{what} has negative entry {float(low[i]):.12g} at position {tuple(idx)}"
+            )
+        raise ValueError(f"{what} sums to {float(total[i]):.12g}, not 1")
+    if clamp:
+        rows[...] = clamped
     # accept-as-is band grows with width: rounding every entry to 12
     # significant digits can shift the sum by up to ~5e-13 per entry, and
     # such vectors must survive a save/load cycle untouched
-    if abs(total - 1.0) > max(EXACT_TOL, 5e-13 * arr.size):
-        arr = arr / total
+    off = np.abs(total - 1.0) > max(EXACT_TOL, 5e-13 * (rows.size // len(rows)))
+    if off.any():
+        rows[off] /= total[off].reshape((-1,) + (1,) * len(axes))
     arr.setflags(write=False)
     return arr
 
@@ -193,23 +208,20 @@ class JointDistribution:
     def marginal(self, axes: tuple[int, ...]) -> "JointDistribution":
         """Marginal joint over `axes`, kept in the given order."""
         axes = tuple(axes)
-        _check_axes(self, axes)
-        drop = tuple(i for i in range(self.ndim) if i not in axes)
-        reduced = self.probs.sum(axis=drop) if drop else self.probs
-        order = tuple(sorted(axes)).index  # reduced axes appear in sorted order
-        reduced = np.transpose(reduced, tuple(order(a) for a in axes))
+        _check_axes(self.ndim, axes)
+        reduced = _marginal_batch(self.probs[None], axes)[0]
         return JointDistribution(tuple(self.alphabets[a] for a in axes), reduced)
 
     def marginal_distribution(self, axis: int) -> Distribution:
         return Distribution(self.alphabets[axis], self.marginal((axis,)).probs)
 
 
-def _check_axes(joint: JointDistribution, axes: tuple[int, ...]):
+def _check_axes(ndim: int, axes: tuple[int, ...]):
     if len(set(axes)) != len(axes):
         raise ValueError(f"repeated axes in {axes}")
     for a in axes:
-        if not 0 <= a < joint.ndim:
-            raise ValueError(f"axis {a} out of range for {joint.ndim}-axis joint")
+        if not 0 <= a < ndim:
+            raise ValueError(f"axis {a} out of range for {ndim}-axis joint")
 
 
 # The information kernel. Every function reduces over the last axis and
@@ -303,12 +315,10 @@ def mutual_information(p: Distribution, ch: Channel) -> float:
 
 def extend_with_channel(joint: JointDistribution, axis: int, ch: Channel) -> JointDistribution:
     """Append a channel-output axis: the new last axis is ch applied to `axis`."""
-    _check_axes(joint, (axis,))
+    _check_axes(joint.ndim, (axis,))
     if joint.alphabets[axis] != ch.input:
         raise AlphabetMismatchError(f"joint axis {axis} does not match channel input alphabet")
-    moved = np.moveaxis(joint.probs, axis, -1)
-    ext = moved[..., :, None] * ch.rows
-    ext = np.moveaxis(ext, -2, axis)
+    ext = extend_batch(joint.probs[None], axis, ch.rows)[0]
     return JointDistribution(joint.alphabets + (ch.output,), ext)
 
 
@@ -318,37 +328,97 @@ def mutual_information_pair(
     axes_b: tuple[int, ...],
     axes_cond: tuple[int, ...] = (),
 ) -> float:
-    """Mutual information I(A;B|C) in bits between axis groups of a joint.
+    """Mutual information I(A;B|C) in bits between axis groups of a joint;
+    see `conditional_information`."""
+    return float(conditional_information(joint.probs[None], axes_a, axes_b, axes_cond)[0])
 
-    Slices of the conditioning product where either group is almost surely
-    constant contribute exactly 0.0, so independence that holds by structure
-    (not by cancellation) is reported without float noise.
+
+# The batch-first joint kernel: a batch of joints is an array of shape
+# (S, *joint_shape), and axis arguments index the joint axes. Each joint of a
+# batch gets the bits it would get alone.
+
+
+def _marginal_batch(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Marginals over joint axes `axes`, kept in the given order, as a view
+    of their sums: its memory layout is the one every later sum follows."""
+    drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
+    reduced = probs.sum(axis=drop) if drop else probs
+    order = sorted(axes).index  # reduced axes appear in sorted order
+    return np.transpose(reduced, (0,) + tuple(order(a) + 1 for a in axes))
+
+
+def extend_batch(probs: np.ndarray, axis: int, rows: np.ndarray) -> np.ndarray:
+    """Append a channel-output axis to every joint of a batch: the new last
+    axis is the channel matrix `rows` applied to joint axis `axis`."""
+    ext = np.moveaxis(probs, axis + 1, -1)[..., :, None] * rows
+    return np.moveaxis(ext, -2, axis + 1)
+
+
+def conditional_information(
+    probs: np.ndarray,
+    axes_a: tuple[int, ...],
+    axes_b: tuple[int, ...],
+    axes_cond: tuple[int, ...] = (),
+) -> np.ndarray:
+    """I(A;B|C) in bits between axis groups, for every joint of a batch.
+
+    Each slice of the conditioning product contributes the sum of
+    m*ln(m*s / (pa*pb)) over its nonzero cells m, where pa and pb are the
+    slice's marginals and s its mass; a joint's slices are added in slice
+    order. Slices where either group is almost surely constant contribute
+    exactly 0.0, so independence that holds by structure (not by
+    cancellation) is reported without float noise.
     """
     axes_a, axes_b, axes_cond = tuple(axes_a), tuple(axes_b), tuple(axes_cond)
     all_axes = axes_cond + axes_a + axes_b
-    _check_axes(joint, all_axes)
+    joint_shape = probs.shape[1:]
+    _check_axes(len(joint_shape), all_axes)
     if not axes_a or not axes_b:
         raise ValueError("both axis groups must be non-empty")
 
-    reduced = joint.marginal(all_axes).probs
-    nc = int(np.prod([len(joint.alphabets[a]) for a in axes_cond], dtype=int)) if axes_cond else 1
-    na = int(np.prod([len(joint.alphabets[a]) for a in axes_a], dtype=int))
-    nb = int(np.prod([len(joint.alphabets[a]) for a in axes_b], dtype=int))
-    cube = reduced.reshape(nc, na, nb)
+    n = len(probs)
+    nc, na, nb = (math.prod(joint_shape[a] for a in group) for group in (axes_cond, axes_a, axes_b))
+    cube = _marginal_batch(probs, all_axes).reshape(n, nc, na, nb)
 
-    total_nats = 0.0
-    for ic in range(nc):
-        m = cube[ic]
-        nz = m > 0.0
-        if not nz.any():
-            continue
-        # Structural independence: a slice where A or B is constant carries no
-        # information, and saying so exactly avoids spurious 1e-16 residue.
-        if nz.any(axis=1).sum() <= 1 or nz.any(axis=0).sum() <= 1:
-            continue
-        pa = m.sum(axis=1)
-        pb = m.sum(axis=0)
-        s = m.sum()
-        ratio = (m[nz] * s) / (np.outer(pa, pb)[nz])
-        total_nats += float((m[nz] * np.log(ratio)).sum())
-    return total_nats / LN2
+    nz = cube > 0.0
+    # Structural independence: a slice where A or B is constant carries no
+    # information, and saying so exactly avoids spurious 1e-16 residue.
+    live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
+
+    # numpy orders a reduction's loops by memory layout, so summing the whole
+    # cube at once could add a slice's cells in another order than a lone
+    # joint's slice. The marginals and masses are therefore summed one slice
+    # at a time, each an (S, |A|, |B|) batch laid out as the lone slices are.
+    # Slices dead in every joint keep ones; their terms are discarded.
+    pa = np.ones((n, nc, na, 1))
+    pb = np.ones((n, nc, 1, nb))
+    s = np.ones((n, nc, 1, 1))
+    for ic in np.flatnonzero(live.any(axis=0)):
+        m = cube[:, ic]
+        pa[:, ic] = m.sum(axis=2, keepdims=True)
+        pb[:, ic] = m.sum(axis=1, keepdims=True)
+        s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(nz, (cube * s) / (pa * pb), 1.0)
+    terms = (cube * np.log(ratio)).reshape(n * nc, na * nb)
+    slice_nats = _sum_nonzero(terms, nz.reshape(n * nc, na * nb)).reshape(n, nc)
+    slice_nats = np.where(live, slice_nats, 0.0)
+    # accumulate adds strictly left to right; sum would pair slices
+    return np.add.accumulate(slice_nats, axis=1)[:, -1] / LN2
+
+
+def _sum_nonzero(terms: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """Row sums of `terms` over the cells where `nz` holds. numpy sums by
+    position (pairwise, in blocks of eight), so each row's selected cells are
+    packed to the front in order and summed at their own count, exactly as
+    the 1-D array of those cells alone would be."""
+    count = nz.sum(axis=1)
+    if (count == nz.shape[1]).all():
+        return terms.sum(axis=1)
+    packed = np.take_along_axis(terms, np.argsort(~nz, axis=1, kind="stable"), axis=1)
+    sums = np.empty(len(terms))
+    for k in np.flatnonzero(np.bincount(count)):  # the distinct counts
+        pick = count == k
+        sums[pick] = packed[pick][:, :k].sum(axis=1)
+    return sums

@@ -10,6 +10,7 @@ import pytest
 
 from tdopt.cli import (
     EXIT_INPUT,
+    EXIT_NUMERIC,
     EXIT_OK,
     channel_to_dict,
     load_channel,
@@ -18,6 +19,7 @@ from tdopt.cli import (
 )
 from tdopt.core import Alphabet, Channel
 from tdopt.families import make_bsc, make_partition_pair
+from tdopt.simplex import INFEASIBLE, LpResult
 
 
 def run(argv):
@@ -214,6 +216,18 @@ class TestCapacityCommand:
         assert code == EXIT_OK
         assert "capacity: 1 bits" in out
         assert run(["verdict", path, path, "--samples", "20"])[0] == EXIT_OK
+
+    def test_inconsistent_certificate_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        b = write_bsc(tmp_path / "b.json", 0.11)
+        monkeypatch.setattr(
+            "tdopt.capacity.lp_solve_max_coordinate",
+            lambda a_eq, b_eq, j: LpResult(INFEASIBLE, None, None),
+        )
+        for argv in (["capacity", b], ["verdict", b, b, "--samples", "0"]):
+            code, _ = run(argv)
+            assert code == EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "certificate is inconsistent" in err
 
     def test_seed_from_environment(self, tmp_path, monkeypatch):
         b = write_bsc(tmp_path / "b.json", 0.11)

@@ -20,6 +20,7 @@ from tdopt.core import (
     neg_entropy,
     push_forward,
     row_divergences,
+    _clean_probs,
 )
 from tdopt.families import make_bsc, make_identity, make_partition_pair
 
@@ -85,6 +86,43 @@ class TestDistribution:
         d = Distribution.uniform(B)
         with pytest.raises(ValueError):
             d.probs[0] = 0.3
+
+
+def _message(fn) -> str:
+    with pytest.raises(ValueError) as exc:
+        fn()
+    return str(exc.value)
+
+
+class TestBatchValidation:
+    GOOD = np.array([[0.1, 0.2], [0.3, 0.4]])
+
+    @pytest.mark.parametrize("cell, value, expected", [
+        ((0, 1), np.nan, "contains non-finite entries"),
+        ((1, 0), -0.1, "has negative entry -0.1 at position"),
+        ((1, 1), 0.9, "sums to 1.5, not 1"),
+    ])
+    def test_first_bad_row_raises_its_own_message(self, cell, value, expected):
+        bad = self.GOOD.copy()
+        bad[cell] = value
+        worse = np.full((2, 2), -1.0)  # a later row fails differently
+        batch = np.stack([self.GOOD, bad, worse])
+        alone = _message(lambda: _clean_probs(bad, "joint distribution"))
+        assert alone.startswith(f"joint distribution {expected}")
+        assert _message(lambda: _clean_probs(batch, "joint distribution", batch=True)) == alone
+
+    def test_rows_cleaned_as_alone(self):
+        batch = np.stack([
+            self.GOOD,                       # kept bit for bit
+            self.GOOD * (1.0 + 4e-10),       # renormalized
+            [[-1e-10, 0.2], [0.3, 0.5]],     # tiny negative clamped
+        ])
+        cleaned = _clean_probs(batch, "joint distribution", batch=True)
+        assert not cleaned.flags.writeable
+        for i, row in enumerate(batch):
+            assert np.array_equal(cleaned[i], _clean_probs(row, "joint distribution"))
+        assert np.array_equal(cleaned[0], self.GOOD)
+        assert cleaned[2, 0, 0] == 0.0
 
 
 class TestChannel:

@@ -1,12 +1,14 @@
-"""Properties of the information kernel in `tdopt.core` and of the search
-objectives built on it: a batch of shape (S, |X|) evaluates as each of its
-rows alone.
+"""Properties of the information kernel in `tdopt.core` and of what is built
+on it (the search objectives, the region bounds): a batch evaluates as each of
+its rows alone.
 
 The kernel functions whose contractions are elementwise or take one BLAS
 call per row agree bit for bit. Where a batch goes through `p @ rows` (I(X;Y)
 and the three checks' objectives and gradients), BLAS sums a matrix product
 in another order than a vector product, so rows may differ in the last bits;
-there the bound is 4096 float64 epsilons of the largest term summed.
+there the bound is 4096 float64 epsilons of the largest term summed. The
+joint kernel (I(A;B|C) over auxiliary joints) and the Marton and UV bounds
+built on it agree bit for bit.
 """
 
 import math
@@ -15,12 +17,23 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tdopt.bounds import (
+    _marton,
+    _uv,
+    marton_rates,
+    timeshare_construction,
+    timeshare_identities,
+    uv_bound_rates,
+)
 from tdopt.capacity import analyze_channel
 from tdopt.comparison import _divergence_gap, _rate_gap
 from tdopt.core import (
     LN2,
     Alphabet,
     Channel,
+    JointDistribution,
+    _clean_probs,
+    conditional_information,
     information,
     kl,
     neg_entropy,
@@ -141,3 +154,103 @@ def test_divergence_gap_objective_and_gradient_rows_match(data):
     log_ref = -math.log(refs[refs > 0.0].min())
     assert_rows_close(objective, pts, lambda p: (log_ref + 10.0) / (LN2 * c_min))
     assert_rows_close(gradient, pts, _gradient_scale((rows1, rows2), c_min))
+
+
+def reference_information(joint, axes_a, axes_b, axes_cond=()):
+    """I(A;B|C) in bits from one joint, one conditioning slice at a time: the
+    per-slice arithmetic the batch kernel must reproduce bit for bit."""
+    reduced = joint.marginal(tuple(axes_cond) + tuple(axes_a) + tuple(axes_b)).probs
+    sizes = [math.prod(len(joint.alphabets[a]) for a in g) for g in (axes_cond, axes_a, axes_b)]
+    total = 0.0
+    for m in reduced.reshape(sizes):
+        nz = m > 0.0
+        if nz.any(axis=1).sum() <= 1 or nz.any(axis=0).sum() <= 1:
+            continue
+        pa, pb, s = m.sum(axis=1), m.sum(axis=0), m.sum()
+        ratio = (m[nz] * s) / np.outer(pa, pb)[nz]
+        total += float((m[nz] * np.log(ratio)).sum())
+    return total / LN2
+
+
+def draw_joints(draw, shape):
+    """A batch of Dirichlet joints of `shape`, validated as region sampling
+    validates its draws. Some batches get zero cells, as the structured
+    probes have."""
+    s = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(math.prod(shape)), s)
+    probs[rng.random(probs.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    return _clean_probs(probs.reshape((s,) + shape), "joint distribution", batch=True)
+
+
+@st.composite
+def joints_and_groups(draw):
+    """(a batch of joints, axis groups A, B, C). Axes reach 9 symbols, so
+    slices are long enough for numpy's pairwise sums."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=2, max_size=4)))
+    assume(math.prod(shape) <= 2000)
+    axes = draw(st.permutations(range(len(shape))))
+    used = draw(st.integers(2, len(shape)))
+    split_a = draw(st.integers(1, used - 1))
+    split_b = draw(st.integers(split_a + 1, used))
+    return draw_joints(draw, shape), axes[:split_a], axes[split_a:split_b], axes[split_b:used]
+
+
+@settings(max_examples=200)
+@given(joints_and_groups())
+def test_conditional_information_rows_equal_reference(data):
+    probs, axes_a, axes_b, axes_cond = data
+    alphas = tuple(Alphabet.of_size(n) for n in probs.shape[1:])
+    batch = conditional_information(probs, axes_a, axes_b, axes_cond)
+    for i, row in enumerate(probs):
+        joint = JointDistribution(alphas, row)
+        assert batch[i] == reference_information(joint, axes_a, axes_b, axes_cond)
+
+
+@st.composite
+def aux_batch(draw, arity):
+    """(joints over `arity` auxiliaries and X, two channel matrices)."""
+    cards = tuple(draw(st.integers(1, 4)) for _ in range(arity))
+    nx = draw(st.integers(2, 4))
+    rows1, rows2 = (draw(stochastic(nx, draw(st.integers(2, 5)))) for _ in range(2))
+    return draw_joints(draw, cards + (nx,)), rows1, rows2
+
+
+def assert_bound_rows_exact(batch_fn, scalar_fn, data):
+    probs, rows1, rows2 = data
+    ch1, ch2 = channel(rows1), channel(rows2)
+    alphas = tuple(Alphabet.of_size(c, p) for c, p in zip(probs.shape[1:-1], "uvw")) + (ch1.input,)
+    batch = batch_fn(probs, ch1.rows, ch2.rows)
+    for i, row in enumerate(probs):
+        one = scalar_fn(JointDistribution(alphas, row), ch1, ch2)
+        assert (one.max_r1, one.max_r2, one.max_sum) == tuple(float(v[i]) for v in batch)
+
+
+@given(aux_batch(3))
+def test_marton_batch_rows_equal_scalar(data):
+    assert_bound_rows_exact(_marton, marton_rates, data)
+
+
+@given(aux_batch(2))
+def test_uv_batch_rows_equal_scalar(data):
+    assert_bound_rows_exact(_uv, uv_bound_rates, data)
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_timeshare_cross_information_exactly_zero(nx, n1, n2, seed, fractions):
+    rng = np.random.default_rng(seed)
+    x = Alphabet.of_size(nx)
+    plans = [rng.dirichlet(np.ones(nx * n)).reshape(nx, n) for n in (n1, n2)]
+    first, second = (JointDistribution((x, Alphabet.of_size(p.shape[1], "a")), p) for p in plans)
+    ch = channel(rng.dirichlet(np.ones(3), nx))
+    constructions = [timeshare_construction(first, second, lam) for lam in fractions]
+    # a dense joint in the same batch must not unmask the constructions' slices
+    shape = constructions[0].joint.probs.shape
+    dense = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    batch = np.stack([tc.joint.probs for tc in constructions] + [dense])
+    assert np.all(conditional_information(batch, (2,), (3,), (0, 1))[:-1] == 0.0)
+    for tc in constructions:
+        assert timeshare_identities(tc, ch, ch)["aux_cross_information"] == (0.0, 0.0)
