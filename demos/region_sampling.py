@@ -12,7 +12,8 @@ import numpy as np
 
 from tdopt import (
     JointDistribution,
-    analyze_channel,
+    RunConfig,
+    compute_capacity,
     marton_rates,
     sample_marton,
     sample_uv,
@@ -32,20 +33,21 @@ def merge_pair():
 
 def main():
     first, second = merge_pair()
-    rep1 = analyze_channel(first)
-    rep2 = analyze_channel(second)
+    rep1 = compute_capacity(first)
+    rep2 = compute_capacity(second)
     c1, c2 = rep1.capacity, rep2.capacity
     print(f"capacities: C1={c1:.6f}, C2={c2:.6f}")
     boundary = td_boundary_sample(c1, c2, count=5)
-    pts = ", ".join(f"({p.r1:.3f}, {p.r2:.3f})" for p in boundary.points)
+    pts = ", ".join(f"({r1:.3f}, {r2:.3f})" for r1, r2 in boundary.points)
     print(f"time-division boundary: {pts}")
     print()
 
+    cfg = RunConfig(cardinalities=(2, 2, 2), samples=3000, seed=17)
     for name, sampler in (("inner bound", sample_marton), ("outer bound", sample_uv)):
-        report = sampler(first, second, cardinalities=(2, 2, 2), n_samples=3000, seed=17)
+        report = sampler(first, second, rep1, rep2, cfg)
+        r1, r2 = report.worst_point
         print(f"{name}: {len(report.sample.points)} corner points sampled")
-        print(f"  min TD slack {report.min_slack:+.6f} at "
-              f"({report.worst_point.r1:.4f}, {report.worst_point.r2:.4f})")
+        print(f"  min TD slack {report.min_slack:+.6f} at ({r1:.4f}, {r2:.4f})")
 
     # the violation random search hunts for, written down directly: let the
     # input be two independent fair bits, U the low bit, V the high bit
@@ -69,9 +71,9 @@ def main():
         f"  max R1 {constraints.max_r1:.4f}, max R2 {constraints.max_r2:.4f}, "
         f"max sum {constraints.max_sum:.4f}"
     )
-    for corner in constraints.corners():
-        inside, slack = td_region_contains(corner, c1, c2)
-        print(f"  corner ({corner.r1:.4f}, {corner.r2:.4f}): TD slack {slack:+.4f}")
+    for r1, r2 in constraints.corners():
+        inside, slack = td_region_contains((r1, r2), c1, c2)
+        print(f"  corner ({r1:.4f}, {r2:.4f}): TD slack {slack:+.4f}")
 
 
 if __name__ == "__main__":

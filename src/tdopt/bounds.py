@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityReport, compute_capacity
+from .capacity import CapacityReport
+from .config import RunConfig
 from .core import (
     Alphabet,
     AlphabetMismatchError,
@@ -38,23 +39,15 @@ _CHUNK = 128  # joints evaluated at once
 _CONTAIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """A pair of nonnegative rates in bits per channel use."""
-
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if self.r1 < 0.0 or self.r2 < 0.0:
-            raise ValueError(f"rates must be nonnegative, got ({self.r1}, {self.r2})")
-
-
-def td_region_contains(pt: RatePoint, c1: float, c2: float) -> tuple[bool, float]:
-    """Membership in {R1/c1 + R2/c2 <= 1} plus the slack 1 - R1/c1 - R2/c2."""
+def td_region_contains(point, c1: float, c2: float) -> tuple[bool, float]:
+    """Membership of the nonnegative rate pair `point` = (R1, R2), in bits per
+    channel use, in {R1/c1 + R2/c2 <= 1}, plus the slack 1 - R1/c1 - R2/c2."""
+    r1, r2 = point
+    if r1 < 0.0 or r2 < 0.0:
+        raise ValueError(f"rates must be nonnegative, got ({r1}, {r2})")
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("the time-division region needs positive capacities")
-    slack = _td_slack(pt.r1, pt.r2, c1, c2)
+    slack = _td_slack(r1, r2, c1, c2)
     return slack >= -_CONTAIN_TOL, slack
 
 
@@ -72,15 +65,15 @@ class RateConstraints:
     max_r2: float
     max_sum: float
 
-    def corners(self) -> tuple[RatePoint, RatePoint]:
-        """The two Pareto corner points, coordinates clamped at 0.
+    def corners(self) -> np.ndarray:
+        """The two Pareto corner points as rows (R1, R2) of a (2, 2) array,
+        coordinates clamped at 0.
 
         Clamping can lift a corner off the pentagon only onto an axis
         segment already dominated by a single-user point, so the corners
         are always safe inputs to time-division slack checks.
         """
-        (a1, a2), (b1, b2) = _corners(self.max_r1, self.max_r2, self.max_sum).tolist()
-        return RatePoint(a1, a2), RatePoint(b1, b2)
+        return _corners(self.max_r1, self.max_r2, self.max_sum)
 
 
 def _corners(max_r1, max_r2, max_sum) -> np.ndarray:
@@ -273,9 +266,10 @@ def timeshare_identities(
 
 @dataclass(frozen=True, eq=False)
 class RegionSample:
-    """Sampled rate points from one bound, reproducible from the metadata."""
+    """Sampled rate points from one bound, reproducible from the metadata:
+    `points` is a read-only (N, 2) array of (R1, R2) rows in bits."""
 
-    points: tuple[RatePoint, ...]
+    points: np.ndarray
     source: str  # MARTON, UV or TD
     seed: int
     cardinalities: tuple[int, int, int]
@@ -288,7 +282,7 @@ def region_csv(samples, scale: float = 1.0) -> str:
     lines = ["source,R1,R2"]
     for sample in samples:
         lines.extend(
-            f"{sample.source},{pt.r1 * scale:.12g},{pt.r2 * scale:.12g}" for pt in sample.points
+            f"{sample.source},{r1:.12g},{r2:.12g}" for r1, r2 in (sample.points * scale).tolist()
         )
     return "\n".join(lines) + "\n"
 
@@ -297,32 +291,23 @@ def region_csv(samples, scale: float = 1.0) -> str:
 class SampleReport:
     """A RegionSample plus its worst time-division slack and, when that
     slack is negative, the auxiliary joint that produced it (replayable
-    through the rate evaluators)."""
+    through the rate evaluators). `worst_point` is the (R1, R2) row of
+    `sample.points` with that slack."""
 
     sample: RegionSample
     min_slack: float
-    worst_point: RatePoint | None
+    worst_point: np.ndarray | None
     worst_aux: JointDistribution | None
 
 
-def _resolve_reports(ch1, ch2, reports):
-    rep1, rep2 = reports if reports is not None else (compute_capacity(ch1), compute_capacity(ch2))
-    if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
-        raise ValueError("region sampling against time division needs positive capacities")
-    return rep1, rep2
-
-
-def _check_cells(cardinalities, nx: int, arity: int):
-    cards = tuple(int(c) for c in cardinalities)
-    if len(cards) != 3 or any(c < 1 for c in cards):
-        raise ValueError(f"cardinalities must be three counts >= 1, got {cardinalities}")
+def _check_cells(cards: tuple[int, int, int], nx: int, arity: int) -> int:
     cells = int(np.prod(cards[:arity], dtype=np.int64)) * nx
     if cells > _CELL_LIMIT:
         raise ValueError(
             f"auxiliary joint would need {cells} cells (limit {_CELL_LIMIT}); "
             "reduce the cardinalities"
         )
-    return cards, cells
+    return cells
 
 
 def _timeshare_probes(rep1: CapacityReport, rep2: CapacityReport):
@@ -346,30 +331,31 @@ def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
     yield JointDistribution((const, p2.alphabet, p2.alphabet), np.diag(p2.probs)[None, :, :])
 
 
-def _sample(ch1, ch2, cardinalities, n_samples, seed, reports, arity, rates, probes, source):
+def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
     """The sampling loop both bounds share: the structured `probes` joints,
-    then `n_samples` Dirichlet joints over the first `arity` auxiliaries and
-    X, drawn in batches seeded by [seed, batch index], each batch validated
-    at once and evaluated by the array formulas `rates` in chunks. Every
-    joint's two corners become points, in order, and the first point with
-    the smallest time-division slack is kept with its joint."""
+    then `cfg.samples` Dirichlet joints over the first `arity` auxiliaries
+    and X, drawn in batches seeded by [cfg.seed, batch index], each batch
+    validated at once and evaluated by the array formulas `rates` in chunks.
+    Every joint's two corners become points, in order, and the first point
+    with the smallest time-division slack is kept with its joint."""
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("channels must share the input alphabet")
-    nx = len(ch1.input)
-    cards, cells = _check_cells(cardinalities, nx, arity)
-    rep1, rep2 = _resolve_reports(ch1, ch2, reports)
     c1, c2 = rep1.capacity, rep2.capacity
-    points: list[RatePoint] = []
-    worst = [1.0, None, None]  # slack, point, auxiliary joint
+    if c1 <= 0.0 or c2 <= 0.0:
+        raise ValueError("region sampling against time division needs positive capacities")
+    nx = len(ch1.input)
+    cards, n_samples = cfg.cardinalities, cfg.samples
+    cells = _check_cells(cards, nx, arity)
+    chunks: list[np.ndarray] = []  # each chunk's corners, (2 * joints, 2)
+    worst = [1.0, None, None]  # slack, row of the points, auxiliary joint
 
     def fold(probs, joint_of):
         corners = _corners(*rates(probs, ch1.rows, ch2.rows)).reshape(-1, 2)
-        first = len(points)
-        points.extend(RatePoint(r1, r2) for r1, r2 in corners.tolist())
         slack = _td_slack(corners[:, 0], corners[:, 1], c1, c2)
         i = int(slack.argmin())
         if slack[i] < worst[0]:
-            worst[:] = float(slack[i]), points[first + i], joint_of(i // 2)
+            worst[:] = float(slack[i]), sum(map(len, chunks)) + i, joint_of(i // 2)
+        chunks.append(corners)
 
     if n_samples > 0:
         for aux in probes(rep1, rep2):
@@ -378,42 +364,41 @@ def _sample(ch1, ch2, cardinalities, n_samples, seed, reports, arity, rates, pro
         alphas += (ch1.input,)
         shape = cards[:arity] + (nx,)
         for batch_index, done in enumerate(range(0, n_samples, _BATCH)):
-            rng = np.random.default_rng([seed, batch_index])
+            rng = np.random.default_rng([cfg.seed, batch_index])
             draws = rng.dirichlet(np.ones(cells), size=min(_BATCH, n_samples - done))
             draws = _clean_probs(draws.reshape((-1,) + shape), "joint distribution", batch=True)
             for lo in range(0, len(draws), _CHUNK):
                 chunk = draws[lo:lo + _CHUNK]
                 fold(chunk, lambda i: JointDistribution(alphas, chunk[i]))
 
-    sample = RegionSample(tuple(points), source, seed, cards, n_samples)
-    return SampleReport(sample, *worst)
+    points = np.concatenate(chunks) if chunks else np.empty((0, 2))
+    points.flags.writeable = False
+    slack, row, aux = worst
+    sample = RegionSample(points, source, cfg.seed, cards, n_samples)
+    return SampleReport(sample, slack, None if row is None else points[row], aux)
 
 
 def sample_marton(
     ch1: Channel,
     ch2: Channel,
-    cardinalities: tuple[int, int, int] = (2, 2, 2),
-    n_samples: int = 2000,
-    seed: int = 0,
-    reports: tuple[CapacityReport, CapacityReport] | None = None,
+    rep1: CapacityReport,
+    rep2: CapacityReport,
+    cfg: RunConfig = RunConfig(),
 ) -> SampleReport:
-    """Sample the inner bound: Dirichlet-random auxiliary joints at the given
-    (|U|, |V|, |W|) cardinalities plus structured time-sharing probes built
-    from capacity-achieving inputs. Deterministic given the seed; with
-    n_samples = 0 the sample is empty and the slack defaults to +1."""
-    return _sample(
-        ch1, ch2, cardinalities, n_samples, seed, reports,
-        3, _marton, _timeshare_probes, MARTON,
-    )
+    """Sample the inner bound: `cfg.samples` Dirichlet-random auxiliary
+    joints at `cfg.cardinalities` = (|U|, |V|, |W|), plus structured
+    time-sharing probes built from the capacity-achieving inputs of the
+    reports `rep1` and `rep2`. Deterministic given `cfg.seed`; with no
+    samples the sample is empty and the slack defaults to +1."""
+    return _sample(ch1, ch2, rep1, rep2, cfg, 3, _marton, _timeshare_probes, MARTON)
 
 
 def sample_uv(
     ch1: Channel,
     ch2: Channel,
-    cardinalities: tuple[int, int, int] = (2, 2, 2),
-    n_samples: int = 2000,
-    seed: int = 0,
-    reports: tuple[CapacityReport, CapacityReport] | None = None,
+    rep1: CapacityReport,
+    rep2: CapacityReport,
+    cfg: RunConfig = RunConfig(),
 ) -> SampleReport:
     """Sample the outer bound's constraint pentagons the same way, with
     single-user probes (one auxiliary copying X at a capacity-achieving
@@ -422,10 +407,7 @@ def sample_uv(
     Sampled outer-bound points witness what the converse permits; they do
     not certify achievability.
     """
-    return _sample(
-        ch1, ch2, cardinalities, n_samples, seed, reports,
-        2, _uv, _single_user_probes, UV,
-    )
+    return _sample(ch1, ch2, rep1, rep2, cfg, 2, _uv, _single_user_probes, UV)
 
 
 def td_boundary_sample(c1: float, c2: float, count: int = 101) -> RegionSample:
@@ -436,5 +418,6 @@ def td_boundary_sample(c1: float, c2: float, count: int = 101) -> RegionSample:
     if count < 2:
         raise ValueError("need at least the two corner points")
     alphas = np.linspace(1.0, 0.0, count)
-    points = tuple(RatePoint(float(a * c1), float((1.0 - a) * c2)) for a in alphas)
+    points = np.stack([alphas * c1, (1.0 - alphas) * c2], axis=1)
+    points.flags.writeable = False
     return RegionSample(points, TD, 0, (1, 1, 1), count)

@@ -9,6 +9,7 @@ numbers) so that identically seeded runs are byte-identical. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -224,14 +225,8 @@ def cmd_region(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
     rep1 = analyze_channel(pair.first, cfg)
     rep2 = analyze_channel(pair.second, cfg)
-    shared = dict(
-        cardinalities=cfg.cardinalities,
-        n_samples=cfg.samples,
-        seed=cfg.seed,
-        reports=(rep1, rep2),
-    )
-    marton = sample_marton(pair.first, pair.second, **shared)
-    uv = sample_uv(pair.first, pair.second, **shared)
+    marton = sample_marton(pair.first, pair.second, rep1, rep2, cfg)
+    uv = sample_uv(pair.first, pair.second, rep1, rep2, cfg)
     td = td_boundary_sample(rep1.capacity, rep2.capacity, 101)
 
     text = region_csv((marton.sample, uv.sample, td), unit_scale(cfg.units))
@@ -250,23 +245,22 @@ def cmd_region(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+# single-channel families of example-gen: maker and the name of its one parameter
+_ONE_PARAMETER_FAMILIES = {
+    "bsc": (make_bsc, "the crossover probability"),
+    "bec": (make_bec, "the erasure probability"),
+}
+
+
 def cmd_example_gen(args, cfg: RunConfig, out) -> int:
     family = args.family
     params = args.params
-    if family == "bsc":
+    if family in _ONE_PARAMETER_FAMILIES:
+        make, parameter = _ONE_PARAMETER_FAMILIES[family]
         if len(params) != 1:
-            raise ChannelFileError("bsc takes one parameter: the crossover probability")
+            raise ChannelFileError(f"{family} takes one parameter: {parameter}")
         try:
-            ch = make_bsc(params[0])
-        except ValueError as exc:
-            raise ChannelFileError(str(exc)) from exc
-        save_channel(ch, args.out)
-        print(f"wrote {args.out}", file=out)
-    elif family == "bec":
-        if len(params) != 1:
-            raise ChannelFileError("bec takes one parameter: the erasure probability")
-        try:
-            ch = make_bec(params[0])
+            ch = make(params[0])
         except ValueError as exc:
             raise ChannelFileError(str(exc)) from exc
         save_channel(ch, args.out)
@@ -387,13 +381,13 @@ def _env_seed() -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="capacity bracket tolerance (bits)")
-    common.add_argument("--tol-k", type=float, default=None, help="peak-set divergence tolerance (bits)")
+    common.add_argument("--tol-k", type=float, default=None, dest="peak_tol", metavar="TOL_K", help="peak-set divergence tolerance (bits)")
     common.add_argument("--violation-tol", type=float, default=None, help="search violation threshold (bits)")
     common.add_argument("--cap-eq-tol", type=float, default=None, help="capacity equality tolerance (bits)")
     common.add_argument("--seed", type=int, default=None, help="master seed (overrides TDOPT_SEED)")
     common.add_argument("--starts", type=int, default=None, help="random starts per simplex search")
     common.add_argument("--samples", type=int, default=None, help="auxiliary joints per region sample")
-    common.add_argument("--card", type=_parse_card, default=None, metavar="U,V,W", help="sampled auxiliary cardinalities")
+    common.add_argument("--card", type=_parse_card, default=None, dest="cardinalities", metavar="U,V,W", help="sampled auxiliary cardinalities")
     common.add_argument("--units", choices=("bits", "nats"), default=None, help="information units in reports")
     common.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
 
@@ -430,18 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    base = RunConfig()
-    return RunConfig(
-        tol=args.tol if args.tol is not None else base.tol,
-        peak_tol=args.tol_k if args.tol_k is not None else base.peak_tol,
-        violation_tol=args.violation_tol if args.violation_tol is not None else base.violation_tol,
-        cap_eq_tol=args.cap_eq_tol if args.cap_eq_tol is not None else base.cap_eq_tol,
-        seed=args.seed if args.seed is not None else _env_seed(),
-        starts=args.starts if args.starts is not None else base.starts,
-        samples=args.samples if args.samples is not None else base.samples,
-        cardinalities=args.card if args.card is not None else base.cardinalities,
-        units=args.units if args.units is not None else base.units,
-    )
+    """The defaults, replaced by every common flag that is set (each flag's
+    destination is its RunConfig field); the seed comes from TDOPT_SEED when
+    --seed is absent."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if args.seed is None:
+        values["seed"] = _env_seed()
+    return dataclasses.replace(RunConfig(), **values)
 
 
 def main(argv=None, out=None) -> int:
@@ -455,10 +445,7 @@ def main(argv=None, out=None) -> int:
     try:
         cfg = _config_from_args(args)
         return args.func(args, cfg, out)
-    except ChannelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, AlphabetMismatchError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

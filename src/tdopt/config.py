@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 BITS_UNITS = "bits"
@@ -41,3 +42,8 @@ class RunConfig:
             raise ValueError(f"units must be {BITS_UNITS!r} or {NATS_UNITS!r}, got {self.units!r}")
         if self.samples < 0 or self.starts < 0:
             raise ValueError("starts and samples must be nonnegative")
+        cards = self.cardinalities
+        if not (isinstance(cards, (tuple, list)) and len(cards) == 3
+                and all(isinstance(c, numbers.Integral) and c >= 1 for c in cards)):
+            raise ValueError(f"cardinalities must be three counts >= 1, got {cards!r}")
+        object.__setattr__(self, "cardinalities", tuple(int(c) for c in cards))

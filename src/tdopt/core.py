@@ -56,9 +56,9 @@ def _clean_probs(values, what: str, batch: bool = False) -> np.ndarray:
         if not finite[i]:
             raise ValueError(f"{what} contains non-finite entries")
         if low[i] < -RENORM_TOL:
-            idx = np.unravel_index(int(rows[i].argmin()), rows.shape[1:])
+            idx = tuple(int(k) for k in np.unravel_index(int(rows[i].argmin()), rows.shape[1:]))
             raise ValueError(
-                f"{what} has negative entry {float(low[i]):.12g} at position {tuple(idx)}"
+                f"{what} has negative entry {float(low[i]):.12g} at position {idx}"
             )
         raise ValueError(f"{what} sums to {float(total[i]):.12g}, not 1")
     if clamp:
@@ -163,9 +163,6 @@ class Channel:
             cleaned[i] = _clean_probs(arr[i], f"channel row {i} (input {sym!r})")
         cleaned.setflags(write=False)
         object.__setattr__(self, "rows", cleaned)
-
-    def row(self, symbol: str) -> Distribution:
-        return Distribution(self.output, self.rows[self.input.index(symbol)])
 
     def reachable_outputs(self) -> np.ndarray:
         """Boolean mask of outputs with positive probability under some input."""

@@ -25,12 +25,6 @@ def make_bec(eps: float) -> Channel:
     return Channel(BITS, out, np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
 
-def make_identity(n: int, prefix: str = "x") -> Channel:
-    """Noiseless channel on `n` symbols."""
-    alph = Alphabet.of_size(n, prefix)
-    return Channel(alph, alph, np.eye(n))
-
-
 def make_partition_pair(a_size: int, b_size: int) -> BroadcastPair:
     """Broadcast pair on a partitioned input alphabet A u B with |A| >= |B| >= 2.
 

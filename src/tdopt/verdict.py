@@ -97,20 +97,16 @@ def full_support(report: CapacityReport, n_inputs: int) -> bool:
 
 def evidence_mode(
     pair: BroadcastPair,
+    rep1: CapacityReport,
+    rep2: CapacityReport,
     cfg: RunConfig = RunConfig(),
-    reports: tuple[CapacityReport, CapacityReport] | None = None,
 ) -> EvidenceReport:
     """Region sampling for pairs outside the theorem's reach (or as a
-    cross-check); never claims optimality."""
-    shared = dict(
-        cardinalities=cfg.cardinalities,
-        n_samples=cfg.samples,
-        seed=cfg.seed,
-        reports=reports,
-    )
+    cross-check), from the two channels' capacity reports; never claims
+    optimality."""
     return EvidenceReport(
-        marton=sample_marton(pair.first, pair.second, **shared),
-        uv=sample_uv(pair.first, pair.second, **shared),
+        marton=sample_marton(pair.first, pair.second, rep1, rep2, cfg),
+        uv=sample_uv(pair.first, pair.second, rep1, rep2, cfg),
     )
 
 
@@ -140,7 +136,7 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
             checks={},
             witnesses=(),
             search_limited=False,
-            evidence=evidence_mode(pair, cfg, reports=(rep_first, rep_second)),
+            evidence=evidence_mode(pair, rep_first, rep_second, cfg),
             config=cfg,
         )
 
@@ -287,7 +283,7 @@ def evidence_to_dict(ev: EvidenceReport, units: str = "bits") -> dict:
             "min_td_slack": sig12(rep.min_slack),
             "worst_point": None
             if rep.worst_point is None
-            else [sig12(rep.worst_point.r1 * scale), sig12(rep.worst_point.r2 * scale)],
+            else [sig12(r) for r in (rep.worst_point * scale).tolist()],
         }
 
     return {

@@ -24,6 +24,12 @@ def random_channel(rng, n_in: int, n_out: int, alpha: float = 1.0,
     return Channel(Alphabet.of_size(n_in, in_prefix), Alphabet.of_size(n_out, out_prefix), rows)
 
 
+def make_identity(n: int, prefix: str = "x") -> Channel:
+    """Noiseless channel on `n` symbols."""
+    alph = Alphabet.of_size(n, prefix)
+    return Channel(alph, alph, np.eye(n))
+
+
 def noisy_identity(rng, n_in: int, n_out: int | None = None, mix: float = 0.35) -> Channel:
     """Identity channel blended with random noise rows; keeps every input
     extremal, so the capacity optimizer tends to use the whole alphabet."""

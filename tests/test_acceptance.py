@@ -241,16 +241,23 @@ def test_criterion_09_no_false_violations():
     ]
     from tdopt import BroadcastPair
 
+    sampling = RunConfig(samples=10_000, seed=909)
     overall = np.inf
     for label, ch1, ch2 in optimal_pairs:
         verdict = decide_td_optimality(BroadcastPair(ch1, ch2), RunConfig(samples=0))
         assert verdict.status == TD_OPTIMAL, label
-        report = sample_marton(ch1, ch2, n_samples=10_000, seed=909)
+        report = sample_marton(ch1, ch2, compute_capacity(ch1), compute_capacity(ch2), sampling)
         overall = min(overall, report.min_slack)
         assert report.min_slack >= -1e-6, label
 
     partition = make_partition_pair(4, 2)
-    report = sample_marton(partition.first, partition.second, n_samples=10_000, seed=909)
+    report = sample_marton(
+        partition.first,
+        partition.second,
+        compute_capacity(partition.first),
+        compute_capacity(partition.second),
+        sampling,
+    )
     overall = min(overall, report.min_slack)
     assert report.min_slack >= -1e-6
     print(f"criterion 9 PASS: 4 pairs x 10000 samples + probes, min TD slack {overall:.2e}")

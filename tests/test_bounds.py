@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_mi_grouped, random_joint
+from conftest import make_identity, oracle_mi_grouped, random_joint
 from tdopt.bounds import (
     MARTON,
     TD,
@@ -14,7 +14,6 @@ from tdopt.bounds import (
     U_STAR,
     V_STAR,
     RateConstraints,
-    RatePoint,
     RegionSample,
     marton_rates,
     region_csv,
@@ -27,6 +26,7 @@ from tdopt.bounds import (
     uv_bound_rates,
 )
 from tdopt.capacity import compute_capacity
+from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,
     AlphabetMismatchError,
@@ -35,7 +35,7 @@ from tdopt.core import (
     JointDistribution,
     mutual_information,
 )
-from tdopt.families import make_bsc, make_identity, make_partition_pair
+from tdopt.families import make_bsc, make_partition_pair
 
 X3 = Alphabet.of_size(3)
 Y4 = Alphabet.of_size(4, "y")
@@ -58,41 +58,37 @@ def merge_pair():
 
 
 class TestRatePoint:
+    """Rate points are plain (R1, R2) pairs."""
+
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            RatePoint(-0.1, 0.5)
+            td_region_contains((-0.1, 0.5), 2.0, 1.0)
 
     def test_td_membership_corners_and_line(self):
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            inside, slack = td_region_contains(RatePoint(alpha * 2.0, (1 - alpha) * 1.0), 2.0, 1.0)
+            inside, slack = td_region_contains((alpha * 2.0, (1 - alpha) * 1.0), 2.0, 1.0)
             assert inside
             assert slack == pytest.approx(0.0, abs=1e-15)
 
     def test_full_corner_point_outside(self):
-        inside, slack = td_region_contains(RatePoint(2.0, 1.0), 2.0, 1.0)
+        inside, slack = td_region_contains(np.array([2.0, 1.0]), 2.0, 1.0)
         assert not inside
         assert slack == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            td_region_contains(RatePoint(0.1, 0.1), 0.0, 1.0)
+            td_region_contains((0.1, 0.1), 0.0, 1.0)
 
 
 class TestCorners:
     def test_plain_pentagon(self):
-        a, b = RateConstraints(1.0, 1.0, 1.5).corners()
-        assert (a.r1, a.r2) == (1.0, 0.5)
-        assert (b.r1, b.r2) == (0.5, 1.0)
+        assert RateConstraints(1.0, 1.0, 1.5).corners().tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_sum_not_binding(self):
-        a, b = RateConstraints(0.4, 0.7, 2.0).corners()
-        assert (a.r1, a.r2) == (0.4, 0.7)
-        assert (b.r1, b.r2) == (0.4, 0.7)
+        assert RateConstraints(0.4, 0.7, 2.0).corners().tolist() == [[0.4, 0.7], [0.4, 0.7]]
 
     def test_clamped_at_zero(self):
-        a, b = RateConstraints(2.0, 2.0, 1.0).corners()
-        assert (a.r1, a.r2) == (2.0, 0.0)
-        assert (b.r1, b.r2) == (0.0, 2.0)
+        assert RateConstraints(2.0, 2.0, 1.0).corners().tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
 
 class TestMartonRates:
@@ -163,7 +159,7 @@ class TestMartonRates:
                 arr[ui, vi, 0, 2 * vi + ui] = 0.25
         tri = marton_rates(JointDistribution((u, v, w, ch1.input), arr), ch1, ch2)
         corner = tri.corners()[0]
-        assert (corner.r1, corner.r2) == (pytest.approx(1.0), pytest.approx(1.0))
+        assert tuple(corner) == (pytest.approx(1.0), pytest.approx(1.0))
         inside, slack = td_region_contains(corner, 2.0, 1.0)
         assert not inside
         assert slack == pytest.approx(-0.5, abs=1e-9)
@@ -334,48 +330,62 @@ class TestTimeshareConstruction:
         assert tri.max_sum == pytest.approx(want_sum, abs=1e-9)
 
 
+def sampled(sampler, ch1, ch2, **cfg):
+    """`sampler` run from the two channels' capacity reports under
+    `RunConfig(**cfg)`."""
+    return sampler(ch1, ch2, compute_capacity(ch1), compute_capacity(ch2), RunConfig(**cfg))
+
+
 class TestSampling:
     def test_identical_pair_never_violates(self):
         ch = make_bsc(0.11)
-        rep = sample_marton(ch, ch, n_samples=500, seed=0)
+        rep = sampled(sample_marton, ch, ch, samples=500, seed=0)
         assert rep.min_slack >= -1e-9
 
     def test_partition_pair_never_violates(self):
         pair = make_partition_pair(4, 2)
-        rep = sample_marton(pair.first, pair.second, n_samples=500, seed=0)
+        rep = sampled(sample_marton, pair.first, pair.second, samples=500, seed=0)
         assert rep.min_slack >= -1e-9
 
     def test_empty_sample(self):
         ch = make_bsc(0.11)
-        rep = sample_marton(ch, ch, n_samples=0, seed=0)
-        assert rep.sample.points == ()
+        rep = sampled(sample_marton, ch, ch, samples=0, seed=0)
+        assert rep.sample.points.shape == (0, 2)
         assert rep.min_slack == 1.0
+        assert rep.worst_point is None
         assert rep.worst_aux is None
+
+    def test_points_are_a_read_only_array(self):
+        ch1, ch2 = make_bsc(0.1), make_bsc(0.3)
+        rep = sampled(sample_uv, ch1, ch2, samples=20, seed=0)
+        points = rep.sample.points
+        assert points.shape == (2 * (2 + 20), 2) and points.dtype == np.float64
+        assert not points.flags.writeable
+        c1, c2 = compute_capacity(ch1).capacity, compute_capacity(ch2).capacity
+        slacks = 1.0 - points[:, 0] / c1 - points[:, 1] / c2
+        assert rep.min_slack == slacks.min()
+        assert np.array_equal(rep.worst_point, points[slacks.argmin()])
 
     def test_deterministic_and_seed_sensitive(self):
         ch1, ch2 = make_bsc(0.1), make_bsc(0.3)
-        a = sample_marton(ch1, ch2, n_samples=300, seed=5)
-        b = sample_marton(ch1, ch2, n_samples=300, seed=5)
-        assert [(p.r1, p.r2) for p in a.sample.points] == [
-            (p.r1, p.r2) for p in b.sample.points
-        ]
-        c = sample_marton(ch1, ch2, n_samples=300, seed=6)
-        assert [(p.r1, p.r2) for p in a.sample.points] != [
-            (p.r1, p.r2) for p in c.sample.points
-        ]
+        a = sampled(sample_marton, ch1, ch2, samples=300, seed=5)
+        b = sampled(sample_marton, ch1, ch2, samples=300, seed=5)
+        assert np.array_equal(a.sample.points, b.sample.points)
+        c = sampled(sample_marton, ch1, ch2, samples=300, seed=6)
+        assert not np.array_equal(a.sample.points, c.sample.points)
 
     def test_uv_probe_reaches_single_user_corner(self):
         ch1, ch2 = make_bsc(0.11), make_bsc(0.3)
         c1 = compute_capacity(ch1).capacity
-        rep = sample_uv(ch1, ch2, n_samples=10, seed=0)
-        best_r1 = max(pt.r1 for pt in rep.sample.points)
+        rep = sampled(sample_uv, ch1, ch2, samples=10, seed=0)
+        best_r1 = rep.sample.points[:, 0].max()
         assert best_r1 == pytest.approx(c1, abs=1e-9)
 
     def test_worst_aux_replays_slack(self):
         ch1, ch2 = merge_pair()
         rep1 = compute_capacity(ch1)
         rep2 = compute_capacity(ch2)
-        srep = sample_marton(ch1, ch2, n_samples=300, seed=1, reports=(rep1, rep2))
+        srep = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=300, seed=1))
         assert srep.worst_aux is not None
         replay = marton_rates(srep.worst_aux, ch1, ch2)
         slacks = [
@@ -387,22 +397,20 @@ class TestSampling:
     def test_cardinality_blowup_rejected_before_allocation(self):
         ch = make_bsc(0.11)
         with pytest.raises(ValueError, match="cells"):
-            sample_marton(ch, ch, cardinalities=(100, 100, 101), n_samples=10)
+            sampled(sample_marton, ch, ch, cardinalities=(100, 100, 101), samples=10)
         with pytest.raises(ValueError, match=">= 1"):
-            sample_uv(ch, ch, cardinalities=(0, 2, 2), n_samples=10)
+            sampled(sample_uv, ch, ch, cardinalities=(0, 2, 2), samples=10)
 
     def test_zero_capacity_rejected(self):
         bsc = make_bsc(0.1)
         dead = Channel(bsc.input, Alphabet(("y",)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="positive"):
-            sample_marton(dead, bsc, n_samples=10)
+            sampled(sample_marton, dead, bsc, samples=10)
 
 
 class TestSerialization:
     def test_csv_shape_and_precision(self):
-        sample = RegionSample(
-            (RatePoint(1.0 / 3.0, 0.25), RatePoint(0.0, 1.0)), MARTON, 0, (2, 2, 2), 2
-        )
+        sample = RegionSample(np.array([[1.0 / 3.0, 0.25], [0.0, 1.0]]), MARTON, 0, (2, 2, 2), 2)
         text = region_csv((sample,))
         lines = text.splitlines()
         assert lines[0] == "source,R1,R2"
@@ -411,8 +419,8 @@ class TestSerialization:
         assert text.endswith("\n")
 
     def test_csv_joins_samples_under_one_header_and_scales(self):
-        first = RegionSample((RatePoint(1.0, 0.5),), MARTON, 0, (2, 2, 2), 1)
-        second = RegionSample((RatePoint(0.25, 2.0),), TD, 0, (1, 1, 1), 1)
+        first = RegionSample(np.array([[1.0, 0.5]]), MARTON, 0, (2, 2, 2), 1)
+        second = RegionSample(np.array([[0.25, 2.0]]), TD, 0, (1, 1, 1), 1)
         lines = region_csv((first, second), math.log(2.0)).splitlines()
         assert lines == [
             "source,R1,R2",
@@ -423,7 +431,7 @@ class TestSerialization:
     def test_td_boundary_endpoints_and_midpoint(self):
         sample = td_boundary_sample(2.0, 1.0, 101)
         assert sample.source == TD
-        pts = [(p.r1, p.r2) for p in sample.points]
+        pts = [tuple(p) for p in sample.points.tolist()]
         assert pts[0] == (2.0, 0.0)
         assert pts[50] == (1.0, 0.5)
         assert pts[100] == (0.0, 1.0)

@@ -20,9 +20,9 @@ from tdopt.core import (
     mutual_information,
     push_forward,
 )
-from tdopt.families import make_bec, make_bsc, make_identity, make_partition_pair
+from tdopt.families import make_bec, make_bsc, make_partition_pair
 
-from conftest import h2, noisy_identity, random_channel, random_distribution
+from conftest import h2, make_identity, noisy_identity, random_channel, random_distribution
 
 B = Alphabet(("0", "1"))
 

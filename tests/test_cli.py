@@ -103,7 +103,7 @@ class TestExitCodes:
         )
         code, _ = run(["capacity", str(path)])
         assert code == EXIT_INPUT
-        assert "negative entry" in capsys.readouterr().err
+        assert "negative entry -0.2 at position (1,)" in capsys.readouterr().err
 
     def test_mismatched_pair_is_input_error(self, tmp_path, capsys):
         b = write_bsc(tmp_path / "b.json", 0.1)

@@ -22,10 +22,11 @@ from tdopt.core import (
     row_divergences,
     _clean_probs,
 )
-from tdopt.families import make_bsc, make_identity, make_partition_pair
+from tdopt.families import make_bsc, make_partition_pair
 
 from conftest import (
     h2,
+    make_identity,
     oracle_mi_grouped,
     oracle_mutual_information,
     random_channel,
@@ -99,7 +100,7 @@ class TestBatchValidation:
 
     @pytest.mark.parametrize("cell, value, expected", [
         ((0, 1), np.nan, "contains non-finite entries"),
-        ((1, 0), -0.1, "has negative entry -0.1 at position"),
+        ((1, 0), -0.1, "has negative entry -0.1 at position (1, 0)"),
         ((1, 1), 0.9, "sums to 1.5, not 1"),
     ])
     def test_first_bad_row_raises_its_own_message(self, cell, value, expected):

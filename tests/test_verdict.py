@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_identity
+from tdopt.capacity import compute_capacity
 from tdopt.comparison import HOLDS_UP_TO_SEARCH, VIOLATED
 from tdopt.config import RunConfig
 from tdopt.core import Alphabet, BroadcastPair, Channel, Distribution, mutual_information
-from tdopt.families import make_bec, make_bsc, make_identity, make_partition_pair
+from tdopt.families import make_bec, make_bsc, make_partition_pair
 from tdopt.verdict import (
     ASSUMPTION_VIOLATED,
     CAPACITY_GAP_RATIO,
@@ -26,6 +28,10 @@ from tdopt.verdict import (
 )
 
 FAST = RunConfig(samples=200, starts=16)
+
+
+def evidence(pair):
+    return evidence_mode(pair, compute_capacity(pair.first), compute_capacity(pair.second), FAST)
 
 
 def merge_pair():
@@ -155,6 +161,18 @@ class TestDecide:
         with pytest.raises(ValueError, match="degenerate"):
             decide_td_optimality(BroadcastPair(bsc, dead), FAST)
 
+    @pytest.mark.parametrize("cards", [(0, 2), (0, 2, 2), (2, 2, 2.5), (2, 2, 2, 2)])
+    def test_malformed_cardinalities_rejected(self, cards):
+        with pytest.raises(ValueError, match="cardinalities must be three counts >= 1"):
+            decide_td_optimality(
+                BroadcastPair(make_bsc(0.1), make_bsc(0.3)), RunConfig(cardinalities=cards)
+            )
+
+    def test_cardinalities_kept_as_plain_ints(self):
+        cfg = RunConfig(cardinalities=[np.int64(3), 3, 2])
+        assert cfg.cardinalities == (3, 3, 2)
+        assert all(type(c) is int for c in cfg.cardinalities)
+
     def test_reserved_inconclusive_status_exists(self):
         assert INCONCLUSIVE == "INCONCLUSIVE"
 
@@ -165,25 +183,23 @@ class TestEvidenceMode:
             BroadcastPair(make_bsc(0.11), make_bsc(0.11)),
             BroadcastPair(make_bec(0.1), make_bec(0.4)),
         ):
-            ev = evidence_mode(pair, FAST)
+            ev = evidence(pair)
             assert ev.min_marton_slack >= -1e-6
             assert ev.violating_aux is None
 
     def test_identity_pair_corner_case(self):
         bsc = make_bsc(0.05)
         ident = Channel(bsc.input, bsc.input, np.eye(2))
-        ev = evidence_mode(BroadcastPair(bsc, ident), FAST)
+        ev = evidence(BroadcastPair(bsc, ident))
         assert len(ev.marton.sample.points) > 0
         assert len(ev.uv.sample.points) > 0
 
     def test_sampling_is_reproducible(self):
         pair = BroadcastPair(make_bsc(0.1), make_bsc(0.3))
-        a = evidence_mode(pair, FAST)
-        b = evidence_mode(pair, FAST)
+        a = evidence(pair)
+        b = evidence(pair)
         assert a.min_marton_slack == b.min_marton_slack
-        assert [(p.r1, p.r2) for p in a.uv.sample.points] == [
-            (p.r1, p.r2) for p in b.uv.sample.points
-        ]
+        assert np.array_equal(a.uv.sample.points, b.uv.sample.points)
 
 
 class TestSerialization:
