@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import FLOOR, LN2, Channel, Distribution, neg_entropy, row_divergences
-from .simplex import OPTIMAL, lp_solve_max_coordinate
+from .simplex import feasible_basis, lp_solve_max_coordinate
 
 DEFAULT_TOL = RunConfig.tol            # bits, bracket width
 DEFAULT_MAX_ITER = 100_000
@@ -276,21 +276,24 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
 
     A symbol belongs iff some distribution supported on the peak set whose
     pushforward equals the optimal output gives it mass above `_LP_TOL`; one
-    LP per peak symbol maximizes its mass, and the witness is the equal-weight
-    average of the LP vertices."""
+    LP per peak symbol maximizes its mass from one shared phase one, and the
+    witness is the equal-weight average of the LP vertices."""
     idx = [ch.input.index(s) for s in peak]
     reachable = ch.reachable_outputs()
     a_eq = np.vstack([ch.rows[idx][:, reachable].T, np.ones(len(idx))])
     b_eq = np.concatenate([r_star.probs[reachable], [1.0]])
 
+    feasible = feasible_basis(a_eq, b_eq)
+    if feasible is None:
+        raise InconsistentCertificateError()
     member = []
     witnesses = []
     for j in range(len(idx)):
-        res = lp_solve_max_coordinate(a_eq, b_eq, j)
-        if res.status != OPTIMAL:
+        x = lp_solve_max_coordinate(feasible, j)
+        if x is None:
             raise InconsistentCertificateError()
-        witnesses.append(res.x)
-        if res.value > _LP_TOL:
+        witnesses.append(x)
+        if x[j] > _LP_TOL:
             member.append(peak[j])
     avg = np.mean(witnesses, axis=0)
     full = np.zeros(len(ch.input))

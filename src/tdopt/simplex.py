@@ -1,52 +1,43 @@
-"""Dense two-phase simplex for the tiny equality-form programs used when
-probing which inputs participate in some capacity-achieving distribution.
+"""Dense simplex for the support-union programs: maximize x[j] over
+{x >= 0 : a_eq x = b_eq}, where the rows cut a face out of the probability
+simplex (nonnegative rows, a ones row, and a probability vector plus 1 on the
+right), so every program is bounded and b_eq is never negative.
 
-Problems have a handful of variables, so a textbook tableau with Bland's rule
-(guaranteed termination, no cycling) beats pulling in a general LP stack, and
-it keeps results bit-deterministic across runs.
+`feasible_basis` runs phase one once per system; `lp_solve_max_coordinate`
+runs phase two for one coordinate from a copy of that basis. Phase one never
+reads the objective, so sharing it changes no vertex. Problems have a handful
+of variables, so a textbook tableau with Bland's rule (guaranteed termination,
+no cycling) beats pulling in a general LP stack, and it keeps results
+bit-deterministic across runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: str
-    value: float | None
-    x: np.ndarray | None
-
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int):
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    # only rows with a nonzero pivot-column entry: x - 0*y could flip a zero's sign
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    tab[rows] -= tab[rows, col][:, None] * tab[row]
     basis[row] = col
 
 
-def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
+def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int) -> bool:
     """Run simplex to optimality on a tableau whose last row holds reduced
-    costs and last column holds the rhs. Entering/leaving by smallest index."""
+    costs and last column holds the rhs. Entering/leaving by smallest index.
+    False when no row can leave (the program is unbounded)."""
     m = tab.shape[0] - 1
     while True:
-        col = -1
-        for j in range(ncols):
-            if tab[m, j] < -PIVOT_TOL:
-                col = j
-                break
-        if col < 0:
-            return OPTIMAL
+        entering = np.flatnonzero(tab[m, :ncols] < -PIVOT_TOL)
+        if entering.size == 0:
+            return True
+        col = int(entering[0])
         row, best = -1, np.inf
         for r in range(m):
             a = tab[r, col]
@@ -56,29 +47,22 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
                                                 and (row < 0 or basis[r] < basis[row])):
                     row, best = r, ratio
         if row < 0:
-            return UNBOUNDED
+            return False
         _pivot(tab, basis, row, col)
 
 
-def simplex_minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> LpResult:
-    """Minimize c.x subject to a_eq x = b_eq, x >= 0.
+def feasible_basis(a_eq, b_eq) -> tuple[np.ndarray, np.ndarray] | None:
+    """Phase one for a_eq x = b_eq, x >= 0 with b_eq >= 0.
 
-    Redundant equality rows are tolerated (they are detected and neutralized
-    after phase one). Returns an LpResult; vertex coordinates of nonbasic
-    variables are exact zeros.
+    Returns the constraint rows `[a | b]` in a feasible basis and that basis,
+    or None when the system is infeasible. Redundant rows are zeroed and carry
+    basis -1.
     """
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    c = np.array(c, dtype=float)
+    a = np.asarray(a_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
     m, n = a.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
 
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase one: artificial basis, minimize artificial mass.
+    # artificial basis, minimize artificial mass
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = a
     tab[:m, n:n + m] = np.eye(m)
@@ -86,59 +70,41 @@ def simplex_minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> LpRes
     tab[m, :n] = -a.sum(axis=0)
     tab[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
-
-    status = _bland_iterate(tab, basis, n + m)
-    if status != OPTIMAL or tab[m, -1] < -FEAS_TOL:
-        return LpResult(INFEASIBLE, None, None)
+    if not _bland_iterate(tab, basis, n + m) or tab[m, -1] < -FEAS_TOL:
+        return None
 
     # Drive leftover artificials out of the basis; rows that cannot be pivoted
     # are redundant constraints and get zeroed.
     for r in range(m):
         if basis[r] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(tab[r, j]) > PIVOT_TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(tab, basis, r, piv)
+            cols = np.flatnonzero(np.abs(tab[r, :n]) > PIVOT_TOL)
+            if cols.size:
+                _pivot(tab, basis, r, int(cols[0]))
             else:
                 tab[r, :] = 0.0
                 basis[r] = -1
 
-    # Phase two on the original columns.
-    tab2 = np.zeros((m + 1, n + 1))
-    tab2[:m, :n] = tab[:m, :n]
-    tab2[:m, -1] = tab[:m, -1]
-    tab2[m, :n] = c
-    for r in range(m):
-        if basis[r] >= 0:
-            tab2[m] -= c[basis[r]] * tab2[r]
-    status = _bland_iterate(tab2, basis, n)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+    return np.hstack([tab[:m, :n], tab[:m, -1:]]), basis
+
+
+def lp_solve_max_coordinate(feasible: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray | None:
+    """The vertex maximizing x[j], by phase two from a copy of the basis that
+    `feasible_basis` returned; None if no row can leave. Nonbasic coordinates
+    are exact zeros."""
+    rows, basis = feasible
+    m, n = rows.shape[0], rows.shape[1] - 1
+    basis = basis.copy()
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m] = rows
+    # reduced costs of -x[j]: only the row whose basic variable is x[j] adds to them
+    tab[m, j] = -1.0
+    for r in np.flatnonzero(basis == j):
+        tab[m] += tab[r]
+    if not _bland_iterate(tab, basis, n):
+        return None
 
     x = np.zeros(n)
     for r in range(m):
         if basis[r] >= 0:
-            x[basis[r]] = max(tab2[r, -1], 0.0)
-    return LpResult(OPTIMAL, float(c @ x), x)
-
-
-def lp_solve_max_coordinate(constraint_matrix, rhs, objective_index: int) -> LpResult:
-    """Maximize x[objective_index] over {x >= 0 : constraint_matrix x = rhs}.
-
-    The returned value/witness are for the maximization; infeasibility is
-    reported through the status field rather than an exception.
-    """
-    a = np.atleast_2d(np.asarray(constraint_matrix, dtype=float))
-    b = np.asarray(rhs, dtype=float).ravel()
-    n = a.shape[1]
-    if not 0 <= objective_index < n:
-        raise ValueError(f"objective index {objective_index} out of range for {n} variables")
-    c = np.zeros(n)
-    c[objective_index] = -1.0
-    res = simplex_minimize(c, a, b)
-    if res.status != OPTIMAL:
-        return res
-    return LpResult(OPTIMAL, -res.value, res.x)
+            x[basis[r]] = max(tab[r, -1], 0.0)
+    return x

@@ -25,7 +25,7 @@ from .comparison import (
     ratio_condition_check,
 )
 from .config import BITS_UNITS, RunConfig
-from .core import LN2, BroadcastPair, Distribution
+from .core import LN2, BroadcastPair, Distribution, JointDistribution
 
 TD_OPTIMAL = "TD_OPTIMAL"
 TD_NOT_OPTIMAL = "TD_NOT_OPTIMAL"
@@ -57,15 +57,11 @@ class EvidenceReport:
 
     marton: SampleReport
     uv: SampleReport
+    violating_aux: JointDistribution | None  # worst Marton aux, if its slack < -violation_tol
 
     @property
     def min_marton_slack(self) -> float:
         return self.marton.min_slack
-
-    @property
-    def violating_aux(self):
-        # slacks within rounding noise of the boundary are not violations
-        return self.marton.worst_aux if self.marton.min_slack < -1e-9 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +100,11 @@ def evidence_mode(
     """Region sampling for pairs outside the theorem's reach (or as a
     cross-check), from the two channels' capacity reports; never claims
     optimality."""
+    marton = sample_marton(pair.first, pair.second, rep1, rep2, cfg)
     return EvidenceReport(
-        marton=sample_marton(pair.first, pair.second, rep1, rep2, cfg),
+        marton=marton,
         uv=sample_uv(pair.first, pair.second, rep1, rep2, cfg),
+        violating_aux=marton.worst_aux if marton.min_slack < -cfg.violation_tol else None,
     )
 
 

@@ -211,6 +211,25 @@ class TestSupportUnion:
         assert rep.achieving_input.support() == rep.support_union
         assert np.allclose(rep.achieving_input.probs[:4], 0.25, atol=1e-9)
 
+    def test_one_phase_one_per_channel(self, monkeypatch):
+        import tdopt.capacity as capacity
+
+        calls = {"feasible_basis": 0, "lp_solve_max_coordinate": 0}
+
+        def counting(name):
+            fn = getattr(capacity, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(capacity, name, wrapper)
+
+        counting("feasible_basis")
+        counting("lp_solve_max_coordinate")
+        rep = analyze_channel(make_partition_pair(4, 2).first)
+        assert calls == {"feasible_basis": 1, "lp_solve_max_coordinate": len(rep.peak_set)}
+
 
 class TestIsCapacityAchieving:
     def test_accepts_the_certificate_input(self):

@@ -19,7 +19,6 @@ from tdopt.cli import (
 )
 from tdopt.core import Alphabet, Channel
 from tdopt.families import make_bsc, make_partition_pair
-from tdopt.simplex import INFEASIBLE, LpResult
 
 
 def run(argv):
@@ -113,6 +112,12 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "share the input alphabet" in capsys.readouterr().err
 
+    def test_card_below_one_is_input_error(self, tmp_path, capsys):
+        b = write_bsc(tmp_path / "b.json", 0.1)
+        code, _ = run(["region", b, b, "--card", "0,1,1", "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: cardinalities must be three counts >= 1, got (0, 1, 1)\n"
+
     def test_unknown_command_is_usage_error(self, capsys):
         code, _ = run(["frobnicate"])
         assert code == EXIT_INPUT
@@ -174,10 +179,11 @@ class TestExampleGen:
         assert len(first.output) == 6
         assert len(second.output) == 3
 
-    def test_non_integer_sizes_rejected(self, tmp_path, capsys):
-        code, _ = run(["example-gen", "sec4", "4.5", "2", "--out", str(tmp_path / "p.json")])
+    @pytest.mark.parametrize("size", ["4.5", "inf", "nan"])
+    def test_non_integer_sizes_rejected(self, tmp_path, capsys, size):
+        code, _ = run(["example-gen", "sec4", size, "2", "--out", str(tmp_path / "p.json")])
         assert code == EXIT_INPUT
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: sec4 takes two integer block sizes\n"
 
 
 class TestCapacityCommand:
@@ -217,12 +223,10 @@ class TestCapacityCommand:
         assert "capacity: 1 bits" in out
         assert run(["verdict", path, path, "--samples", "20"])[0] == EXIT_OK
 
-    def test_inconsistent_certificate_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("step", ["feasible_basis", "lp_solve_max_coordinate"])
+    def test_inconsistent_certificate_is_numeric_error(self, tmp_path, monkeypatch, capsys, step):
         b = write_bsc(tmp_path / "b.json", 0.11)
-        monkeypatch.setattr(
-            "tdopt.capacity.lp_solve_max_coordinate",
-            lambda a_eq, b_eq, j: LpResult(INFEASIBLE, None, None),
-        )
+        monkeypatch.setattr(f"tdopt.capacity.{step}", lambda *args: None)
         for argv in (["capacity", b], ["verdict", b, b, "--samples", "0"]):
             code, _ = run(argv)
             assert code == EXIT_NUMERIC

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_identity
+from tdopt.bounds import SampleReport
 from tdopt.capacity import compute_capacity
 from tdopt.comparison import HOLDS_UP_TO_SEARCH, VIOLATED
 from tdopt.config import RunConfig
@@ -200,6 +201,15 @@ class TestEvidenceMode:
         b = evidence(pair)
         assert a.min_marton_slack == b.min_marton_slack
         assert np.array_equal(a.uv.sample.points, b.uv.sample.points)
+
+    @pytest.mark.parametrize("slack, violating", [(-5e-9, False), (-5e-7, True)])
+    def test_violation_judged_at_violation_tol(self, monkeypatch, slack, violating):
+        # the same tolerance as a search margin: RunConfig.violation_tol (1e-7)
+        aux = object()
+        fake = SampleReport(sample=None, min_slack=slack, worst_point=None, worst_aux=aux)
+        monkeypatch.setattr("tdopt.verdict.sample_marton", lambda *args: fake)
+        ev = evidence(BroadcastPair(make_bsc(0.1), make_bsc(0.3)))
+        assert (ev.violating_aux is aux) is violating
 
 
 class TestSerialization:
