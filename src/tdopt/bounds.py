@@ -36,19 +36,22 @@ V_STAR = "__v_star"
 _CELL_LIMIT = 1_000_000
 _BATCH = 512  # Dirichlet draws per seeded generator
 _CHUNK = 128  # joints evaluated at once
-_CONTAIN_TOL = 1e-12
 
 
-def td_region_contains(point, c1: float, c2: float) -> tuple[bool, float]:
+def td_region_contains(
+    point, c1: float, c2: float, cfg: RunConfig = RunConfig()
+) -> tuple[bool, float]:
     """Membership of the nonnegative rate pair `point` = (R1, R2), in bits per
-    channel use, in {R1/c1 + R2/c2 <= 1}, plus the slack 1 - R1/c1 - R2/c2."""
+    channel use, in {R1/c1 + R2/c2 <= 1}, plus the slack 1 - R1/c1 - R2/c2.
+    A slack down to -cfg.violation_tol counts as inside, the margin sampled
+    evidence and the searches judge at."""
     r1, r2 = point
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError(f"rates must be nonnegative, got ({r1}, {r2})")
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("the time-division region needs positive capacities")
     slack = _td_slack(r1, r2, c1, c2)
-    return slack >= -_CONTAIN_TOL, slack
+    return slack >= -cfg.violation_tol, slack
 
 
 def _td_slack(r1, r2, c1: float, c2: float):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     AlphabetMismatchError,
     Channel,
     Distribution,
+    _point_dot,
     information,
     kl,
     neg_entropy,
@@ -65,66 +66,90 @@ class SearchVerdict:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + tau, 0.0)
+    """Euclidean projection of each row of `v` (shape (..., n)) onto the
+    probability simplex (sort-based). Rows are independent: each is projected
+    with the arithmetic a lone vector gets."""
+    n = v.shape[-1]
+    rows = v.reshape(-1, n)
+    u = np.sort(rows)[:, ::-1]
+    shifts = (1.0 - u.cumsum(1)) / np.arange(1.0, n + 1.0)
+    # the shift at the last sorted entry that stays positive
+    last = n - 1 - (u + shifts > 0.0)[:, ::-1].argmax(1)
+    tau = shifts[np.arange(len(rows)), last]
+    return np.maximum(rows + tau[:, None], 0.0).reshape(v.shape)
 
 
 def _simplex_grid(dim: int, subdivisions: int) -> np.ndarray:
     """All points of the simplex with coordinates that are multiples of
-    1/subdivisions, in a fixed lexicographic order."""
+    1/subdivisions, in lexicographic order of their coordinates."""
     m = subdivisions
-    combos = combinations(range(m + dim - 1), dim - 1)
-    pts = []
-    for bars in combos:
-        prev, parts = -1, []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(m + dim - 2 - prev)
-        pts.append(parts)
-    return np.asarray(pts, dtype=float) / m
+    parts, left = np.zeros((1, 0), dtype=int), np.array([m])
+    for _ in range(dim - 1):
+        # every prefix branches into each next part from 0 up to what is left
+        counts = left + 1
+        branch = np.repeat(np.arange(len(left)), counts)
+        part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts, left = np.column_stack([parts[branch], part]), left[branch] - part
+    return np.column_stack([parts, left]) / m
 
 
 def _grid_size(dim: int, subdivisions: int) -> int:
     return math.comb(subdivisions + dim - 1, dim - 1)
 
 
-def _projected_gradient(objective, gradient, x0):
-    """Armijo-backtracked projected gradient descent; returns (x, f(x), evals)."""
-    x = project_to_simplex(np.asarray(x0, dtype=float))
+def _descend(objective, gradient, starts: np.ndarray):
+    """Armijo-backtracked projected gradient descent from every row of
+    `starts` at once; returns (x, f(x), evaluations), one entry per row.
+
+    Each row takes exactly the steps a lone start would. An outer step (at
+    most _MAX_ITERS) takes the gradient and tries steps from the row's
+    `scale` on, halving up to 50 times until one passes the Armijo test. A
+    row stops when a trial step does not move, when no trial passes, or
+    after an accepted step that moved less than 1e-20. Every pass of the
+    loop makes one trial step for each live row, so rows keep their own
+    outer-step and halving counts and none waits for another's halvings.
+    The objective and gradient also see rows whose value they do not count,
+    which leaves the other rows' bits alone.
+    """
+    x = project_to_simplex(np.asarray(starts, dtype=float))
     fx = objective(x)
-    evals = 1
-    scale = 1.0
-    for _ in range(_MAX_ITERS):
-        g = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
-        alpha = scale
-        accepted = False
-        move = 0.0
-        for _ in range(50):
-            y = project_to_simplex(x - alpha * g)
-            diff = x - y
-            move = float(diff @ diff)
-            if move == 0.0:
-                break
-            fy = objective(y)
-            evals += 1
-            if fy <= fx - 1e-4 * move / alpha:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        x, fx = y, fy
-        scale = min(alpha * 2.0, 64.0)
-        if move < 1e-20:
-            break
-    return x, fx, evals
+    n = len(x)
+    out_x, out_fx, out_evals = x.copy(), fx.copy(), np.ones(n, dtype=int)
+    # the live rows: start index, evaluations, step scale and size, gradient,
+    # outer steps and halvings taken, and whether an outer step begins
+    ids, evals = np.arange(n), np.ones(n, dtype=int)
+    scale, alpha, g = np.ones(n), np.ones(n), np.zeros_like(x)
+    steps, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    fresh = np.ones(n, dtype=bool)
+    while ids.size:
+        if fresh.any():
+            g_now = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
+            g = np.where(fresh[:, None], g_now, g)
+            alpha = np.where(fresh, scale, alpha)
+            halvings[fresh] = 0
+        y = project_to_simplex(x - alpha[:, None] * g)
+        diff = x - y
+        move = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        fy = objective(y)
+        moved = move != 0.0
+        evals += moved
+        accepted = moved & (fy <= fx - 1e-4 * move / alpha)
+        x = np.where(accepted[:, None], y, x)
+        fx = np.where(accepted, fy, fx)
+        scale = np.where(accepted, np.minimum(alpha * 2.0, 64.0), scale)
+        steps += accepted
+        alpha = np.where(accepted, alpha, alpha * 0.5)
+        halvings += ~accepted
+        stop = ~moved | (halvings == 50) | (accepted & ((move < 1e-20) | (steps == _MAX_ITERS)))
+        fresh = accepted
+        if stop.any():
+            done = ids[stop]
+            out_x[done], out_fx[done], out_evals[done] = x[stop], fx[stop], evals[stop]
+            live = ~stop
+            ids, evals, scale, alpha, g, steps, halvings, fresh, x, fx = (
+                a[live] for a in (ids, evals, scale, alpha, g, steps, halvings, fresh, x, fx)
+            )
+    return out_x, out_fx, out_evals
 
 
 def dc_minimize(
@@ -132,68 +157,71 @@ def dc_minimize(
     gradient,
     dim: int,
     cfg: RunConfig = RunConfig(),
+    grid_objective=None,
 ) -> MinimizationResult:
     """Minimize a (typically difference-of-concave) function over the simplex.
 
-    `objective` maps points of shape (..., dim) to values of shape (...): it
-    is called on single points and on the whole grid at once. `gradient`
-    maps a single point to its gradient.
+    `objective` maps points of shape (S, dim) to values of shape (S,), and
+    `gradient` maps them to gradients of shape (S, dim); each row must get
+    the bits a lone point would, so that every start descends as it would
+    alone. `grid_objective`, if given, evaluates the grid instead of
+    `objective` (say, with one matrix product over the whole grid); it only
+    picks the grid's start.
 
     Runs projected gradient descent from the uniform point, every vertex,
     `cfg.starts` Dirichlet draws seeded by `cfg.seed`, and the best point of a
-    deterministic grid (searched whenever its size stays under a megapoint).
-    Every candidate value is computed the single-point way, so the reported
-    value replays exactly at the reported minimizer. Ties are broken toward
-    the lexicographically smallest minimizer, so results are reproducible
-    regardless of evaluation order.
+    deterministic grid (searched whenever its size stays under a megapoint),
+    all starts as one batch. Every candidate value is a descent value, so the
+    reported value replays exactly at the reported minimizer. Ties are broken
+    toward the lexicographically smallest minimizer, so results are
+    reproducible regardless of evaluation order.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     evals = 0
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.full(dim, 1.0 / dim)]
-    starts.extend(np.eye(dim))
+    starts = [np.full((1, dim), 1.0 / dim), np.eye(dim)]
     if cfg.starts > 0:
-        starts.extend(rng.dirichlet(np.ones(dim), size=cfg.starts))
+        starts.append(rng.dirichlet(np.ones(dim), size=cfg.starts))
 
     subdivisions = _AUTO_SUBDIVISIONS.get(dim, 6)
     if _grid_size(dim, subdivisions) <= _GRID_LIMIT:
         grid = _simplex_grid(dim, subdivisions)
-        values = np.asarray(objective(grid), dtype=float)
+        values = np.asarray((grid_objective or objective)(grid), dtype=float)
         evals += len(grid)
         # the descent from the grid's best point is a candidate no worse than
-        # it; the batch value itself may differ from the single-point one in
-        # the last bits, so it never becomes a candidate
-        starts.append(grid[int(values.argmin())])
+        # it; a grid value may differ from a descent value in the last bits,
+        # so it never becomes a candidate
+        starts.append(grid[int(values.argmin())][None])
 
-    candidates = []
-    for x0 in starts:
-        x, fx, used = _projected_gradient(objective, gradient, x0)
-        evals += used
-        candidates.append((float(fx), x))
-
-    value, argmin = min(candidates, key=lambda c: (c[0], tuple(c[1])))
-    return MinimizationResult(value, argmin, len(starts), evals)
+    x, fx, used = _descend(objective, gradient, np.concatenate(starts))
+    best = min(range(len(x)), key=lambda i: (float(fx[i]), tuple(x[i])))
+    return MinimizationResult(float(fx[best]), x[best], len(x), evals + int(used.sum()))
 
 
 def _rate_gap(ch_minus: Channel, ch_plus: Channel, c_minus: float = 1.0, c_plus: float = 1.0):
     """Objective p -> I(p; ch_plus)/c_plus - I(p; ch_minus)/c_minus in bits,
-    and its gradient. The gradient of I(X;Y) in p(x) is D(W(.|x) || p_Y) less
-    a constant, and projection onto the simplex ignores constant shifts."""
+    and its gradient, both batch-first over points p of shape (S, |X|). The
+    gradient of I(X;Y) in p(x) is D(W(.|x) || p_Y) less a constant, and
+    projection onto the simplex ignores constant shifts. The objective's
+    `one_product` takes the grid's path of `information`."""
     pieces = []
     for ch in (ch_minus, ch_plus):
         rows = ch.rows[:, ch.reachable_outputs()]
         pieces.append((rows, neg_entropy(rows)))
     (rows_m, rne_m), (rows_p, rne_p) = pieces
 
-    def objective(p):
-        return information(p, rows_p, rne_p) / c_plus - information(p, rows_m, rne_m) / c_minus
+    def objective(p, one_product=False):
+        return (
+            information(p, rows_p, rne_p, one_product) / c_plus
+            - information(p, rows_m, rne_m, one_product) / c_minus
+        )
 
     def gradient(p):
         return (
-            row_divergences(rows_p, rne_p, p @ rows_p) / LN2 / c_plus
-            - row_divergences(rows_m, rne_m, p @ rows_m) / LN2 / c_minus
+            row_divergences(rows_p, rne_p, _point_dot(p, rows_p)) / LN2 / c_plus
+            - row_divergences(rows_m, rne_m, _point_dot(p, rows_m)) / LN2 / c_minus
         )
 
     return objective, gradient
@@ -201,8 +229,9 @@ def _rate_gap(ch_minus: Channel, ch_plus: Channel, c_minus: float = 1.0, c_plus:
 
 def _divergence_gap(ch1: Channel, ch2: Channel, rep1: CapacityReport, rep2: CapacityReport):
     """Objective p -> D(p_Y || r*)/c1 - D(p_Z || s*)/c2 in bits against the
-    optimal outputs, and its gradient. The gradient of D(p_Y || r) in p(x) is
-    sum_y W(y|x) ln(p_Y(y)/r(y)) plus a constant."""
+    optimal outputs, and its gradient, batch-first as in `_rate_gap`. The
+    gradient of D(p_Y || r) in p(x) is sum_y W(y|x) ln(p_Y(y)/r(y)) plus a
+    constant."""
     c1, c2 = rep1.capacity, rep2.capacity
     pieces = []
     for ch, rep in ((ch1, rep1), (ch2, rep2)):
@@ -210,20 +239,26 @@ def _divergence_gap(ch1: Channel, ch2: Channel, rep1: CapacityReport, rep2: Capa
         pieces.append((ch.rows[:, reachable], rep.optimal_output.probs[reachable]))
     (rows1, ref1), (rows2, ref2) = pieces
 
-    def objective(p):
-        return kl(p @ rows1, ref1) / c1 - kl(p @ rows2, ref2) / c2
+    def objective(p, one_product=False):
+        dot = np.matmul if one_product else _point_dot
+        return kl(dot(p, rows1), ref1) / c1 - kl(dot(p, rows2), ref2) / c2
 
     def gradient(p):
         return (
-            row_log_ratios(rows1, p @ rows1, ref1) / c1
-            - row_log_ratios(rows2, p @ rows2, ref2) / c2
+            row_log_ratios(rows1, _point_dot(p, rows1), ref1) / c1
+            - row_log_ratios(rows2, _point_dot(p, rows2), ref2) / c2
         ) / LN2
 
     return objective, gradient
 
 
-def _check_from_minimum(res: MinimizationResult, alphabet, violation_tol) -> SearchVerdict:
-    if res.value < -violation_tol:
+def _search(gap, alphabet, cfg: RunConfig) -> SearchVerdict:
+    """Minimize a check's objective (from `_rate_gap` or `_divergence_gap`),
+    the grid in one product, and judge the minimum at `cfg.violation_tol`."""
+    objective, gradient = gap
+    grid_objective = partial(objective, one_product=True)
+    res = dc_minimize(objective, gradient, len(alphabet), cfg, grid_objective)
+    if res.value < -cfg.violation_tol:
         witness = Distribution(alphabet, res.argmin)
         return SearchVerdict(VIOLATED, res.value, witness, res.starts, res.evaluations)
     return SearchVerdict(HOLDS_UP_TO_SEARCH, res.value, None, res.starts, res.evaluations)
@@ -241,9 +276,7 @@ def more_capable_check(ch1: Channel, ch2: Channel, cfg: RunConfig = RunConfig())
     ordering and the witness input is returned.
     """
     _require_shared_input(ch1, ch2)
-    objective, gradient = _rate_gap(ch2, ch1)
-    res = dc_minimize(objective, gradient, len(ch1.input), cfg)
-    return _check_from_minimum(res, ch1.input, cfg.violation_tol)
+    return _search(_rate_gap(ch2, ch1), ch1.input, cfg)
 
 
 def ratio_condition_check(
@@ -261,9 +294,7 @@ def ratio_condition_check(
     _require_shared_input(ch1, ch2)
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("the per-capacity ratio condition needs positive capacities")
-    objective, gradient = _rate_gap(ch1, ch2, c1, c2)
-    res = dc_minimize(objective, gradient, len(ch1.input), cfg)
-    return _check_from_minimum(res, ch1.input, cfg.violation_tol)
+    return _search(_rate_gap(ch1, ch2, c1, c2), ch1.input, cfg)
 
 
 def divergence_form_check(
@@ -291,9 +322,7 @@ def divergence_form_check(
             )
     if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
         raise ValueError("the divergence form needs positive capacities")
-    objective, gradient = _divergence_gap(ch1, ch2, rep1, rep2)
-    res = dc_minimize(objective, gradient, len(ch1.input), cfg)
-    return _check_from_minimum(res, ch1.input, cfg.violation_tol)
+    return _search(_divergence_gap(ch1, ch2, rep1, rep2), ch1.input, cfg)
 
 
 @dataclass(frozen=True, eq=False)

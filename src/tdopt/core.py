@@ -239,6 +239,13 @@ def _rows_dot(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (rows @ v[..., None])[..., 0]
 
 
+def _point_dot(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """p @ m for points p of shape (..., |X|) and a vector or matrix m with
+    |X| rows. Each point takes the same BLAS call as a lone point, so a batch
+    agrees bit for bit with single calls."""
+    return np.squeeze(p[..., None, :] @ m, axis=p.ndim - 1)
+
+
 def xlogx(a: np.ndarray) -> np.ndarray:
     """Elementwise a*ln(a) in nats, with 0*ln(0) = 0."""
     return np.where(a > 0.0, a * _log(a), 0.0)
@@ -249,12 +256,19 @@ def neg_entropy(a: np.ndarray) -> np.ndarray:
     return xlogx(a).sum(axis=-1)
 
 
-def information(p: np.ndarray, rows: np.ndarray, rows_neg_ent: np.ndarray) -> np.ndarray:
+def information(
+    p: np.ndarray, rows: np.ndarray, rows_neg_ent: np.ndarray, one_product: bool = False
+) -> np.ndarray:
     """I(X;Y) in bits for input distributions `p` (shape (..., |X|)) through
-    the channel matrix `rows`, given `neg_entropy(rows)`. A batch of points
-    takes one matrix product, which BLAS may sum in another order than a
-    single point's, so rows can differ from single calls in the last bits."""
-    return (p @ rows_neg_ent - neg_entropy(p @ rows)) / LN2
+    the channel matrix `rows`, given `neg_entropy(rows)`. Each point takes a
+    lone point's products, so a batch agrees bit for bit with single calls.
+
+    With `one_product` (the search grid's path), the whole batch takes one
+    matrix product instead: much faster on large batches, but BLAS may sum it
+    in another order than a single point's, so rows can differ from single
+    calls in the last bits."""
+    dot = np.matmul if one_product else _point_dot
+    return (dot(p, rows_neg_ent) - neg_entropy(dot(p, rows))) / LN2
 
 
 def row_divergences(rows: np.ndarray, rows_neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -79,6 +79,17 @@ class TestRatePoint:
         with pytest.raises(ValueError, match="positive"):
             td_region_contains((0.1, 0.1), 0.0, 1.0)
 
+    def test_membership_judged_at_violation_tol(self):
+        # the slack is judged at the margin sampled evidence uses (1e-7 by default)
+        inside, slack = td_region_contains((0.5, 0.5 + 5e-9), 1.0, 1.0)
+        assert inside
+        assert slack == pytest.approx(-5e-9, rel=1e-6)
+        inside, slack = td_region_contains((0.5, 0.5 + 5e-7), 1.0, 1.0)
+        assert not inside
+        assert slack == pytest.approx(-5e-7, rel=1e-6)
+        inside, _ = td_region_contains((0.5, 0.5 + 5e-9), 1.0, 1.0, RunConfig(violation_tol=1e-9))
+        assert not inside
+
 
 class TestCorners:
     def test_plain_pentagon(self):

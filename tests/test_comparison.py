@@ -2,6 +2,7 @@
 and the small-mixture expansion."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from tdopt.comparison import (
     ratio_condition_check,
     vertex_screen,
 )
-from tdopt.comparison import _divergence_gap, _rate_gap
+from tdopt.comparison import (
+    _AUTO_SUBDIVISIONS,
+    _divergence_gap,
+    _grid_size,
+    _rate_gap,
+    _simplex_grid,
+)
 from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,
@@ -76,6 +83,26 @@ class TestProjection:
                 assert np.sum((v - y) ** 2) <= np.sum((v - z) ** 2) + 1e-12
 
 
+class TestGrid:
+    @staticmethod
+    def bar_enumeration(dim, m):
+        """The grid read off every placement of dim - 1 bars among m + dim - 1
+        slots, in lexicographic order of the bars."""
+        pts = []
+        for bars in combinations(range(m + dim - 1), dim - 1):
+            edges = (-1,) + bars + (m + dim - 1,)
+            pts.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+        return np.asarray(pts, dtype=float) / m
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_grid_matches_bar_enumeration(self, dim):
+        # the search grids of every dimension up to 9, bit for bit and in order
+        m = _AUTO_SUBDIVISIONS.get(dim, 6)
+        grid = _simplex_grid(dim, m)
+        assert grid.shape == (_grid_size(dim, m), dim)
+        assert grid.tobytes() == self.bar_enumeration(dim, m).tobytes()
+
+
 class TestMinimizer:
     def test_linear_objective_hits_vertex(self):
         c = np.array([3.0, -1.0, 2.0, 0.5])
@@ -100,7 +127,8 @@ class TestMinimizer:
             return np.cos(4.0 * p[..., 0]) + p[..., 1] ** 2 - p[..., 2]
 
         def grad(p):
-            return np.array([-4.0 * np.sin(4.0 * p[0]), 2.0 * p[1], -1.0])
+            minus_one = np.full(p.shape[:-1], -1.0)
+            return np.stack([-4.0 * np.sin(4.0 * p[..., 0]), 2.0 * p[..., 1], minus_one], axis=-1)
 
         a = dc_minimize(f, grad, 3, rng_free)
         b = dc_minimize(f, grad, 3, rng_free)
@@ -143,7 +171,7 @@ class TestMinimizer:
             q = p @ ch.rows
             logq = np.where(q > 0.0, np.log2(np.where(q > 0.0, q, 1.0)), -1e9)
             rlog = np.where(ch.rows > 0.0, np.log2(np.where(ch.rows > 0.0, ch.rows, 1.0)), 0.0)
-            return (ch.rows * rlog).sum(axis=1) - ch.rows @ logq
+            return (ch.rows * rlog).sum(axis=1) - logq @ ch.rows.T
 
         res = dc_minimize(
             f,
@@ -154,8 +182,6 @@ class TestMinimizer:
         assert res.value == pytest.approx(-1.0, abs=1e-6)
 
         # coarse deterministic grid oracle never beats the search result
-        from tdopt.comparison import _simplex_grid
-
         grid = _simplex_grid(6, 20)
         grid_min = (mi_bits_batch(pair.first, grid) - mi_bits_batch(pair.second, grid)).min()
         assert res.value <= grid_min + 1e-9

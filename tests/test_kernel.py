@@ -1,17 +1,20 @@
 """Properties of the information kernel in `tdopt.core` and of what is built
-on it (the search objectives, the region bounds): a batch evaluates as each of
-its rows alone.
+on it (the search objectives and their batched descent, the region bounds): a
+batch evaluates as each of its rows alone.
 
-The kernel functions whose contractions are elementwise or take one BLAS
-call per row agree bit for bit. Where a batch goes through `p @ rows` (I(X;Y)
-and the three checks' objectives and gradients), BLAS sums a matrix product
-in another order than a vector product, so rows may differ in the last bits;
-there the bound is 4096 float64 epsilons of the largest term summed. The
-joint kernel (I(A;B|C) over auxiliary joints) and the Marton and UV bounds
-built on it agree bit for bit.
+The kernel functions, the three checks' objectives and gradients, the
+row-wise simplex projection and the batched descent agree bit for bit: each
+row takes the elementwise arithmetic and the BLAS call a lone point takes.
+The one exception is the search grid's path (`one_product`), where the whole
+batch goes through one `p @ rows`: BLAS sums a matrix product in another order
+than a vector product, so rows may differ in the last bits, and the bound is
+4096 float64 epsilons of the largest term summed. The joint kernel (I(A;B|C)
+over auxiliary joints) and the Marton and UV bounds built on it agree bit for
+bit.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -26,7 +29,13 @@ from tdopt.bounds import (
     uv_bound_rates,
 )
 from tdopt.capacity import analyze_channel
-from tdopt.comparison import _divergence_gap, _rate_gap
+from tdopt.comparison import (
+    _MAX_ITERS,
+    _descend,
+    _divergence_gap,
+    _rate_gap,
+    project_to_simplex,
+)
 from tdopt.core import (
     LN2,
     Alphabet,
@@ -43,7 +52,6 @@ from tdopt.core import (
 )
 
 _TOL = 4096 * np.finfo(float).eps
-_STAND_IN = 1e9  # magnitude of the ln 0 stand-in in the row divergences
 
 settings.register_profile("kernel", max_examples=60, deadline=None)
 settings.load_profile("kernel")
@@ -116,18 +124,8 @@ def test_kl_infinite_exactly_on_escape(data):
 def test_information_rows_match(data):
     rows, pts, _ = data
     rne = neg_entropy(rows)
-    assert_rows_close(lambda p: information(p, rows, rne), pts, lambda p: 3.0)
-
-
-def _gradient_scale(rows_pair, c_min):
-    """Largest term a check's gradient sums: the ln 0 stand-in when some
-    output goes unreached, else a few nats."""
-
-    def scale(p):
-        unreached = any(np.any((p @ rows == 0.0) & (rows.max(axis=0) > 0.0)) for rows in rows_pair)
-        return (_STAND_IN if unreached else 100.0) / (LN2 * c_min)
-
-    return scale
+    assert_rows_exact(lambda p: information(p, rows, rne), pts)
+    assert_rows_close(lambda p: information(p, rows, rne, one_product=True), pts, lambda p: 3.0)
 
 
 @given(channel_pair_and_points(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
@@ -138,8 +136,10 @@ def test_rate_gap_objective_and_gradient_rows_match(data, c1, c2):
         (_rate_gap(ch2, ch1), 1.0),                   # the more-capable check
         (_rate_gap(ch1, ch2, c1, c2), min(c1, c2)),   # the ratio condition
     ):
-        assert_rows_close(objective, pts, lambda p: 10.0 / c_min)
-        assert_rows_close(gradient, pts, _gradient_scale((rows1, rows2), c_min))
+        assert_rows_exact(objective, pts)
+        assert_rows_exact(gradient, pts)
+        grid_objective = partial(objective, one_product=True)
+        assert_rows_close(grid_objective, pts, lambda p: 10.0 / c_min)
 
 
 @given(channel_pair_and_points())
@@ -150,10 +150,12 @@ def test_divergence_gap_objective_and_gradient_rows_match(data):
     c_min = min(rep1.capacity, rep2.capacity)
     assume(c_min > 0.01)
     objective, gradient = _divergence_gap(ch1, ch2, rep1, rep2)
+    assert_rows_exact(objective, pts)
+    assert_rows_exact(gradient, pts)
     refs = np.concatenate([rep.optimal_output.probs for rep in (rep1, rep2)])
     log_ref = -math.log(refs[refs > 0.0].min())
-    assert_rows_close(objective, pts, lambda p: (log_ref + 10.0) / (LN2 * c_min))
-    assert_rows_close(gradient, pts, _gradient_scale((rows1, rows2), c_min))
+    grid_objective = partial(objective, one_product=True)
+    assert_rows_close(grid_objective, pts, lambda p: (log_ref + 10.0) / (LN2 * c_min))
 
 
 def reference_information(joint, axes_a, axes_b, axes_cond=()):
@@ -254,3 +256,105 @@ def test_timeshare_cross_information_exactly_zero(nx, n1, n2, seed, fractions):
     assert np.all(conditional_information(batch, (2,), (3,), (0, 1))[:-1] == 0.0)
     for tc in constructions:
         assert timeshare_identities(tc, ch, ch)["aux_cross_information"] == (0.0, 0.0)
+
+
+def serial_projection(v):
+    """Euclidean projection of one vector onto the simplex: the 1-D
+    arithmetic the row-wise projection must reproduce bit for bit."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    cond = u + (1.0 - css) / ks > 0.0
+    rho = int(np.nonzero(cond)[0][-1])
+    tau = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + tau, 0.0)
+
+
+def serial_descent(objective, gradient, x0):
+    """One start's Armijo-backtracked projected gradient descent, one point
+    at a time: the reference every row of the batched descent must reproduce.
+    Returns (x, f(x), evaluations)."""
+    x = serial_projection(np.asarray(x0, dtype=float))
+    fx = objective(x)
+    evals = 1
+    scale = 1.0
+    for _ in range(_MAX_ITERS):
+        g = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
+        alpha = scale
+        accepted = False
+        move = 0.0
+        for _ in range(50):
+            y = serial_projection(x - alpha * g)
+            diff = x - y
+            move = float(diff @ diff)
+            if move == 0.0:
+                break
+            fy = objective(y)
+            evals += 1
+            if fy <= fx - 1e-4 * move / alpha:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+        x, fx = y, fy
+        scale = min(alpha * 2.0, 64.0)
+        if move < 1e-20:
+            break
+    return x, fx, evals
+
+
+@st.composite
+def vectors(draw):
+    """(S, n) arrays for the projection: small integers times a scale, so
+    ties and negative entries are common, or arbitrary floats."""
+    s, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+
+    def rows(entries):
+        return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=s, max_size=s)
+
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1.0, 0.5, 0.1, 1e-9, 7.0]))
+        return np.array(draw(rows(st.integers(-4, 4))), dtype=float) * scale
+    return np.array(draw(rows(st.floats(-1e3, 1e3))), dtype=float)
+
+
+@given(vectors())
+def test_row_projection_equals_lone_projection(v):
+    batch = project_to_simplex(v)
+    for i, row in enumerate(v):
+        one = serial_projection(row)
+        assert np.array_equal(batch[i], one)
+        assert np.array_equal(project_to_simplex(row), one)
+
+
+@st.composite
+def pair_and_starts(draw):
+    """(two channel matrices with |X| from 2 to 5, starts (S, |X|)): every
+    vertex, points on faces and Dirichlet draws."""
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = np.vstack([
+        np.eye(nx),
+        draw(stochastic(draw(st.integers(1, 3)), nx)),
+        rng.dirichlet(np.ones(nx), draw(st.integers(1, 3))),
+    ])
+    return draw(stochastic(nx, ny)), draw(stochastic(nx, ny)), starts
+
+
+@settings(max_examples=30)
+@given(pair_and_starts(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+def test_batched_descent_rows_equal_serial(data, c1, c2):
+    rows1, rows2, starts = data
+    ch1, ch2 = channel(rows1), channel(rows2)
+    gaps = [_rate_gap(ch2, ch1), _rate_gap(ch1, ch2, c1, c2)]
+    rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+    if min(rep1.capacity, rep2.capacity) > 0.01:
+        gaps.append(_divergence_gap(ch1, ch2, rep1, rep2))
+    for objective, gradient in gaps:
+        x, fx, evals = _descend(objective, gradient, starts)
+        for i, x0 in enumerate(starts):
+            one_x, one_fx, one_evals = serial_descent(objective, gradient, x0)
+            assert np.array_equal(x[i], one_x)
+            assert fx[i] == one_fx
+            assert evals[i] == one_evals

@@ -116,6 +116,21 @@ class TestDecide:
         expect = TD_NOT_OPTIMAL if worst < -1e-7 else TD_OPTIMAL
         assert v.status == expect
 
+    @pytest.mark.parametrize(
+        "ch1, ch2, golden",
+        [
+            (make_bsc(0.1), make_bsc(0.3), ("-0x1.04022285deaf8p-5", 68, 4006)),
+            (make_bec(0.2), make_bec(0.5), ("-0x1.0000000000000p-51", 68, 1272)),
+        ],
+        ids=["bsc-0.1-0.3", "bec-0.2-0.5"],
+    )
+    def test_ratio_search_golden(self, ch1, ch2, golden):
+        # the search's gap to the last bit, its start count and its
+        # evaluation count at the default configuration: any change in how
+        # the starts descend shows here
+        check = decide_td_optimality(BroadcastPair(ch1, ch2)).checks["ratio_condition"]
+        assert (check.gap.hex(), check.starts, check.evaluations) == golden
+
     def test_violation_carries_replayable_witness(self):
         pair = merge_pair()
         v = decide_td_optimality(pair, FAST)
