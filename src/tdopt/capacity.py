@@ -51,8 +51,9 @@ class CapacityReport:
     """Capacity certificate for one channel.
 
     `capacity` is the midpoint of the final bracket and `gap` its width, both
-    in bits. `peak_set`, `support_union`, and `divergence_profile` are filled
-    by `analyze_channel`; `compute_capacity` alone leaves them None.
+    in bits; `iterations` is the iteration at which the bracket certified.
+    `peak_set`, `support_union`, and `divergence_profile` are filled by
+    `analyze_channel`; `compute_capacity` alone leaves them None.
     """
 
     channel: Channel
@@ -68,8 +69,9 @@ class CapacityReport:
 
 def _newton_refine(rows, row_neg_ent, p_start, support):
     """Solve D(row_x || q) = const for x in `support` with q the pushforward
-    of p supported there. Returns p on `support`, or None if the system
-    misbehaves (singular Jacobian, mass escaping the simplex).
+    of p supported there. Returns p on `support`, whose masses may be
+    negative, or None if the system misbehaves (singular Jacobian, an output
+    the support reaches losing all its mass).
 
     Identical rows would make the Jacobian singular, so each group of them is
     solved as one row and its mass is then shared as `p_start` shares it."""
@@ -87,24 +89,21 @@ def _newton_refine(rows, row_neg_ent, p_start, support):
 
 def _newton_solve(sub, sub_neg_ent, p_start):
     """Newton's method for the stationarity system on the rows `sub`, started
-    from the (unnormalized) weights `p_start`."""
+    from the positive weights `p_start`."""
+    sub = sub[:, sub.any(axis=0)]  # outputs no row reaches would divide 0 by 0
     k = len(sub)
-    p = p_start.astype(float)
-    total = p.sum()
-    if total <= 0.0:
-        return None
-    p /= total
+    p = p_start / p_start.sum()
     c = None
     for _ in range(60):
         q = p @ sub
-        if not np.all(np.isfinite(q)) or np.any((q <= 0.0) & (sub.max(axis=0) > 0.0)):
+        if not np.all(q > 0.0):
             return None
         d = row_divergences(sub, sub_neg_ent, q)
         if c is None:
             c = float(p @ d)
         f = np.concatenate([d - c, [p.sum() - 1.0]])
         if np.abs(f).max() < 1e-14:
-            break
+            return p
         jac = np.zeros((k + 1, k + 1))
         jac[:k, :k] = -(sub / q) @ sub.T
         jac[:k, k] = -1.0
@@ -115,40 +114,42 @@ def _newton_solve(sub, sub_neg_ent, p_start):
             return None
         p = p + step[:k]
         c = c + step[k]
-        if not np.all(np.isfinite(p)) or p.min() < -1e-6:
-            return None
-    else:
-        return None
-    if p.min() < -1e-12:
-        return None
-    return np.maximum(p, 0.0)
+    return None
 
 
-def _polish(rows, row_neg_ent, p_ba, gap_nats):
-    """Try to sharpen the alternating-maximization iterate by solving the
-    stationarity system on the near-peak support. Returns a refined full-length
-    input vector or None."""
-    q = p_ba @ rows
-    d = row_divergences(rows, row_neg_ent, q)
-    upper = d.max()
-    kappa = max(1e-5, 1e3 * gap_nats)
-    support = np.flatnonzero(d >= upper - kappa)
-    refined = None
-    for _ in range(3):
-        if support.size == 0:
+def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
+    """Active-set Newton solve of the stationarity system, started from the
+    alternating-maximization iterate `p_ba` and its divergences `d`.
+
+    The support starts as the inputs within max(1e-5, 10 * gap) nats of the
+    largest divergence. Each move solves on the support, drops the input with
+    the most negative mass if there is one, and otherwise adds the input of
+    largest divergence unless the full-channel bracket certifies. Returns the
+    certified (p, q, lower, upper), or None once a support repeats or 2|X|
+    moves are spent."""
+    gap = float(d.max() - p_ba @ d)
+    support = np.flatnonzero(d >= d.max() - max(1e-5, 10.0 * gap))
+    tried = set()
+    for _ in range(2 * len(rows)):
+        if support.size == 0 or support.tobytes() in tried:
             return None
+        tried.add(support.tobytes())
         refined = _newton_refine(rows, row_neg_ent, p_ba, support)
-        if refined is None or refined.sum() <= 0.0:
+        if refined is None:
             return None
-        keep = refined > 0.0
-        if keep.all():
-            break
-        # zero mass on some candidate symbols: drop them and re-solve
-        support = support[keep]
-        refined = refined[keep]
-    full = np.zeros(rows.shape[0])
-    full[support] = refined / refined.sum()
-    return full
+        if refined.min() < -1e-12:
+            support = np.delete(support, refined.argmin())
+            continue
+        p = np.zeros(len(rows))
+        p[support] = np.maximum(refined, 0.0)
+        p /= p.sum()
+        q = p @ rows
+        d2 = row_divergences(rows, row_neg_ent, q)
+        upper, lower = float(d2.max()), float(p @ d2)
+        if 0.0 <= upper - lower <= min(tol_nats, gap):
+            return p, q, lower, upper
+        support = np.union1d(support, [d2.argmax()])
+    return None
 
 
 def compute_capacity(
@@ -161,9 +162,14 @@ def compute_capacity(
 
     Every iteration yields a lower bound (the current input's information
     rate) and an upper bound (the worst-case divergence to the current output
-    iterate); iteration stops once the bracket is narrower than `tol` bits and
-    the midpoint is reported. Raises ConvergenceError if `max_iter` passes
-    are not enough.
+    iterate). At iterations 4, 8, 16, ... and at the iteration whose bracket
+    is first narrower than `tol` bits, an active-set Newton polish solves the
+    stationarity system from the current iterate; its result replaces the
+    iterate only when its own full-channel bracket is no wider than `tol`
+    bits and than the current bracket. Iteration stops at the first such
+    certificate, or once the plain bracket is narrower than `tol`, and the
+    midpoint is reported. Raises ConvergenceError if `max_iter` passes are not
+    enough.
     """
     reachable = ch.reachable_outputs()
     rows = ch.rows[:, reachable]
@@ -179,18 +185,6 @@ def compute_capacity(
             raise ValueError("initial distribution must have full support")
         p = init.probs.copy()
 
-    def try_polish(p_cur, gap_cur):
-        """Newton-sharpened iterate, or None if it does not beat the bracket."""
-        refined = _polish(rows, row_neg_ent, p_cur, gap_cur)
-        if refined is None:
-            return None
-        q2 = refined @ rows
-        d2 = row_divergences(rows, row_neg_ent, q2)
-        up2, lo2 = float(d2.max()), float(refined @ d2)
-        if 0.0 <= up2 - lo2 <= min(tol_nats, gap_cur):
-            return refined, q2, lo2, up2
-        return None
-
     tol_nats = tol * LN2
     lower = upper = math.nan
     converged_at = 0
@@ -199,21 +193,18 @@ def compute_capacity(
         d = row_divergences(rows, row_neg_ent, q)
         upper = float(d.max())
         lower = float(p @ d)
-        if upper - lower <= tol_nats:
-            converged_at = it
-            polished = try_polish(p, upper - lower)
-            if polished is not None:
-                p, q, lower, upper = polished
-            break
+        stop = upper - lower <= tol_nats
         # The multiplicative update closes the bracket slowly on nearly
         # degenerate channels, so periodically hand the iterate to the
         # stationarity solver, keeping it only when its bracket certifies.
-        if it & (it - 1) == 0 and it >= 4:
-            polished = try_polish(p, upper - lower)
+        if stop or (it >= 4 and it & (it - 1) == 0):
+            polished = _polish(rows, row_neg_ent, p, d, tol_nats)
             if polished is not None:
                 p, q, lower, upper = polished
-                converged_at = it
-                break
+                stop = True
+        if stop:
+            converged_at = it
+            break
         p = p * np.exp(d - upper)
         p = np.maximum(p, FLOOR)  # keeps reachable outputs strictly positive
         p /= p.sum()
@@ -228,7 +219,7 @@ def compute_capacity(
         achieving_input=Distribution(ch.input, p),
         optimal_output=Distribution(ch.output, out_full),
         iterations=converged_at,
-        gap=(upper - lower) / LN2,
+        gap=max(upper - lower, 0.0) / LN2,  # a width below 0 is rounding
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -375,7 +376,10 @@ def _env_seed() -> int:
         raise ChannelFileError(f"TDOPT_SEED must be an integer, got {raw!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `tdopt` argument parser, built once per process: parsing leaves it
+    unchanged, and each call of `main` gets a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="capacity bracket tolerance (bits)")
     common.add_argument("--tol-k", type=float, default=None, dest="peak_tol", metavar="TOL_K", help="peak-set divergence tolerance (bits)")

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from tdopt.capacity import (
     ConvergenceError,
@@ -12,6 +15,7 @@ from tdopt.capacity import (
     divergence_profile,
     is_capacity_achieving,
 )
+from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,
     Channel,
@@ -25,6 +29,24 @@ from tdopt.families import make_bec, make_bsc, make_partition_pair
 from conftest import h2, make_identity, noisy_identity, random_channel, random_distribution
 
 B = Alphabet(("0", "1"))
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# Capacity 1 bit. The over-relaxed update p * exp(2 (d - max d)) falls into a
+# 2-cycle here and never closes the bracket.
+TWO_CYCLE_ROWS = np.array([[0, 1], [0, 1], [0.5, 0.5], [1, 0]])
+# Four identical rows: solved as one row, or the Newton system is singular.
+IDENTICAL_ROWS = np.array([[0, 0, 0, 1, 0]] * 4 + [[0, 0, 0.25, 0, 0.75], [0, 0, 0.5, 0.5, 0]])
+# The near-peak support at iteration 8 leaves out x1, the only input reaching
+# y2, so the Newton system meets an output column with no mass.
+DEAD_COLUMN_ROWS = np.array([[1, 0, 0, 0, 0], [2, 3, 1, 0, 0], [0, 2, 0, 2, 1],
+                             [1, 1, 0, 1, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]]) / \
+    np.array([[1], [6], [5], [3], [1], [1]])
+
+
+def channel(rows) -> Channel:
+    rows = np.asarray(rows, dtype=float)
+    return Channel(Alphabet.of_size(rows.shape[0]), Alphabet.of_size(rows.shape[1], "y"), rows)
 
 
 class TestClosedFormCapacities:
@@ -198,9 +220,7 @@ class TestSupportUnion:
         # four identical rows make the polish's Newton system singular; each
         # group of identical rows is solved as one row, so the bracket closes
         # and the peak set reproduces the optimal output
-        rows = np.array([[0, 0, 0, 1, 0]] * 4 + [[0, 0, 0.25, 0, 0.75], [0, 0, 0.5, 0.5, 0]])
-        ch = Channel(Alphabet.of_size(6), Alphabet.of_size(5, "y"), rows)
-        rep = analyze_channel(ch)
+        rep = analyze_channel(channel(IDENTICAL_ROWS))
         assert abs(rep.capacity - 1.0) <= 1e-9
         assert rep.support_union == ("x0", "x1", "x2", "x3", "x4")
         assert is_capacity_achieving(rep.achieving_input, rep)
@@ -274,3 +294,81 @@ class TestFullSupportIdentity:
                 val = mutual_information(p, ch) + \
                     kl_divergence(push_forward(p, ch), rep.optimal_output)
                 assert val == pytest.approx(rep.capacity, abs=1e-6)
+
+
+@st.composite
+def small_channels(draw):
+    """Channels with 2-8 inputs and outputs from small integer weights, so
+    ties and zeros are common, with optional duplicated rows, outputs no
+    input reaches and an erasure column (constant across inputs)."""
+    n_x, n_y = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    weight = st.one_of(st.just(0), st.integers(1, 4))
+    row = st.lists(weight, min_size=n_y, max_size=n_y).filter(any)
+    rows = np.array(draw(st.lists(row, min_size=n_x, max_size=n_x)), dtype=float)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n_x - 1), st.integers(0, n_x - 1)), max_size=3)):
+        rows[dst] = rows[src]
+    dead = draw(st.integers(0, n_y - 1))
+    if draw(st.booleans()) and rows[:, np.arange(n_y) != dead].any(axis=1).all():
+        rows[:, dead] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    erasure = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    if erasure:
+        rows = np.hstack([(1.0 - erasure) * rows, np.full((n_x, 1), erasure)])
+    return channel(rows)
+
+
+def information_bits(p, rows):
+    q = [sum(p[x] * rows[x][y] for x in range(len(p))) for y in range(len(rows[0]))]
+    return sum(p[x] * w * math.log2(w / q[y])
+               for x in range(len(p)) if p[x] > 0.0
+               for y, w in enumerate(rows[x]) if w > 0.0)
+
+
+def worst_divergence_bits(rows, r):
+    return max(sum(w * math.log2(w / r[y]) for y, w in enumerate(row) if w > 0.0) for row in rows)
+
+
+def linprog_union(ch, peak, r_star):
+    """Peak symbols to which some input on the peak set that reproduces
+    `r_star` gives mass above 1e-9, one scipy LP per symbol."""
+    idx = [ch.input.index(s) for s in peak]
+    a_eq = np.vstack([ch.rows[idx].T, np.ones(len(idx))])
+    b_eq = np.concatenate([r_star, [1.0]])
+    union = []
+    for j, sym in enumerate(peak):
+        res = linprog(-np.eye(len(idx))[j], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert res.status == 0
+        if -res.fun > 1e-9:
+            union.append(sym)
+    return tuple(union)
+
+
+class TestCertificateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_channels())
+    @example(channel(TWO_CYCLE_ROWS))
+    @example(channel(IDENTICAL_ROWS))
+    @example(channel(DEAD_COLUMN_ROWS))
+    @example(channel([[1, 0], [1, 0], [1, 0], [0, 1]]))  # bracket width rounds below 0
+    def test_analyze_channel_certifies(self, ch):
+        tol = RunConfig.tol
+        rep = analyze_channel(ch)
+        assert 0.0 <= rep.gap <= tol
+        rows = ch.rows.tolist()
+        assert abs(information_bits(rep.achieving_input.probs.tolist(), rows) - rep.capacity) <= tol
+        assert abs(worst_divergence_bits(rows, rep.optimal_output.probs.tolist()) - rep.capacity) <= tol
+        assert rep.support_union == linprog_union(ch, rep.peak_set, rep.optimal_output.probs)
+
+    def test_two_cycle_channel(self):
+        rep = analyze_channel(channel(TWO_CYCLE_ROWS))
+        assert rep.capacity == pytest.approx(1.0, abs=1e-12)
+        assert rep.peak_set == rep.support_union == ("x0", "x1", "x3")
+
+    @pytest.mark.parametrize("n_y", [32, 64])
+    def test_random_channels_certify_within_128_iterations(self, n_y):
+        # the Newton polish certifies these by iteration 64; the plain
+        # iteration alone needs thousands
+        rows = np.random.default_rng(0).dirichlet(np.full(n_y, 0.5), size=64)
+        rep = compute_capacity(channel(rows))
+        assert rep.iterations <= 128
+        assert 0.0 <= rep.gap <= RunConfig.tol

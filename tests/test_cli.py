@@ -12,6 +12,7 @@ from tdopt.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
+    build_parser,
     channel_to_dict,
     load_channel,
     main,
@@ -139,6 +140,28 @@ class TestExitCodes:
         code, _ = run(["--help"])
         assert code == EXIT_OK
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no flag or default leaks
+    from one command into the next."""
+
+    def test_consecutive_commands_are_independent(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TDOPT_SEED", raising=False)
+        b = write_bsc(tmp_path / "b.json", 0.11)
+        fresh = run(["capacity", b])
+        assert run(["capacity", b, "--units", "nats", "--seed", "3", "--tol", "1e-6"])[0] == EXIT_OK
+        assert run(["verdict", b, b, "--samples", "0", "--starts", "2"])[0] == EXIT_OK
+        assert run(["frobnicate"])[0] == EXIT_INPUT
+        assert run(["capacity", b]) == fresh
+        assert "units=bits" in fresh[1] and "seed=0 " in fresh[1]
+
+    def test_help_unchanged(self, capsys):
+        assert build_parser() is build_parser()
+        assert run(["--help"])[0] == EXIT_OK
+        assert capsys.readouterr().out == build_parser.__wrapped__().format_help()
+        assert run(["capacity", "--help"])[0] == EXIT_OK
+        assert "--tol TOL" in capsys.readouterr().out
 
 
 class TestExampleGen:
