@@ -21,8 +21,9 @@ from .core import (
     JointDistribution,
     _clean_probs,
     conditional_information,
-    extend_batch,
+    cube_information,
     extend_with_channel,
+    extended_marginal,
     mutual_information_pair,
 )
 
@@ -34,8 +35,7 @@ U_STAR = "__u_star"
 V_STAR = "__v_star"
 
 _CELL_LIMIT = 1_000_000
-_BATCH = 512  # Dirichlet draws per seeded generator
-_CHUNK = 128  # joints evaluated at once
+_BATCH = 512  # Dirichlet draws per seeded generator, evaluated at once
 
 
 def td_region_contains(
@@ -98,17 +98,19 @@ def _require_pair(ch1: Channel, ch2: Channel, joint: JointDistribution, x_axis: 
 
 def _marton(probs: np.ndarray, rows1: np.ndarray, rows2: np.ndarray):
     """Inner-bound triples in bits for a batch of (U, V, W, X) joints, with
-    outputs appended through the channel matrices `rows1` and `rows2`."""
-    jy = extend_batch(probs, 3, rows1)
-    jz = extend_batch(probs, 3, rows2)
-    iw_y = conditional_information(jy, (2,), (4,))
-    iw_z = conditional_information(jz, (2,), (4,))
-    max_r1 = conditional_information(jy, (0, 2), (4,))
-    max_r2 = conditional_information(jz, (1, 2), (4,))
+    outputs Y and Z through the channel matrices `rows1` and `rows2`. Each
+    output marginal is taken once and serves every information it holds."""
+    # (S, U, W, Y): I(U,W;Y) reads it as it is, I(U;Y|W) with W moved first
+    uwy = extended_marginal(probs, (0, 2), rows1)
+    vwz = extended_marginal(probs, (1, 2), rows2)
+    iw_y = cube_information(extended_marginal(probs, (2,), rows1), 0, 1)
+    iw_z = cube_information(extended_marginal(probs, (2,), rows2), 0, 1)
+    max_r1 = cube_information(uwy, 0, 2)
+    max_r2 = cube_information(vwz, 0, 2)
     max_sum = (
         np.minimum(iw_y, iw_z)
-        + conditional_information(jy, (0,), (4,), (2,))
-        + conditional_information(jz, (1,), (4,), (2,))
+        + cube_information(uwy.transpose(0, 2, 1, 3), 1, 1)
+        + cube_information(vwz.transpose(0, 2, 1, 3), 1, 1)
         - conditional_information(probs, (0,), (1,), (2,))
     )
     return max_r1, max_r2, max_sum
@@ -116,13 +118,13 @@ def _marton(probs: np.ndarray, rows1: np.ndarray, rows2: np.ndarray):
 
 def _uv(probs: np.ndarray, rows1: np.ndarray, rows2: np.ndarray):
     """Outer-bound triples in bits for a batch of (U, V, X) joints."""
-    jy = extend_batch(probs, 2, rows1)
-    jz = extend_batch(probs, 2, rows2)
-    iu_y = conditional_information(jy, (0,), (3,))
-    iv_z = conditional_information(jz, (1,), (3,))
+    iu_y = cube_information(extended_marginal(probs, (0,), rows1), 0, 1)
+    iv_z = cube_information(extended_marginal(probs, (1,), rows2), 0, 1)
+    uvy = extended_marginal(probs, (0, 1), rows1)
+    uvz = extended_marginal(probs, (0, 1), rows2)
     max_sum = np.minimum(
-        iu_y + conditional_information(jz, (1,), (3,), (0,)),
-        iv_z + conditional_information(jy, (0,), (3,), (1,)),
+        iu_y + cube_information(uvz, 1, 1),
+        iv_z + cube_information(uvy.transpose(0, 2, 1, 3), 1, 1),
     )
     return iu_y, iv_z, max_sum
 
@@ -315,32 +317,45 @@ def _check_cells(cards: tuple[int, int, int], nx: int, arity: int) -> int:
 
 def _timeshare_probes(rep1: CapacityReport, rep2: CapacityReport):
     """Time-sharing joints between the two copy plans (an auxiliary that
-    copies X at a capacity-achieving input), at 11 fractions from 0 to 1,
-    built one at a time since each has 4|X|^2(|X|+1)^2 cells."""
+    copies X at a capacity-achieving input), at 11 fractions from 0 to 1, as
+    one validated (11, |X|+1, |X|+1, 4|X|, |X|) batch in the layout of
+    `TimeshareConstruction.marton_joint`, with the function that builds a
+    probe's own joint. A copy plan's auxiliary equals X, so on Q = 0 the
+    merged W is x and U' = x; on Q = 1, W is 3|X| + x and V' = x."""
     plan1, plan2 = (
         JointDistribution((p.alphabet, p.alphabet), np.diag(p.probs))
         for p in (rep1.achieving_input, rep2.achieving_input)
     )
-    for lam in np.linspace(0.0, 1.0, 11):
-        yield timeshare_construction(plan1, plan2, float(lam)).marton_joint()
+    lams = np.linspace(0.0, 1.0, 11)
+    nx = len(plan1.alphabets[0])
+    xs = np.arange(nx)
+    probs = np.zeros((len(lams), nx + 1, nx + 1, 4 * nx, nx))
+    probs[:, xs, nx, xs, xs] = lams[:, None] * np.diagonal(plan1.probs)
+    probs[:, nx, xs, 3 * nx + xs, xs] = (1.0 - lams)[:, None] * np.diagonal(plan2.probs)
+    probs = _clean_probs(probs, "joint distribution", batch=True)
+    yield probs, lambda i: timeshare_construction(plan1, plan2, float(lams[i])).marton_joint()
 
 
 def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
     """One auxiliary copies X at a capacity-achieving input, the other is
-    constant."""
+    constant: two lone joints, each with the function that returns it."""
     const = Alphabet(("c0",))
     p1, p2 = rep1.achieving_input, rep2.achieving_input
-    yield JointDistribution((p1.alphabet, const, p1.alphabet), np.diag(p1.probs)[:, None, :])
-    yield JointDistribution((const, p2.alphabet, p2.alphabet), np.diag(p2.probs)[None, :, :])
+    for joint in (
+        JointDistribution((p1.alphabet, const, p1.alphabet), np.diag(p1.probs)[:, None, :]),
+        JointDistribution((const, p2.alphabet, p2.alphabet), np.diag(p2.probs)[None, :, :]),
+    ):
+        yield joint.probs[None], lambda _, joint=joint: joint
 
 
 def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
-    """The sampling loop both bounds share: the structured `probes` joints,
-    then `cfg.samples` Dirichlet joints over the first `arity` auxiliaries
-    and X, drawn in batches seeded by [cfg.seed, batch index], each batch
-    validated at once and evaluated by the array formulas `rates` in chunks.
-    Every joint's two corners become points, in order, and the first point
-    with the smallest time-division slack is kept with its joint."""
+    """The sampling loop both bounds share: the batches of structured
+    `probes`, then `cfg.samples` Dirichlet joints over the first `arity`
+    auxiliaries and X, drawn in batches seeded by [cfg.seed, batch index].
+    Each batch is validated once and evaluated at once by the array formulas
+    `rates`. Every joint's two corners become points, in order, and the first
+    point with the smallest time-division slack is kept; only its joint is
+    built as a JointDistribution."""
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("channels must share the input alphabet")
     c1, c2 = rep1.capacity, rep2.capacity
@@ -349,7 +364,7 @@ def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
     nx = len(ch1.input)
     cards, n_samples = cfg.cardinalities, cfg.samples
     cells = _check_cells(cards, nx, arity)
-    chunks: list[np.ndarray] = []  # each chunk's corners, (2 * joints, 2)
+    batches: list[np.ndarray] = []  # each batch's corners, (2 * joints, 2)
     worst = [1.0, None, None]  # slack, row of the points, auxiliary joint
 
     def fold(probs, joint_of):
@@ -357,12 +372,12 @@ def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
         slack = _td_slack(corners[:, 0], corners[:, 1], c1, c2)
         i = int(slack.argmin())
         if slack[i] < worst[0]:
-            worst[:] = float(slack[i]), sum(map(len, chunks)) + i, joint_of(i // 2)
-        chunks.append(corners)
+            worst[:] = float(slack[i]), sum(map(len, batches)) + i, joint_of(i // 2)
+        batches.append(corners)
 
     if n_samples > 0:
-        for aux in probes(rep1, rep2):
-            fold(aux.probs[None], lambda _: aux)
+        for probs, joint_of in probes(rep1, rep2):
+            fold(probs, joint_of)
         alphas = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards[:arity], "uvw"))
         alphas += (ch1.input,)
         shape = cards[:arity] + (nx,)
@@ -370,11 +385,9 @@ def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
             rng = np.random.default_rng([cfg.seed, batch_index])
             draws = rng.dirichlet(np.ones(cells), size=min(_BATCH, n_samples - done))
             draws = _clean_probs(draws.reshape((-1,) + shape), "joint distribution", batch=True)
-            for lo in range(0, len(draws), _CHUNK):
-                chunk = draws[lo:lo + _CHUNK]
-                fold(chunk, lambda i: JointDistribution(alphas, chunk[i]))
+            fold(draws, lambda i: JointDistribution(alphas, draws[i]))
 
-    points = np.concatenate(chunks) if chunks else np.empty((0, 2))
+    points = np.concatenate(batches) if batches else np.empty((0, 2))
     points.flags.writeable = False
     slack, row, aux = worst
     sample = RegionSample(points, source, cfg.seed, cards, n_samples)

@@ -28,7 +28,7 @@ class AlphabetMismatchError(ValueError):
     """Raised when two objects that must share an alphabet do not."""
 
 
-def _clean_probs(values, what: str, batch: bool = False) -> np.ndarray:
+def _clean_probs(values, what, batch: bool = False) -> np.ndarray:
     """Validate a probability array (any shape), returning a normalized copy.
 
     Entries below -RENORM_TOL or total mass off by more than RENORM_TOL are
@@ -37,7 +37,8 @@ def _clean_probs(values, what: str, batch: bool = False) -> np.ndarray:
 
     With `batch`, the first axis indexes independent arrays: each is checked
     and normalized exactly as it would be alone, and the first one that fails
-    raises the message it would raise alone.
+    raises the message it would raise alone. There `what` may also be a
+    function of the failing array's index that returns its name.
     """
     arr = np.array(values, dtype=float)
     if arr.size == 0:
@@ -53,6 +54,8 @@ def _clean_probs(values, what: str, batch: bool = False) -> np.ndarray:
     bad = ~finite | (low < -RENORM_TOL) | (np.abs(total - 1.0) > RENORM_TOL)
     if bad.any():
         i = int(bad.argmax())
+        if callable(what):
+            what = what(i)
         if not finite[i]:
             raise ValueError(f"{what} contains non-finite entries")
         if low[i] < -RENORM_TOL:
@@ -152,16 +155,15 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.rows, dtype=float)
+        # C order, so each row is summed as the lone row would be
+        arr = np.array(self.rows, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape != (len(self.input), len(self.output)):
             raise ValueError(
                 f"channel matrix shape {arr.shape} does not match "
                 f"{len(self.input)} inputs x {len(self.output)} outputs"
             )
-        cleaned = np.empty_like(arr)
-        for i, sym in enumerate(self.input):
-            cleaned[i] = _clean_probs(arr[i], f"channel row {i} (input {sym!r})")
-        cleaned.setflags(write=False)
+        symbols = self.input.symbols
+        cleaned = _clean_probs(arr, lambda i: f"channel row {i} (input {symbols[i]!r})", batch=True)
         object.__setattr__(self, "rows", cleaned)
 
     def reachable_outputs(self) -> np.ndarray:
@@ -365,6 +367,20 @@ def extend_batch(probs: np.ndarray, axis: int, rows: np.ndarray) -> np.ndarray:
     return np.moveaxis(ext, -2, axis + 1)
 
 
+def extended_marginal(probs: np.ndarray, axes: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """The marginal over joint axes `axes` (in the given order) and a channel
+    output, for every joint of a batch whose last joint axis is the channel
+    input X: the marginal of `extend_batch(probs, X, rows)` over `axes` and
+    its new last axis, without building that extension.
+
+    Each joint is summed over the axes it drops, then multiplied by `rows`
+    and summed over X elementwise (no BLAS product), so every joint of a
+    batch gets the bits it would get alone. The output axis comes last."""
+    x_axis = probs.ndim - 2
+    marginal = _marginal_batch(probs, tuple(axes) + (x_axis,))
+    return (marginal[..., None] * rows).sum(axis=-2)
+
+
 def conditional_information(
     probs: np.ndarray,
     axes_a: tuple[int, ...],
@@ -382,19 +398,29 @@ def conditional_information(
     """
     axes_a, axes_b, axes_cond = tuple(axes_a), tuple(axes_b), tuple(axes_cond)
     all_axes = axes_cond + axes_a + axes_b
-    joint_shape = probs.shape[1:]
-    _check_axes(len(joint_shape), all_axes)
+    _check_axes(probs.ndim - 1, all_axes)
     if not axes_a or not axes_b:
         raise ValueError("both axis groups must be non-empty")
 
-    n = len(probs)
-    nc, na, nb = (math.prod(joint_shape[a] for a in group) for group in (axes_cond, axes_a, axes_b))
-    cube = _marginal_batch(probs, all_axes).reshape(n, nc, na, nb)
+    return cube_information(_marginal_batch(probs, all_axes), len(axes_cond), len(axes_a))
 
+
+def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
+    """I(A;B|C) in bits, as in `conditional_information`, for a batch of
+    marginals whose joint axes are the `n_cond` axes of C, then the `n_a`
+    axes of A, then those of B; they are read as (S, |C|, |A|, |B|) cubes.
+    When no slice is live in any joint, every row is +0.0 and nothing else
+    is computed."""
+    shape = marginal.shape[1:]
+    n, nc, na, nb = (len(marginal), math.prod(shape[:n_cond]),
+                     math.prod(shape[n_cond:n_cond + n_a]), math.prod(shape[n_cond + n_a:]))
+    cube = marginal.reshape(n, nc, na, nb)
     nz = cube > 0.0
     # Structural independence: a slice where A or B is constant carries no
     # information, and saying so exactly avoids spurious 1e-16 residue.
     live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
+    if not live.any():
+        return np.zeros(n)
 
     # numpy orders a reduction's loops by memory layout, so summing the whole
     # cube at once could add a slice's cells in another order than a lone

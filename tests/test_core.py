@@ -131,6 +131,14 @@ class TestChannel:
         with pytest.raises(ValueError, match="row 1"):
             Channel(B, B, np.array([[0.5, 0.5], [0.9, 0.2]]))
 
+    @pytest.mark.parametrize("second, expected", [
+        ([-0.1, 1.1], "channel row 1 (input 'x1') has negative entry -0.1 at position (0,)"),
+        ([0.9, 0.2], "channel row 1 (input 'x1') sums to 1.1, not 1"),
+    ])
+    def test_bad_second_row_message(self, second, expected):
+        rows = np.array([[0.5, 0.5], second, [0.2, 0.8]])
+        assert _message(lambda: Channel(Alphabet.of_size(3), B, rows)) == expected
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Channel(B, B, np.ones((2, 3)) / 3)

@@ -9,12 +9,15 @@ The one exception is the search grid's path (`one_product`), where the whole
 batch goes through one `p @ rows`: BLAS sums a matrix product in another order
 than a vector product, so rows may differ in the last bits, and the bound is
 4096 float64 epsilons of the largest term summed. The joint kernel (I(A;B|C)
-over auxiliary joints) and the Marton and UV bounds built on it agree bit for
-bit.
+over auxiliary joints, and the channel marginal `extended_marginal`) and the
+Marton and UV bounds built on it agree bit for bit, and so do the batched
+time-sharing probes with the lone constructions. The channel marginal agrees
+with the marginal of the full extension within 1e-14.
 """
 
 import math
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -22,8 +25,10 @@ from hypothesis import strategies as st
 
 from tdopt.bounds import (
     _marton,
+    _timeshare_probes,
     _uv,
     marton_rates,
+    sample_marton,
     timeshare_construction,
     timeshare_identities,
     uv_bound_rates,
@@ -36,13 +41,18 @@ from tdopt.comparison import (
     _rate_gap,
     project_to_simplex,
 )
+from tdopt.config import RunConfig
 from tdopt.core import (
     LN2,
     Alphabet,
     Channel,
     JointDistribution,
     _clean_probs,
+    _marginal_batch,
     conditional_information,
+    cube_information,
+    extend_batch,
+    extended_marginal,
     information,
     kl,
     neg_entropy,
@@ -50,6 +60,7 @@ from tdopt.core import (
     row_log_ratios,
     xlogx,
 )
+from tdopt.families import make_partition_pair
 
 _TOL = 4096 * np.finfo(float).eps
 
@@ -256,6 +267,108 @@ def test_timeshare_cross_information_exactly_zero(nx, n1, n2, seed, fractions):
     assert np.all(conditional_information(batch, (2,), (3,), (0, 1))[:-1] == 0.0)
     for tc in constructions:
         assert timeshare_identities(tc, ch, ch)["aux_cross_information"] == (0.0, 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: -0.0 differs from 0.0. A plain bool, so a
+    failing assert does not diff long byte strings."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def joints_and_channel(draw):
+    """(a batch of joints whose last axis is X, kept axes in any order, a
+    channel matrix on X). Outputs run from 1 to 9 symbols."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    nx = draw(st.integers(1, 9))
+    assume(math.prod(shape) * nx <= 2000)
+    kept = draw(st.permutations(range(len(shape))))[:draw(st.integers(0, len(shape)))]
+    return draw_joints(draw, shape + (nx,)), tuple(kept), draw(stochastic(nx, draw(st.integers(1, 9))))
+
+
+@given(joints_and_channel())
+def test_extended_marginal_rows_equal_lone_rows(data):
+    probs, kept, rows = data
+    batch = extended_marginal(probs, kept, rows)
+    for i in range(len(probs)):
+        assert same_bits(batch[i], extended_marginal(probs[i:i + 1], kept, rows)[0])
+
+
+@given(joints_and_channel())
+def test_extended_marginal_matches_marginal_of_extension(data):
+    probs, kept, rows = data
+    x_axis = probs.ndim - 2
+    extended = _marginal_batch(extend_batch(probs, x_axis, rows), kept + (x_axis + 1,))
+    np.testing.assert_allclose(extended_marginal(probs, kept, rows), extended, rtol=0.0, atol=1e-14)
+
+
+@st.composite
+def dead_cubes(draw):
+    """A batch of (C, A, B) marginals in which, on every slice of every
+    joint, A or B takes a single value: no slice is live anywhere."""
+    s, nc, na, nb = (draw(st.integers(1, 5)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cube = rng.dirichlet(np.ones(nc * na * nb), s).reshape(s, nc, na, nb)
+    for j in range(s):
+        for c in range(nc):
+            if rng.random() < 0.5:
+                keep = np.arange(na) == rng.integers(na)
+                cube[j, c, ~keep] = 0.0
+            else:
+                keep = np.arange(nb) == rng.integers(nb)
+                cube[j, c, :, ~keep] = 0.0
+    cube[cube.sum(axis=(1, 2, 3)) == 0.0, 0, 0, 0] = 1.0
+    return _clean_probs(cube / cube.sum(axis=(1, 2, 3), keepdims=True), "cube", batch=True)
+
+
+@given(dead_cubes())
+def test_cube_with_no_live_slice_returns_positive_zero(cube):
+    alphas = tuple(Alphabet.of_size(n) for n in cube.shape[1:])
+    with patch("tdopt.core._sum_nonzero", side_effect=AssertionError("not skipped")):
+        batch = cube_information(cube, 1, 1)
+    for i, row in enumerate(cube):
+        expected = reference_information(JointDistribution(alphas, row), (1,), (2,), (0,))
+        assert batch[i] == expected == 0.0
+        assert not np.signbit(batch[i]) and math.copysign(1.0, expected) == 1.0
+
+
+def copy_plan(rep):
+    p = rep.achieving_input
+    return JointDistribution((p.alphabet, p.alphabet), np.diag(p.probs))
+
+
+@settings(max_examples=20)
+@given(channel_pair_and_points(), st.integers(0, 2**32 - 1))
+def test_timeshare_probe_batch_equals_lone_constructions(data, seed):
+    rows1, rows2, _ = data
+    ch1, ch2 = channel(rows1), channel(rows2)
+    rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+    assume(rep1.capacity > 0.0 and rep2.capacity > 0.0)
+    joints = [
+        timeshare_construction(copy_plan(rep1), copy_plan(rep2), float(lam)).marton_joint()
+        for lam in np.linspace(0.0, 1.0, 11)
+    ]
+    points = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=1, seed=seed)).sample.points
+    assert same_bits(points[:22], np.concatenate([marton_rates(j, ch1, ch2).corners() for j in joints]))
+    (probs, joint_of), = _timeshare_probes(rep1, rep2)
+    for i, joint in enumerate(joints):
+        assert same_bits(probs[i], joint.probs) and same_bits(joint_of(i).probs, joint.probs)
+
+
+def test_probe_held_minimum_returns_that_probes_joint():
+    pair = make_partition_pair(4, 3)
+    ch1, ch2 = pair.first, pair.second
+    rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+    report = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=8))
+    points = report.sample.points
+    row = int((1.0 - points[:, 0] / rep1.capacity - points[:, 1] / rep2.capacity).argmin())
+    assert row < 22 and report.min_slack <= 0.0
+    expected = timeshare_construction(
+        copy_plan(rep1), copy_plan(rep2), float(np.linspace(0.0, 1.0, 11)[row // 2])
+    ).marton_joint()
+    assert report.worst_aux.alphabets == expected.alphabets
+    assert report.worst_aux.alphabets[2].symbols[0] == "0:u:" + ch1.input.symbols[0]
+    assert same_bits(report.worst_aux.probs, expected.probs)
 
 
 def serial_projection(v):
