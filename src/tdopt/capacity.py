@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .core import FLOOR, LN2, Channel, Distribution, neg_entropy, row_divergences
+from .core import FLOOR, LN2, Channel, Distribution, row_divergences
 from .simplex import feasible_basis, lp_solve_max_coordinate
 
 DEFAULT_TOL = RunConfig.tol            # bits, bracket width
@@ -52,8 +52,9 @@ class CapacityReport:
 
     `capacity` is the midpoint of the final bracket and `gap` its width, both
     in bits; `iterations` is the iteration at which the bracket certified.
-    `peak_set`, `support_union`, and `divergence_profile` are filled by
-    `analyze_channel`; `compute_capacity` alone leaves them None.
+    `divergence_profile` holds D(W(.|x) || optimal output) in bits for every
+    input x, at the certified iterate. `peak_set` and `support_union` are
+    filled by `analyze_channel`; `compute_capacity` alone leaves them None.
     """
 
     channel: Channel
@@ -62,9 +63,15 @@ class CapacityReport:
     optimal_output: Distribution
     iterations: int
     gap: float
-    divergence_profile: np.ndarray | None = None
+    divergence_profile: np.ndarray
     peak_set: tuple[str, ...] | None = None
     support_union: tuple[str, ...] | None = None
+
+
+def full_support(report: CapacityReport) -> bool:
+    """Whether the support union of `report`'s optimizers covers the channel's
+    whole input alphabet: the full-support assumption."""
+    return report.support_union is not None and len(report.support_union) == len(report.channel.input)
 
 
 def _newton_refine(rows, row_neg_ent, p_start, support):
@@ -125,8 +132,8 @@ def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
     largest divergence. Each move solves on the support, drops the input with
     the most negative mass if there is one, and otherwise adds the input of
     largest divergence unless the full-channel bracket certifies. Returns the
-    certified (p, q, lower, upper), or None once a support repeats or 2|X|
-    moves are spent."""
+    certified (p, q, lower, upper) and the divergences at p, or None once a
+    support repeats or 2|X| moves are spent."""
     gap = float(d.max() - p_ba @ d)
     support = np.flatnonzero(d >= d.max() - max(1e-5, 10.0 * gap))
     tried = set()
@@ -147,7 +154,7 @@ def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
         d2 = row_divergences(rows, row_neg_ent, q)
         upper, lower = float(d2.max()), float(p @ d2)
         if 0.0 <= upper - lower <= min(tol_nats, gap):
-            return p, q, lower, upper
+            return p, q, lower, upper, d2
         support = np.union1d(support, [d2.argmax()])
     return None
 
@@ -168,13 +175,12 @@ def compute_capacity(
     iterate only when its own full-channel bracket is no wider than `tol`
     bits and than the current bracket. Iteration stops at the first such
     certificate, or once the plain bracket is narrower than `tol`, and the
-    midpoint is reported. Raises ConvergenceError if `max_iter` passes are not
-    enough.
+    midpoint is reported, with the divergences at the reported iterate as the
+    profile. Raises ConvergenceError if `max_iter` passes are not enough, and
+    ValueError if the optimal output misses a reachable output.
     """
-    reachable = ch.reachable_outputs()
-    rows = ch.rows[:, reachable]
+    rows, row_neg_ent = ch.reduced_rows, ch.reduced_neg_ent
     n_x = rows.shape[0]
-    row_neg_ent = neg_entropy(rows)
 
     if init is None:
         p = np.full(n_x, 1.0 / n_x)
@@ -200,7 +206,7 @@ def compute_capacity(
         if stop or (it >= 4 and it & (it - 1) == 0):
             polished = _polish(rows, row_neg_ent, p, d, tol_nats)
             if polished is not None:
-                p, q, lower, upper = polished
+                p, q, lower, upper, d = polished
                 stop = True
         if stop:
             converged_at = it
@@ -211,8 +217,9 @@ def compute_capacity(
     else:
         raise ConvergenceError((lower / LN2, upper / LN2), max_iter)
 
+    _require_reachable_mass(ch, q)
     out_full = np.zeros(len(ch.output))
-    out_full[reachable] = q
+    out_full[ch.reachable] = q
     return CapacityReport(
         channel=ch,
         capacity=(lower + upper) / 2.0 / LN2,
@@ -220,7 +227,20 @@ def compute_capacity(
         optimal_output=Distribution(ch.output, out_full),
         iterations=converged_at,
         gap=max(upper - lower, 0.0) / LN2,  # a width below 0 is rounding
+        divergence_profile=d / LN2,
     )
+
+
+def _require_reachable_mass(ch: Channel, ref: np.ndarray):
+    """Raise if `ref`, a reference on the reachable outputs, gives zero mass
+    to one of them: every row reaching it would have infinite divergence."""
+    hit = ch.reduced_rows[:, ref == 0.0].any(axis=1)
+    if hit.any():
+        x = int(hit.argmax())
+        raise ValueError(
+            f"reference assigns zero mass to an output reachable from input "
+            f"{ch.input.symbols[x]!r}; divergence is infinite"
+        )
 
 
 def divergence_profile(ch: Channel, r_star: Distribution) -> np.ndarray:
@@ -231,17 +251,9 @@ def divergence_profile(ch: Channel, r_star: Distribution) -> np.ndarray:
     """
     if r_star.alphabet != ch.output:
         raise ValueError("reference distribution must live on the channel output alphabet")
-    reachable = ch.reachable_outputs()
-    rows = ch.rows[:, reachable]
-    ref = r_star.probs[reachable]
-    bad = (rows > 0.0) & (ref == 0.0)[None, :]
-    if bad.any():
-        x = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise ValueError(
-            f"reference assigns zero mass to an output reachable from input "
-            f"{ch.input.symbols[x]!r}; divergence is infinite"
-        )
-    return row_divergences(rows, neg_entropy(rows), ref) / LN2
+    ref = r_star.probs[ch.reachable]
+    _require_reachable_mass(ch, ref)
+    return row_divergences(ch.reduced_rows, ch.reduced_neg_ent, ref) / LN2
 
 
 def compute_peak_set(report: CapacityReport, tol_peak: float = DEFAULT_PEAK_TOL) -> tuple[str, ...]:
@@ -250,8 +262,6 @@ def compute_peak_set(report: CapacityReport, tol_peak: float = DEFAULT_PEAK_TOL)
     The effective tolerance never drops below 10x the capacity bracket, since
     symbols cannot be classified more finely than capacity itself is known.
     """
-    if report.divergence_profile is None:
-        raise ValueError("report carries no divergence profile; run analyze_channel")
     eff = max(tol_peak, 10.0 * report.gap)
     mask = report.divergence_profile >= report.capacity - eff
     if not mask.any():
@@ -270,9 +280,8 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
     LP per peak symbol maximizes its mass from one shared phase one, and the
     witness is the equal-weight average of the LP vertices."""
     idx = [ch.input.index(s) for s in peak]
-    reachable = ch.reachable_outputs()
-    a_eq = np.vstack([ch.rows[idx][:, reachable].T, np.ones(len(idx))])
-    b_eq = np.concatenate([r_star.probs[reachable], [1.0]])
+    a_eq = np.vstack([ch.reduced_rows[idx].T, np.ones(len(idx))])
+    b_eq = np.concatenate([r_star.probs[ch.reachable], [1.0]])
 
     feasible = feasible_basis(a_eq, b_eq)
     if feasible is None:
@@ -310,13 +319,7 @@ def analyze_channel(ch: Channel, cfg: RunConfig = RunConfig()) -> CapacityReport
     output, divergence profile, peak set at `cfg.peak_tol`, support union,
     and an achieving input whose support is exactly the union."""
     base = compute_capacity(ch, tol=cfg.tol)
-    profile = divergence_profile(ch, base.optimal_output)
-    staged = replace(base, divergence_profile=profile)
-    peak = compute_peak_set(staged, cfg.peak_tol)
+    peak = compute_peak_set(base, cfg.peak_tol)
     union, witness = _support_union_lp(ch, peak, base.optimal_output)
-    return replace(
-        staged,
-        peak_set=peak,
-        support_union=union,
-        achieving_input=Distribution(ch.input, witness),
-    )
+    return replace(base, peak_set=peak, support_union=union,
+                   achieving_input=Distribution(ch.input, witness))

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .bounds import region_csv, sample_marton, sample_uv, td_boundary_sample
-from .capacity import CapacityReport, ConvergenceError, analyze_channel
+from .capacity import CapacityReport, ConvergenceError, analyze_channel, full_support
 from .comparison import (
     divergence_form_check,
     more_capable_check,
@@ -30,7 +30,6 @@ from .config import RunConfig
 from .core import Alphabet, AlphabetMismatchError, BroadcastPair, Channel
 from .families import make_bec, make_bsc, make_partition_pair
 from .verdict import (
-    full_support,
     capacity_to_dict,
     decide_td_optimality,
     sig12,
@@ -146,14 +145,11 @@ def _print_capacity_report(name: str, rep: CapacityReport, cfg: RunConfig, out):
         f"{sym}={_fmt(p)}" for sym, p in zip(rep.channel.output.symbols, rep.optimal_output.probs)
     )
     print(f"  optimal output: {probs}", file=out)
-    if rep.divergence_profile is not None:
-        print("  divergence profile:", file=out)
-        for sym, d in zip(rep.channel.input.symbols, rep.divergence_profile):
-            print(f"    {sym}: {_fmt(d * scale)}", file=out)
-    if rep.peak_set is not None:
-        print(f"  peak set: {' '.join(rep.peak_set)}", file=out)
-    if rep.support_union is not None:
-        print(f"  support union: {' '.join(rep.support_union)}", file=out)
+    print("  divergence profile:", file=out)
+    for sym, d in zip(rep.channel.input.symbols, rep.divergence_profile):
+        print(f"    {sym}: {_fmt(d * scale)}", file=out)
+    print(f"  peak set: {' '.join(rep.peak_set)}", file=out)
+    print(f"  support union: {' '.join(rep.support_union)}", file=out)
 
 
 def _write_json(path: str, doc: dict):
@@ -309,8 +305,7 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
             pair.first, pair.second, rep1.capacity, rep2.capacity, cfg
         ),
     }
-    n_inputs = len(pair.first.input)
-    if full_support(rep1, n_inputs) and full_support(rep2, n_inputs):
+    if full_support(rep1) and full_support(rep2):
         checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, cfg)
     print("comparison:", file=out)
     for key, check in checks.items():

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .capacity import CapacityReport
+from .capacity import CapacityReport, full_support
 from .config import RunConfig
 from .core import (
     LN2,
@@ -206,11 +206,8 @@ def _rate_gap(ch_minus: Channel, ch_plus: Channel, c_minus: float = 1.0, c_plus:
     gradient of I(X;Y) in p(x) is D(W(.|x) || p_Y) less a constant, and
     projection onto the simplex ignores constant shifts. The objective's
     `one_product` takes the grid's path of `information`."""
-    pieces = []
-    for ch in (ch_minus, ch_plus):
-        rows = ch.rows[:, ch.reachable_outputs()]
-        pieces.append((rows, neg_entropy(rows)))
-    (rows_m, rne_m), (rows_p, rne_p) = pieces
+    rows_m, rne_m = ch_minus.reduced_rows, ch_minus.reduced_neg_ent
+    rows_p, rne_p = ch_plus.reduced_rows, ch_plus.reduced_neg_ent
 
     def objective(p, one_product=False):
         return (
@@ -233,11 +230,8 @@ def _divergence_gap(ch1: Channel, ch2: Channel, rep1: CapacityReport, rep2: Capa
     gradient of D(p_Y || r) in p(x) is sum_y W(y|x) ln(p_Y(y)/r(y)) plus a
     constant."""
     c1, c2 = rep1.capacity, rep2.capacity
-    pieces = []
-    for ch, rep in ((ch1, rep1), (ch2, rep2)):
-        reachable = ch.reachable_outputs()
-        pieces.append((ch.rows[:, reachable], rep.optimal_output.probs[reachable]))
-    (rows1, ref1), (rows2, ref2) = pieces
+    rows1, ref1 = ch1.reduced_rows, rep1.optimal_output.probs[ch1.reachable]
+    rows2, ref2 = ch2.reduced_rows, rep2.optimal_output.probs[ch2.reachable]
 
     def objective(p, one_product=False):
         dot = np.matmul if one_product else _point_dot
@@ -312,10 +306,10 @@ def divergence_form_check(
     coincide pointwise with the ratio form.
     """
     _require_shared_input(ch1, ch2)
-    for name, rep, ch in (("first", rep1, ch1), ("second", rep2, ch2)):
+    for name, rep in (("first", rep1), ("second", rep2)):
         if rep.support_union is None:
             raise ValueError(f"{name} report lacks a support union; run analyze_channel")
-        if len(rep.support_union) != len(ch.input):
+        if not full_support(rep):
             raise AssumptionNotMetError(
                 f"the {name} channel's optimizers miss part of the input alphabet; "
                 "the divergence form does not apply"
@@ -364,10 +358,6 @@ def vertex_screen(
     agreement is reported in `mixed_output_gap`.
     """
     _require_shared_input(ch1, ch2)
-    for name, rep in (("first", rep1), ("second", rep2)):
-        if rep.divergence_profile is None:
-            raise ValueError(f"{name} report lacks a divergence profile; run analyze_channel")
-
     s_y = push_forward(rep2.achieving_input, ch1)
     r_z = push_forward(rep1.achieving_input, ch2)
 

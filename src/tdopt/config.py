@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,10 +37,16 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("tol", "peak_tol", "violation_tol", "cap_eq_tol"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.units not in (BITS_UNITS, NATS_UNITS):
             raise ValueError(f"units must be {BITS_UNITS!r} or {NATS_UNITS!r}, got {self.units!r}")
+        for name in ("seed", "starts", "samples"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.samples < 0 or self.starts < 0:
             raise ValueError("starts and samples must be nonnegative")
         cards = self.cardinalities

@@ -148,11 +148,17 @@ class Distribution:
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Discrete memoryless channel: a stochastic matrix indexed by
-    (input symbol, output symbol)."""
+    (input symbol, output symbol), and its reduced form, computed once and
+    read-only: `reachable`, the mask of outputs some input reaches;
+    `reduced_rows`, the slice `rows[:, reachable]` in that slice's layout;
+    and `reduced_neg_ent`, the `neg_entropy` of each reduced row."""
 
     input: Alphabet
     output: Alphabet
     rows: np.ndarray
+    reachable: np.ndarray = field(init=False, repr=False)
+    reduced_rows: np.ndarray = field(init=False, repr=False)
+    reduced_neg_ent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # C order, so each row is summed as the lone row would be
@@ -164,11 +170,12 @@ class Channel:
             )
         symbols = self.input.symbols
         cleaned = _clean_probs(arr, lambda i: f"channel row {i} (input {symbols[i]!r})", batch=True)
-        object.__setattr__(self, "rows", cleaned)
-
-    def reachable_outputs(self) -> np.ndarray:
-        """Boolean mask of outputs with positive probability under some input."""
-        return self.rows.max(axis=0) > 0.0
+        reachable = cleaned.max(axis=0) > 0.0
+        reduced = cleaned[:, reachable]
+        for name, value in (("rows", cleaned), ("reachable", reachable),
+                            ("reduced_rows", reduced), ("reduced_neg_ent", neg_entropy(reduced))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import SampleReport, sample_marton, sample_uv
-from .capacity import CapacityReport, analyze_channel
+from .capacity import CapacityReport, analyze_channel, full_support
 from .comparison import (
     HOLDS_UP_TO_SEARCH,
     VIOLATED,
@@ -81,14 +81,15 @@ class TDVerdict:
     second_report: CapacityReport
     checks: dict[str, SearchVerdict]
     witnesses: tuple[Distribution, ...]
-    search_limited: bool
     evidence: EvidenceReport | None
     config: RunConfig
 
-
-def full_support(report: CapacityReport, n_inputs: int) -> bool:
-    """Whether the support union of `report`'s optimizers covers all `n_inputs` symbols."""
-    return report.support_union is not None and len(report.support_union) == n_inputs
+    @property
+    def search_limited(self) -> bool:
+        """Whether the status rests on a check that held only up to the search budget."""
+        return self.status == TD_OPTIMAL and any(
+            v.status == HOLDS_UP_TO_SEARCH for v in self.checks.values()
+        )
 
 
 def evidence_mode(
@@ -123,8 +124,7 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
                 f"the {name} channel has zero capacity; the time-division region is degenerate"
             )
 
-    n_inputs = len(pair.first.input)
-    if not (full_support(rep_first, n_inputs) and full_support(rep_second, n_inputs)):
+    if not (full_support(rep_first) and full_support(rep_second)):
         return TDVerdict(
             status=ASSUMPTION_VIOLATED,
             branch=NO_BRANCH,
@@ -133,7 +133,6 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
             second_report=rep_second,
             checks={},
             witnesses=(),
-            search_limited=False,
             evidence=evidence_mode(pair, rep_first, rep_second, cfg),
             config=cfg,
         )
@@ -170,9 +169,6 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
         else:
             status, witnesses = TD_NOT_OPTIMAL, (forward.witness, backward.witness)
 
-    search_limited = status == TD_OPTIMAL and any(
-        v.status == HOLDS_UP_TO_SEARCH for v in checks.values()
-    )
     return TDVerdict(
         status=status,
         branch=branch,
@@ -181,7 +177,6 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
         second_report=rep_second,
         checks=checks,
         witnesses=witnesses,
-        search_limited=search_limited,
         evidence=None,
         config=cfg,
     )
@@ -208,9 +203,7 @@ def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
         "iterations": rep.iterations,
         "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
         "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
-        "divergence_profile": None
-        if rep.divergence_profile is None
-        else [sig12(d * scale) for d in rep.divergence_profile],
+        "divergence_profile": [sig12(d * scale) for d in rep.divergence_profile],
         "peak_set": None if rep.peak_set is None else list(rep.peak_set),
         "support_union": None if rep.support_union is None else list(rep.support_union),
     }

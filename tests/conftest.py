@@ -14,6 +14,12 @@ import numpy as np
 from tdopt.core import Alphabet, Channel, Distribution, JointDistribution
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: -0.0 differs from 0.0. A plain bool, so a
+    failing assert does not diff long byte strings."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_distribution(rng, alphabet: Alphabet, alpha: float = 1.0) -> Distribution:
     return Distribution(alphabet, rng.dirichlet(np.full(len(alphabet), alpha)))
 

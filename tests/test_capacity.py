@@ -22,11 +22,19 @@ from tdopt.core import (
     Distribution,
     kl_divergence,
     mutual_information,
+    neg_entropy,
     push_forward,
 )
 from tdopt.families import make_bec, make_bsc, make_partition_pair
 
-from conftest import h2, make_identity, noisy_identity, random_channel, random_distribution
+from conftest import (
+    h2,
+    make_identity,
+    noisy_identity,
+    random_channel,
+    random_distribution,
+    same_bits,
+)
 
 B = Alphabet(("0", "1"))
 
@@ -358,6 +366,24 @@ class TestCertificateProperties:
         assert abs(information_bits(rep.achieving_input.probs.tolist(), rows) - rep.capacity) <= tol
         assert abs(worst_divergence_bits(rows, rep.optimal_output.probs.tolist()) - rep.capacity) <= tol
         assert rep.support_union == linprog_union(ch, rep.peak_set, rep.optimal_output.probs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_channels())
+    @example(channel(IDENTICAL_ROWS))
+    @example(channel([[1, 0, 0], [0.5, 0, 0.5]]))  # the middle output is unreachable
+    def test_reduced_form_and_profile_computed_once(self, ch):
+        # the channel's reduced form is the slice and the kernel call its
+        # users made before, in the same layout and read-only; the report's
+        # profile is what divergence_profile computes at its optimal output
+        mask = (ch.rows > 0.0).any(axis=0)
+        assert same_bits(ch.reachable, mask) and not ch.reachable.flags.writeable
+        sliced = ch.rows[:, mask]
+        for got, want in ((ch.reduced_rows, sliced), (ch.reduced_neg_ent, neg_entropy(sliced))):
+            assert same_bits(got, want) and not got.flags.writeable
+            assert (got.strides, got.flags.c_contiguous, got.flags.f_contiguous) == \
+                (want.strides, want.flags.c_contiguous, want.flags.f_contiguous)
+        rep = compute_capacity(ch)
+        assert same_bits(rep.divergence_profile, divergence_profile(ch, rep.optimal_output))
 
     def test_two_cycle_channel(self):
         rep = analyze_channel(channel(TWO_CYCLE_ROWS))

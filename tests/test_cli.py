@@ -119,6 +119,13 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "error: cardinalities must be three counts >= 1, got (0, 1, 1)\n"
 
+    def test_nan_violation_tol_is_input_error(self, tmp_path, capsys):
+        # a NaN threshold would let every search pass and claim TD_OPTIMAL
+        b1, b3 = write_bsc(tmp_path / "b1.json", 0.1), write_bsc(tmp_path / "b3.json", 0.3)
+        code, out = run(["verdict", b1, b3, "--violation-tol", "nan"])
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == "error: violation_tol must be finite, got nan\n"
+
     def test_unknown_command_is_usage_error(self, capsys):
         code, _ = run(["frobnicate"])
         assert code == EXIT_INPUT

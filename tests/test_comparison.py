@@ -41,6 +41,8 @@ from tdopt.core import (
 )
 from tdopt.families import make_bec, make_bsc, make_partition_pair
 
+from conftest import same_bits
+
 
 def bern_grid(step=1e-4):
     """All Bernoulli(d) inputs with d on a uniform grid, as an (N, 2) array."""
@@ -100,7 +102,7 @@ class TestGrid:
         m = _AUTO_SUBDIVISIONS.get(dim, 6)
         grid = _simplex_grid(dim, m)
         assert grid.shape == (_grid_size(dim, m), dim)
-        assert grid.tobytes() == self.bar_enumeration(dim, m).tobytes()
+        assert same_bits(grid, self.bar_enumeration(dim, m))
 
 
 class TestMinimizer:
@@ -385,11 +387,13 @@ class TestVertexScreen:
         r_z = push_forward(rep1.achieving_input, pair.second)
         assert np.allclose(r_z.probs, rep2.optimal_output.probs, atol=1e-9)
 
-    def test_requires_analyzed_reports(self):
+    def test_screens_bare_reports_by_their_profile(self):
+        # every report carries its profile, so no analyze_channel pass is needed
         ch = make_bsc(0.2)
         bare = compute_capacity(ch)
-        with pytest.raises(ValueError, match="divergence profile"):
-            vertex_screen(ch, ch, bare, bare)
+        screen = vertex_screen(ch, ch, bare, bare)
+        assert same_bits(screen.div_first_peak, bare.divergence_profile)
+        assert same_bits(screen.div_second_peak, analyze_channel(ch).divergence_profile)
 
 
 class TestPerturbation:

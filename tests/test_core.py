@@ -143,10 +143,6 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel(B, B, np.ones((2, 3)) / 3)
 
-    def test_reachable_outputs(self):
-        ch = Channel(B, Alphabet(("p", "q", "r")), np.array([[1.0, 0, 0], [0.5, 0, 0.5]]))
-        assert list(ch.reachable_outputs()) == [True, False, True]
-
     def test_broadcast_pair_requires_shared_input(self):
         with pytest.raises(AlphabetMismatchError):
             BroadcastPair(make_bsc(0.1), make_identity(3))

@@ -62,6 +62,8 @@ from tdopt.core import (
 )
 from tdopt.families import make_partition_pair
 
+from conftest import same_bits
+
 _TOL = 4096 * np.finfo(float).eps
 
 settings.register_profile("kernel", max_examples=60, deadline=None)
@@ -267,12 +269,6 @@ def test_timeshare_cross_information_exactly_zero(nx, n1, n2, seed, fractions):
     assert np.all(conditional_information(batch, (2,), (3,), (0, 1))[:-1] == 0.0)
     for tc in constructions:
         assert timeshare_identities(tc, ch, ch)["aux_cross_information"] == (0.0, 0.0)
-
-
-def same_bits(a, b) -> bool:
-    """Equal shapes and bytes: -0.0 differs from 0.0. A plain bool, so a
-    failing assert does not diff long byte strings."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @st.composite

@@ -4,6 +4,8 @@ from scipy.optimize import linprog
 
 from tdopt.simplex import _pivot, feasible_basis, lp_solve_max_coordinate
 
+from conftest import same_bits
+
 
 def max_coordinate(a, b, j):
     return lp_solve_max_coordinate(feasible_basis(a, b), j)
@@ -104,4 +106,4 @@ def test_pivot_matches_row_loop_bit_for_bit():
         basis_a, basis_b = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
         _pivot(a, basis_a, row, col)
         loop_pivot(b, basis_b, row, col)
-        assert a.tobytes() == b.tobytes() and np.array_equal(basis_a, basis_b)
+        assert same_bits(a, b) and np.array_equal(basis_a, basis_b)

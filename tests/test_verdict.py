@@ -184,6 +184,14 @@ class TestDecide:
                 BroadcastPair(make_bsc(0.1), make_bsc(0.3)), RunConfig(cardinalities=cards)
             )
 
+    @pytest.mark.parametrize("name, value", [
+        ("tol", math.nan), ("peak_tol", math.inf), ("violation_tol", math.nan),
+        ("cap_eq_tol", math.inf), ("seed", 0.5), ("starts", 1.5), ("samples", 2.5),
+    ])
+    def test_non_finite_tolerances_and_fractional_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RunConfig(**{name: value})
+
     def test_cardinalities_kept_as_plain_ints(self):
         cfg = RunConfig(cardinalities=[np.int64(3), 3, 2])
         assert cfg.cardinalities == (3, 3, 2)
