@@ -19,6 +19,9 @@ DEFAULT_TOL = RunConfig.tol            # bits, bracket width
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_PEAK_TOL = RunConfig.peak_tol  # bits, slack below capacity still counted as peak
 _LP_TOL = 1e-9                         # mass threshold deciding support-union membership
+_RANK_TOL = 1e-6                       # sigma_min / sigma_max below which the support-union
+                                       # system counts as rank deficient; above it, rounding in
+                                       # its solution stays well under _LP_TOL
 
 
 class ConvergenceError(RuntimeError):
@@ -74,24 +77,31 @@ def full_support(report: CapacityReport) -> bool:
     return report.support_union is not None and len(report.support_union) == len(report.channel.input)
 
 
-def _newton_refine(rows, row_neg_ent, p_start, support):
+def _newton_refine(rows, row_neg_ent, p_start, d, support):
     """Solve D(row_x || q) = const for x in `support` with q the pushforward
     of p supported there. Returns p on `support`, whose masses may be
     negative, or None if the system misbehaves (singular Jacobian, an output
     the support reaches losing all its mass).
 
     Identical rows would make the Jacobian singular, so each group of them is
-    solved as one row and its mass is then shared as `p_start` shares it."""
+    solved as one row and its mass is then shared as `p_start` shares it.
+    More distinct rows than the outputs they reach make it singular too, so
+    only that many groups, those of largest divergence `d`, are solved; the
+    others get no mass."""
     sub = rows[support]
     keys: dict[bytes, int] = {}
     group = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in sub])
     share = p_start[support]
     mass = np.bincount(group, weights=share)
     first = support[np.unique(group, return_index=True)[1]]
-    solved = _newton_solve(rows[first], row_neg_ent[first], mass)
+    n_out = np.count_nonzero(rows[first].any(axis=0))
+    keep = np.sort(np.argsort(-d[first], kind="stable")[:n_out])
+    solved = _newton_solve(rows[first[keep]], row_neg_ent[first[keep]], mass[keep])
     if solved is None:
         return None
-    return solved[group] * (share / mass[group])
+    masses = np.zeros(len(first))
+    masses[keep] = solved
+    return masses[group] * (share / mass[group])
 
 
 def _newton_solve(sub, sub_neg_ent, p_start):
@@ -141,7 +151,7 @@ def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
         if support.size == 0 or support.tobytes() in tried:
             return None
         tried.add(support.tobytes())
-        refined = _newton_refine(rows, row_neg_ent, p_ba, support)
+        refined = _newton_refine(rows, row_neg_ent, p_ba, d, support)
         if refined is None:
             return None
         if refined.min() < -1e-12:
@@ -275,30 +285,41 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
     """Union of supports over all capacity-achieving inputs, plus one such
     input whose support is the whole union.
 
-    A symbol belongs iff some distribution supported on the peak set whose
-    pushforward equals the optimal output gives it mass above `_LP_TOL`; one
-    LP per peak symbol maximizes its mass from one shared phase one, and the
-    witness is the equal-weight average of the LP vertices."""
+    These inputs are the solutions x >= 0 of `a_eq x = b_eq`: the peak rows
+    pushing x forward to the optimal output, and a row of ones. A symbol
+    belongs iff one of them gives it mass above `_LP_TOL`.
+
+    When the system has full column rank (singular values above `_RANK_TOL`
+    times the largest), its one least-squares solution is the only
+    capacity-achieving input, so it is the witness. Otherwise one LP per peak
+    symbol maximizes its mass from one shared phase one, and the witness is
+    the equal-weight average of the LP vertices. Either way the witness's
+    entries outside the union become exact zeros, so its support is the
+    union. Raises InconsistentCertificateError when no nonnegative x solves
+    the system within `_LP_TOL`."""
     idx = [ch.input.index(s) for s in peak]
     a_eq = np.vstack([ch.reduced_rows[idx].T, np.ones(len(idx))])
     b_eq = np.concatenate([r_star.probs[ch.reachable], [1.0]])
 
-    feasible = feasible_basis(a_eq, b_eq)
-    if feasible is None:
-        raise InconsistentCertificateError()
-    member = []
-    witnesses = []
-    for j in range(len(idx)):
-        x = lp_solve_max_coordinate(feasible, j)
-        if x is None:
+    x, _, _, sv = np.linalg.lstsq(a_eq, b_eq)
+    if len(sv) == len(idx) and sv[-1] > _RANK_TOL * sv[0]:
+        if np.abs(a_eq @ x - b_eq).max() > _LP_TOL or x.min() < -_LP_TOL:
             raise InconsistentCertificateError()
-        witnesses.append(x)
-        if x[j] > _LP_TOL:
-            member.append(peak[j])
-    avg = np.mean(witnesses, axis=0)
+        member, witness = x > _LP_TOL, x
+    else:
+        feasible = feasible_basis(a_eq, b_eq)
+        if feasible is None:
+            raise InconsistentCertificateError()
+        vertices = []
+        for j in range(len(idx)):
+            vertex = lp_solve_max_coordinate(feasible, j)
+            if vertex is None:
+                raise InconsistentCertificateError()
+            vertices.append(vertex)
+        member, witness = np.diag(vertices) > _LP_TOL, np.mean(vertices, axis=0)
     full = np.zeros(len(ch.input))
-    full[idx] = avg
-    return tuple(member), full
+    full[idx] = np.where(member, witness, 0.0)
+    return tuple(s for s, m in zip(peak, member) if m), full
 
 
 def is_capacity_achieving(p: Distribution, report: CapacityReport, tol: float = 1e-6) -> bool:

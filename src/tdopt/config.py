@@ -45,8 +45,10 @@ class RunConfig:
         if self.units not in (BITS_UNITS, NATS_UNITS):
             raise ValueError(f"units must be {BITS_UNITS!r} or {NATS_UNITS!r}, got {self.units!r}")
         for name in ("seed", "starts", "samples"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.samples < 0 or self.starts < 0:
             raise ValueError("starts and samples must be nonnegative")
         cards = self.cardinalities

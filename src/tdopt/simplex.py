@@ -3,6 +3,9 @@
 simplex (nonnegative rows, a ones row, and a probability vector plus 1 on the
 right), so every program is bounded and b_eq is never negative.
 
+Only systems whose solution is not unique come here: `capacity` solves a
+full-column-rank system with one least-squares solve instead.
+
 `feasible_basis` runs phase one once per system; `lp_solve_max_coordinate`
 runs phase two for one coordinate from a copy of that basis. Phase one never
 reads the objective, so sharing it changes no vertex. Problems have a handful

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import tdopt.capacity as capacity
 from tdopt.capacity import (
     ConvergenceError,
+    InconsistentCertificateError,
+    _support_union_lp,
     analyze_channel,
     compute_capacity,
     compute_peak_set,
@@ -37,6 +41,7 @@ from conftest import (
 )
 
 B = Alphabet(("0", "1"))
+TDBENCH = pathlib.Path(__file__).resolve().parents[1] / "tdbench"
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -51,10 +56,39 @@ DEAD_COLUMN_ROWS = np.array([[1, 0, 0, 0, 0], [2, 3, 1, 0, 0], [0, 2, 0, 2, 1],
                              [1, 1, 0, 1, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]]) / \
     np.array([[1], [6], [5], [3], [1], [1]])
 
+# Three rows and a fourth within eps of the first: more near-peak inputs than
+# outputs, which made the polish's Newton system singular.
+NEAR_DUPLICATE_ROWS = np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.7, 0.2, 0.1]])
+
+
+def near_duplicate(rows, eps):
+    """`rows` with its last row moved by eps * (1, -1, 0, ...)."""
+    rows = np.array(rows, dtype=float)
+    rows[-1, :2] += (eps, -eps)
+    return rows
+
 
 def channel(rows) -> Channel:
     rows = np.asarray(rows, dtype=float)
     return Channel(Alphabet.of_size(rows.shape[0]), Alphabet.of_size(rows.shape[1], "y"), rows)
+
+
+def count_lp_calls(monkeypatch):
+    """Count the calls analyze_channel makes to the two simplex programs."""
+    calls = {"feasible_basis": 0, "lp_solve_max_coordinate": 0}
+
+    def counting(name):
+        fn = getattr(capacity, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(capacity, name, wrapper)
+
+    counting("feasible_basis")
+    counting("lp_solve_max_coordinate")
+    return calls
 
 
 class TestClosedFormCapacities:
@@ -240,23 +274,65 @@ class TestSupportUnion:
         assert np.allclose(rep.achieving_input.probs[:4], 0.25, atol=1e-9)
 
     def test_one_phase_one_per_channel(self, monkeypatch):
-        import tdopt.capacity as capacity
+        # the optimizer is not unique: more peak rows than the outputs they
+        # reach, or two identical peak rows among no more peak rows than outputs
+        for rows in (IDENTICAL_ROWS, [[0.9, 0.1], [0.1, 0.9]] * 2,
+                     [[0.9, 0.1, 0], [0.9, 0.1, 0], [0, 0.1, 0.9]]):
+            calls = count_lp_calls(monkeypatch)
+            rep = analyze_channel(channel(rows))
+            assert len(rep.peak_set) == len(rows)
+            assert calls == {"feasible_basis": 1, "lp_solve_max_coordinate": len(rep.peak_set)}
 
-        calls = {"feasible_basis": 0, "lp_solve_max_coordinate": 0}
+    @pytest.mark.parametrize("ch", [make_bsc(0.11), make_partition_pair(4, 2).first],
+                             ids=["bsc", "partition"])
+    def test_unique_optimizer_skips_the_simplex(self, monkeypatch, ch):
+        calls = count_lp_calls(monkeypatch)
+        analyze_channel(ch)
+        assert calls == {"feasible_basis": 0, "lp_solve_max_coordinate": 0}
 
-        def counting(name):
-            fn = getattr(capacity, name)
+    @pytest.mark.parametrize("peak, r_star", [
+        (("0", "1"), [0.9, 0.1]),  # solved only by a negative mass on input 1
+        (("0",), [0.5, 0.5]),      # input 0 alone leaves a residual
+    ])
+    def test_unique_path_rejects_an_unreproducible_output(self, monkeypatch, peak, r_star):
+        calls = count_lp_calls(monkeypatch)
+        with pytest.raises(InconsistentCertificateError):
+            _support_union_lp(make_bsc(0.11), peak, Distribution(B, np.array(r_star)))
+        assert calls == {"feasible_basis": 0, "lp_solve_max_coordinate": 0}
 
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+    @pytest.mark.parametrize("rank_tol", [capacity._RANK_TOL, math.inf], ids=["unique", "lp"])
+    def test_mass_at_or_below_lp_tol_is_an_exact_zero(self, monkeypatch, rank_tol):
+        # input 1 can carry at most 1e-12, below _LP_TOL: it is outside the
+        # union, and the witness gives it nothing
+        monkeypatch.setattr(capacity, "_RANK_TOL", rank_tol)
+        r_star = Distribution(B, np.array([1.0 - 1e-12, 1e-12]))
+        union, witness = _support_union_lp(Channel(B, B, np.eye(2)), ("0", "1"), r_star)
+        assert union == ("0",)
+        assert witness[1] == 0.0
 
-            monkeypatch.setattr(capacity, name, wrapper)
+    def test_unique_and_lp_paths_agree_on_the_corpora(self, tmp_path, monkeypatch):
+        # every channel of the benchmark corpora has a unique optimizer; the
+        # simplex, forced by counting every system as rank deficient, must
+        # find the same union and the same witness
+        monkeypatch.syspath_prepend(str(TDBENCH))
+        from corpus import CORPORA
 
-        counting("feasible_basis")
-        counting("lp_solve_max_coordinate")
-        rep = analyze_channel(make_partition_pair(4, 2).first)
-        assert calls == {"feasible_basis": 1, "lp_solve_max_coordinate": len(rep.peak_set)}
+        specs = {}
+        for corpus in CORPORA.values():
+            for cmd in corpus(0, str(tmp_path)):
+                for spec in (cmd.pair.first, cmd.pair.second) if cmd.pair else (cmd.channel,):
+                    specs[spec.name] = spec
+        for spec in specs.values():
+            ch = Channel(Alphabet(tuple(spec.inputs)), Alphabet(tuple(spec.outputs)), spec.rows)
+            base = compute_capacity(ch)
+            peak = compute_peak_set(base)
+            union, witness = _support_union_lp(ch, peak, base.optimal_output)
+            with monkeypatch.context() as m:
+                m.setattr(capacity, "_RANK_TOL", math.inf)
+                lp_union, lp_witness = _support_union_lp(ch, peak, base.optimal_output)
+            assert union == lp_union, spec.name
+            assert np.abs(witness - lp_witness).max() <= 1e-12, spec.name
+            assert Distribution(ch.input, witness).support() == union, spec.name
 
 
 class TestIsCapacityAchieving:
@@ -358,6 +434,9 @@ class TestCertificateProperties:
     @example(channel(IDENTICAL_ROWS))
     @example(channel(DEAD_COLUMN_ROWS))
     @example(channel([[1, 0], [1, 0], [1, 0], [0, 1]]))  # bracket width rounds below 0
+    @example(channel(near_duplicate([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]], 1e-15)))
+    @example(channel(near_duplicate([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]], 1e-12)))
+    @example(channel(near_duplicate(NEAR_DUPLICATE_ROWS, 1e-6)))
     def test_analyze_channel_certifies(self, ch):
         tol = RunConfig.tol
         rep = analyze_channel(ch)
@@ -389,6 +468,14 @@ class TestCertificateProperties:
         rep = analyze_channel(channel(TWO_CYCLE_ROWS))
         assert rep.capacity == pytest.approx(1.0, abs=1e-12)
         assert rep.peak_set == rep.support_union == ("x0", "x1", "x3")
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3])
+    def test_more_near_peak_inputs_than_outputs_certify(self, eps):
+        # four near-peak rows reach three outputs; the polish solves on the
+        # three of largest divergence instead of a singular Newton system
+        rep = compute_capacity(channel(near_duplicate(NEAR_DUPLICATE_ROWS, eps)))
+        assert rep.iterations <= 8
+        assert 0.0 <= rep.gap <= RunConfig.tol
 
     @pytest.mark.parametrize("n_y", [32, 64])
     def test_random_channels_certify_within_128_iterations(self, n_y):

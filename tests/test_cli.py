@@ -21,6 +21,10 @@ from tdopt.cli import (
 from tdopt.core import Alphabet, Channel
 from tdopt.families import make_bsc, make_partition_pair
 
+# Four identical rows among six inputs reaching three outputs: the capacity
+# optimizer is not unique, so the support union runs the simplex.
+IDENTICAL_ROWS = np.array([[0, 0, 0, 1, 0]] * 4 + [[0, 0, 0.25, 0, 0.75], [0, 0, 0.5, 0.5, 0]])
+
 
 def run(argv):
     buf = io.StringIO()
@@ -31,6 +35,16 @@ def run(argv):
 def write_bsc(path, eps):
     save_channel(make_bsc(eps), str(path))
     return str(path)
+
+
+def assert_numeric_error(capsys, path):
+    """`capacity` and `verdict` on the channel at `path` exit EXIT_NUMERIC
+    with the inconsistent-certificate message."""
+    for argv in (["capacity", path], ["verdict", path, path, "--samples", "0"]):
+        code, _ = run(argv)
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "certificate is inconsistent" in err
 
 
 class TestChannelFiles:
@@ -245,9 +259,8 @@ class TestCapacityCommand:
         assert "support union: a0 a1 a2 a3" in out
 
     def test_identical_rows_exit_zero(self, tmp_path):
-        rows = np.array([[0, 0, 0, 1, 0]] * 4 + [[0, 0, 0.25, 0, 0.75], [0, 0, 0.5, 0.5, 0]])
         path = str(tmp_path / "dup.json")
-        save_channel(Channel(Alphabet.of_size(6), Alphabet.of_size(5, "y"), rows), path)
+        save_channel(Channel(Alphabet.of_size(6), Alphabet.of_size(5, "y"), IDENTICAL_ROWS), path)
         code, out = run(["capacity", path])
         assert code == EXIT_OK
         assert "capacity: 1 bits" in out
@@ -255,13 +268,18 @@ class TestCapacityCommand:
 
     @pytest.mark.parametrize("step", ["feasible_basis", "lp_solve_max_coordinate"])
     def test_inconsistent_certificate_is_numeric_error(self, tmp_path, monkeypatch, capsys, step):
-        b = write_bsc(tmp_path / "b.json", 0.11)
+        # more peak rows than outputs: the support union needs the simplex
+        path = str(tmp_path / "dup.json")
+        save_channel(Channel(Alphabet.of_size(6), Alphabet.of_size(5, "y"), IDENTICAL_ROWS), path)
         monkeypatch.setattr(f"tdopt.capacity.{step}", lambda *args: None)
-        for argv in (["capacity", b], ["verdict", b, b, "--samples", "0"]):
-            code, _ = run(argv)
-            assert code == EXIT_NUMERIC
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "certificate is inconsistent" in err
+        assert_numeric_error(capsys, path)
+
+    def test_inconsistent_unique_certificate_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        # BSC(0.11)'s optimizer is unique; with only input 0 counted as peak,
+        # no input on the peak set reproduces the uniform optimal output
+        b = write_bsc(tmp_path / "b.json", 0.11)
+        monkeypatch.setattr("tdopt.capacity.compute_peak_set", lambda rep, tol: rep.channel.input.symbols[:1])
+        assert_numeric_error(capsys, b)
 
     def test_seed_from_environment(self, tmp_path, monkeypatch):
         b = write_bsc(tmp_path / "b.json", 0.11)

@@ -1,6 +1,7 @@
 """Decision procedure: branch selection, certificates, evidence fallback,
 and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -196,6 +197,18 @@ class TestDecide:
         cfg = RunConfig(cardinalities=[np.int64(3), 3, 2])
         assert cfg.cardinalities == (3, 3, 2)
         assert all(type(c) is int for c in cfg.cardinalities)
+
+    @pytest.mark.parametrize("name", ["seed", "starts", "samples"])
+    def test_counts_kept_as_plain_ints(self, name):
+        cfg = dataclasses.replace(FAST, **{name: np.int64(3)})
+        assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
+        verdict = decide_td_optimality(BroadcastPair(make_bsc(0.1), make_bsc(0.3)), cfg)
+        assert json.loads(json.dumps(verdict_to_dict(verdict)))["config"][name] == 3
+
+    @pytest.mark.parametrize("name", ["seed", "starts", "samples"])
+    def test_bool_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            RunConfig(**{name: True})
 
     def test_reserved_inconclusive_status_exists(self):
         assert INCONCLUSIVE == "INCONCLUSIVE"
