@@ -13,7 +13,7 @@ import numpy as np
 from tdopt import (
     JointDistribution,
     RunConfig,
-    compute_capacity,
+    analyze_channel,
     marton_rates,
     sample_marton,
     sample_uv,
@@ -33,8 +33,8 @@ def merge_pair():
 
 def main():
     first, second = merge_pair()
-    rep1 = compute_capacity(first)
-    rep2 = compute_capacity(second)
+    rep1 = analyze_channel(first)
+    rep2 = analyze_channel(second)
     c1, c2 = rep1.capacity, rep2.capacity
     print(f"capacities: C1={c1:.6f}, C2={c2:.6f}")
     boundary = td_boundary_sample(c1, c2, count=5)

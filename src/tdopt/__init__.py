@@ -20,7 +20,7 @@ from .bounds import (
     timeshare_construction,
     timeshare_identities,
 )
-from .capacity import analyze_channel, compute_capacity, is_capacity_achieving
+from .capacity import analyze_channel, is_capacity_achieving
 from .comparison import (
     PerturbationProbe,
     divergence_form_check,
@@ -54,7 +54,6 @@ __all__ = [
     "PerturbationProbe",
     "RunConfig",
     "analyze_channel",
-    "compute_capacity",
     "decide_td_optimality",
     "divergence_form_check",
     "is_capacity_achieving",

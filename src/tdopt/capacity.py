@@ -6,8 +6,8 @@ and the union of supports over all capacity-achieving inputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,9 +15,7 @@ from .config import RunConfig
 from .core import FLOOR, LN2, Channel, Distribution, row_divergences
 from .simplex import feasible_basis, lp_solve_max_coordinate
 
-DEFAULT_TOL = RunConfig.tol            # bits, bracket width
-DEFAULT_MAX_ITER = 100_000
-DEFAULT_PEAK_TOL = RunConfig.peak_tol  # bits, slack below capacity still counted as peak
+_MAX_ITER = 100_000                    # alternating-maximization passes before ConvergenceError
 _LP_TOL = 1e-9                         # mass threshold deciding support-union membership
 _RANK_TOL = 1e-6                       # sigma_min / sigma_max below which the support-union
                                        # system counts as rank deficient; above it, rounding in
@@ -49,15 +47,33 @@ class InconsistentCertificateError(ConvergenceError):
         )
 
 
+class CapacityBracket(NamedTuple):
+    """A certified capacity bracket from `compute_capacity`, in nats.
+
+    `p` is the certified input and `q` its output on the channel's reachable
+    outputs; `lower` is the information rate of `p`, `upper` the largest of
+    the `divergences` D(W(.|x) || q), one per input x; `iterations` is the
+    iteration at which the bracket certified."""
+
+    p: np.ndarray
+    q: np.ndarray
+    lower: float
+    upper: float
+    divergences: np.ndarray
+    iterations: int
+
+
 @dataclass(frozen=True, eq=False)
 class CapacityReport:
-    """Capacity certificate for one channel.
+    """Capacity certificate for one channel; `analyze_channel` builds it.
 
     `capacity` is the midpoint of the final bracket and `gap` its width, both
     in bits; `iterations` is the iteration at which the bracket certified.
     `divergence_profile` holds D(W(.|x) || optimal output) in bits for every
-    input x, at the certified iterate. `peak_set` and `support_union` are
-    filled by `analyze_channel`; `compute_capacity` alone leaves them None.
+    input x, at the certified iterate. `peak_set` holds the inputs whose
+    divergence attains capacity, `support_union` the union of supports over
+    all capacity-achieving inputs, and `achieving_input` one such input whose
+    support is exactly that union.
     """
 
     channel: Channel
@@ -67,14 +83,14 @@ class CapacityReport:
     iterations: int
     gap: float
     divergence_profile: np.ndarray
-    peak_set: tuple[str, ...] | None = None
-    support_union: tuple[str, ...] | None = None
+    peak_set: tuple[str, ...]
+    support_union: tuple[str, ...]
 
 
 def full_support(report: CapacityReport) -> bool:
     """Whether the support union of `report`'s optimizers covers the channel's
     whole input alphabet: the full-support assumption."""
-    return report.support_union is not None and len(report.support_union) == len(report.channel.input)
+    return len(report.support_union) == len(report.channel.input)
 
 
 def _newton_refine(rows, row_neg_ent, p_start, d, support):
@@ -169,42 +185,27 @@ def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
     return None
 
 
-def compute_capacity(
-    ch: Channel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    init: Distribution | None = None,
-) -> CapacityReport:
-    """Channel capacity by alternating maximization with a certified bracket.
+def compute_capacity(ch: Channel, cfg: RunConfig = RunConfig()) -> CapacityBracket:
+    """Channel capacity by alternating maximization with a certified bracket,
+    started from the uniform input.
 
     Every iteration yields a lower bound (the current input's information
     rate) and an upper bound (the worst-case divergence to the current output
     iterate). At iterations 4, 8, 16, ... and at the iteration whose bracket
-    is first narrower than `tol` bits, an active-set Newton polish solves the
-    stationarity system from the current iterate; its result replaces the
-    iterate only when its own full-channel bracket is no wider than `tol`
+    is first narrower than `cfg.tol` bits, an active-set Newton polish solves
+    the stationarity system from the current iterate; its result replaces the
+    iterate only when its own full-channel bracket is no wider than `cfg.tol`
     bits and than the current bracket. Iteration stops at the first such
-    certificate, or once the plain bracket is narrower than `tol`, and the
-    midpoint is reported, with the divergences at the reported iterate as the
-    profile. Raises ConvergenceError if `max_iter` passes are not enough, and
-    ValueError if the optimal output misses a reachable output.
+    certificate, or once the plain bracket is narrower than `cfg.tol`, and
+    returns the bracket with its iterate and the divergences there. Raises
+    ConvergenceError if `_MAX_ITER` passes are not enough, and ValueError if
+    the optimal output misses a reachable output.
     """
     rows, row_neg_ent = ch.reduced_rows, ch.reduced_neg_ent
     n_x = rows.shape[0]
-
-    if init is None:
-        p = np.full(n_x, 1.0 / n_x)
-    else:
-        if init.alphabet != ch.input:
-            raise ValueError("initial distribution must live on the channel input alphabet")
-        if init.probs.min() <= 0.0:
-            raise ValueError("initial distribution must have full support")
-        p = init.probs.copy()
-
-    tol_nats = tol * LN2
-    lower = upper = math.nan
-    converged_at = 0
-    for it in range(1, max_iter + 1):
+    p = np.full(n_x, 1.0 / n_x)
+    tol_nats = cfg.tol * LN2
+    for it in range(1, _MAX_ITER + 1):
         q = p @ rows
         d = row_divergences(rows, row_neg_ent, q)
         upper = float(d.max())
@@ -219,26 +220,12 @@ def compute_capacity(
                 p, q, lower, upper, d = polished
                 stop = True
         if stop:
-            converged_at = it
-            break
+            _require_reachable_mass(ch, q)
+            return CapacityBracket(p, q, lower, upper, d, it)
         p = p * np.exp(d - upper)
         p = np.maximum(p, FLOOR)  # keeps reachable outputs strictly positive
         p /= p.sum()
-    else:
-        raise ConvergenceError((lower / LN2, upper / LN2), max_iter)
-
-    _require_reachable_mass(ch, q)
-    out_full = np.zeros(len(ch.output))
-    out_full[ch.reachable] = q
-    return CapacityReport(
-        channel=ch,
-        capacity=(lower + upper) / 2.0 / LN2,
-        achieving_input=Distribution(ch.input, p),
-        optimal_output=Distribution(ch.output, out_full),
-        iterations=converged_at,
-        gap=max(upper - lower, 0.0) / LN2,  # a width below 0 is rounding
-        divergence_profile=d / LN2,
-    )
+    raise ConvergenceError((lower / LN2, upper / LN2), _MAX_ITER)
 
 
 def _require_reachable_mass(ch: Channel, ref: np.ndarray):
@@ -266,19 +253,22 @@ def divergence_profile(ch: Channel, r_star: Distribution) -> np.ndarray:
     return row_divergences(ch.reduced_rows, ch.reduced_neg_ent, ref) / LN2
 
 
-def compute_peak_set(report: CapacityReport, tol_peak: float = DEFAULT_PEAK_TOL) -> tuple[str, ...]:
-    """Input symbols whose divergence to the optimal output attains capacity.
+def compute_peak_set(ch: Channel, capacity: float, gap: float, profile: np.ndarray,
+                     tol_peak: float) -> tuple[str, ...]:
+    """Input symbols whose divergence `profile` (bits) comes within `tol_peak`
+    bits of `capacity`.
 
-    The effective tolerance never drops below 10x the capacity bracket, since
-    symbols cannot be classified more finely than capacity itself is known.
+    The effective tolerance never drops below 10x the capacity bracket `gap`,
+    since symbols cannot be classified more finely than capacity itself is
+    known.
     """
-    eff = max(tol_peak, 10.0 * report.gap)
-    mask = report.divergence_profile >= report.capacity - eff
+    eff = max(tol_peak, 10.0 * gap)
+    mask = profile >= capacity - eff
     if not mask.any():
         raise ValueError(
             f"no input reaches capacity within {eff!r} bits; raise the peak tolerance"
         )
-    return tuple(s for s, m in zip(report.channel.input, mask) if m)
+    return tuple(s for s, m in zip(ch.input, mask) if m)
 
 
 def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
@@ -325,8 +315,6 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
 def is_capacity_achieving(p: Distribution, report: CapacityReport, tol: float = 1e-6) -> bool:
     """True iff supp(p) sits inside the peak set and p reproduces the optimal
     output within `tol` in max norm."""
-    if report.peak_set is None:
-        raise ValueError("report carries no peak set; run analyze_channel")
     if p.alphabet != report.channel.input:
         raise ValueError("distribution must live on the channel input alphabet")
     if not set(p.support()) <= set(report.peak_set):
@@ -339,8 +327,16 @@ def analyze_channel(ch: Channel, cfg: RunConfig = RunConfig()) -> CapacityReport
     """Full capacity certificate: capacity bracketed to `cfg.tol`, optimal
     output, divergence profile, peak set at `cfg.peak_tol`, support union,
     and an achieving input whose support is exactly the union."""
-    base = compute_capacity(ch, tol=cfg.tol)
-    peak = compute_peak_set(base, cfg.peak_tol)
-    union, witness = _support_union_lp(ch, peak, base.optimal_output)
-    return replace(base, peak_set=peak, support_union=union,
-                   achieving_input=Distribution(ch.input, witness))
+    bracket = compute_capacity(ch, cfg)
+    capacity = (bracket.lower + bracket.upper) / 2.0 / LN2
+    gap = max(bracket.upper - bracket.lower, 0.0) / LN2  # a width below 0 is rounding
+    profile = bracket.divergences / LN2
+    out_full = np.zeros(len(ch.output))
+    out_full[ch.reachable] = bracket.q
+    optimal_output = Distribution(ch.output, out_full)
+    peak = compute_peak_set(ch, capacity, gap, profile, cfg.peak_tol)
+    union, witness = _support_union_lp(ch, peak, optimal_output)
+    return CapacityReport(
+        channel=ch, capacity=capacity, achieving_input=Distribution(ch.input, witness),
+        optimal_output=optimal_output, iterations=bracket.iterations, gap=gap,
+        divergence_profile=profile, peak_set=peak, support_union=union)

@@ -63,6 +63,8 @@ def channel_from_dict(doc: dict, where: str) -> Channel:
     for key in ("input", "output", "matrix"):
         if key not in doc:
             raise ChannelFileError(f"{where}: missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise ChannelFileError(f"{where}: field {key!r} must be a list")
     try:
         inp = Alphabet(tuple(str(s) for s in doc["input"]))
         out = Alphabet(tuple(str(s) for s in doc["output"]))

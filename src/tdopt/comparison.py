@@ -307,8 +307,6 @@ def divergence_form_check(
     """
     _require_shared_input(ch1, ch2)
     for name, rep in (("first", rep1), ("second", rep2)):
-        if rep.support_union is None:
-            raise ValueError(f"{name} report lacks a support union; run analyze_channel")
         if not full_support(rep):
             raise AssumptionNotMetError(
                 f"the {name} channel's optimizers miss part of the input alphabet; "

@@ -53,6 +53,7 @@ class RunConfig:
             raise ValueError("starts and samples must be nonnegative")
         cards = self.cardinalities
         if not (isinstance(cards, (tuple, list)) and len(cards) == 3
-                and all(isinstance(c, numbers.Integral) and c >= 1 for c in cards)):
+                and all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 1
+                        for c in cards)):
             raise ValueError(f"cardinalities must be three counts >= 1, got {cards!r}")
         object.__setattr__(self, "cardinalities", tuple(int(c) for c in cards))

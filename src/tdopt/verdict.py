@@ -204,8 +204,8 @@ def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
         "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
         "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
         "divergence_profile": [sig12(d * scale) for d in rep.divergence_profile],
-        "peak_set": None if rep.peak_set is None else list(rep.peak_set),
-        "support_union": None if rep.support_union is None else list(rep.support_union),
+        "peak_set": list(rep.peak_set),
+        "support_union": list(rep.support_union),
     }
 
 

@@ -18,7 +18,6 @@ from tdopt import (
     PerturbationProbe,
     RunConfig,
     analyze_channel,
-    compute_capacity,
     decide_td_optimality,
     divergence_form_check,
     kl_divergence,
@@ -71,7 +70,7 @@ def test_criterion_01_closed_form_capacities():
     worst = 0.0
     for ch, expected in cases:
         start = time.perf_counter()
-        rep = compute_capacity(ch)
+        rep = analyze_channel(ch)
         elapsed = time.perf_counter() - start
         worst = max(worst, abs(rep.capacity - expected))
         assert abs(rep.capacity - expected) <= 1e-6
@@ -197,8 +196,8 @@ def test_criterion_07_binary_grid_oracle():
         nz = int(rng.integers(2, 5))
         ch1 = random_channel(rng, 2, ny)
         ch2 = random_channel(rng, 2, nz, out_prefix="z")
-        c1 = compute_capacity(ch1).capacity
-        c2 = compute_capacity(ch2).capacity
+        c1 = analyze_channel(ch1).capacity
+        c2 = analyze_channel(ch2).capacity
         if min(c1, c2) < 1e-3:  # ratio check needs clearly positive capacities
             continue
         checked += 1
@@ -246,7 +245,7 @@ def test_criterion_09_no_false_violations():
     for label, ch1, ch2 in optimal_pairs:
         verdict = decide_td_optimality(BroadcastPair(ch1, ch2), RunConfig(samples=0))
         assert verdict.status == TD_OPTIMAL, label
-        report = sample_marton(ch1, ch2, compute_capacity(ch1), compute_capacity(ch2), sampling)
+        report = sample_marton(ch1, ch2, analyze_channel(ch1), analyze_channel(ch2), sampling)
         overall = min(overall, report.min_slack)
         assert report.min_slack >= -1e-6, label
 
@@ -254,8 +253,8 @@ def test_criterion_09_no_false_violations():
     report = sample_marton(
         partition.first,
         partition.second,
-        compute_capacity(partition.first),
-        compute_capacity(partition.second),
+        analyze_channel(partition.first),
+        analyze_channel(partition.second),
         sampling,
     )
     overall = min(overall, report.min_slack)

@@ -25,7 +25,7 @@ from tdopt.bounds import (
     timeshare_identities,
     uv_bound_rates,
 )
-from tdopt.capacity import compute_capacity
+from tdopt.capacity import analyze_channel
 from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,
@@ -344,7 +344,7 @@ class TestTimeshareConstruction:
 def sampled(sampler, ch1, ch2, **cfg):
     """`sampler` run from the two channels' capacity reports under
     `RunConfig(**cfg)`."""
-    return sampler(ch1, ch2, compute_capacity(ch1), compute_capacity(ch2), RunConfig(**cfg))
+    return sampler(ch1, ch2, analyze_channel(ch1), analyze_channel(ch2), RunConfig(**cfg))
 
 
 class TestSampling:
@@ -372,7 +372,7 @@ class TestSampling:
         points = rep.sample.points
         assert points.shape == (2 * (2 + 20), 2) and points.dtype == np.float64
         assert not points.flags.writeable
-        c1, c2 = compute_capacity(ch1).capacity, compute_capacity(ch2).capacity
+        c1, c2 = analyze_channel(ch1).capacity, analyze_channel(ch2).capacity
         slacks = 1.0 - points[:, 0] / c1 - points[:, 1] / c2
         assert rep.min_slack == slacks.min()
         assert np.array_equal(rep.worst_point, points[slacks.argmin()])
@@ -387,15 +387,15 @@ class TestSampling:
 
     def test_uv_probe_reaches_single_user_corner(self):
         ch1, ch2 = make_bsc(0.11), make_bsc(0.3)
-        c1 = compute_capacity(ch1).capacity
+        c1 = analyze_channel(ch1).capacity
         rep = sampled(sample_uv, ch1, ch2, samples=10, seed=0)
         best_r1 = rep.sample.points[:, 0].max()
         assert best_r1 == pytest.approx(c1, abs=1e-9)
 
     def test_worst_aux_replays_slack(self):
         ch1, ch2 = merge_pair()
-        rep1 = compute_capacity(ch1)
-        rep2 = compute_capacity(ch2)
+        rep1 = analyze_channel(ch1)
+        rep2 = analyze_channel(ch2)
         srep = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=300, seed=1))
         assert srep.worst_aux is not None
         replay = marton_rates(srep.worst_aux, ch1, ch2)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pathlib
 
@@ -21,6 +20,7 @@ from tdopt.capacity import (
 )
 from tdopt.config import RunConfig
 from tdopt.core import (
+    LN2,
     Alphabet,
     Channel,
     Distribution,
@@ -28,6 +28,7 @@ from tdopt.core import (
     mutual_information,
     neg_entropy,
     push_forward,
+    row_divergences,
 )
 from tdopt.families import make_bec, make_bsc, make_partition_pair
 
@@ -94,29 +95,29 @@ def count_lp_calls(monkeypatch):
 class TestClosedFormCapacities:
     @pytest.mark.parametrize("eps", [0.05, 0.11, 0.25, 0.45])
     def test_bsc(self, eps):
-        rep = compute_capacity(make_bsc(eps))
+        rep = analyze_channel(make_bsc(eps))
         assert rep.capacity == pytest.approx(1.0 - h2(eps), abs=1e-9)
         assert np.allclose(rep.achieving_input.probs, [0.5, 0.5], atol=1e-6)
         assert np.allclose(rep.optimal_output.probs, [0.5, 0.5], atol=1e-6)
 
     @pytest.mark.parametrize("eps", [0.1, 0.4, 0.9])
     def test_bec(self, eps):
-        rep = compute_capacity(make_bec(eps))
+        rep = analyze_channel(make_bec(eps))
         assert rep.capacity == pytest.approx(1.0 - eps, abs=1e-9)
 
     def test_identity(self):
-        rep = compute_capacity(make_identity(4))
+        rep = analyze_channel(make_identity(4))
         assert rep.capacity == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_channel_zero_capacity(self):
         ch = Channel(B, B, np.array([[0.3, 0.7], [0.3, 0.7]]))
-        rep = compute_capacity(ch)
+        rep = analyze_channel(ch)
         assert rep.capacity == pytest.approx(0.0, abs=1e-12)
 
     def test_partition_pair_golden(self):
         pair = make_partition_pair(4, 2)
-        assert compute_capacity(pair.first).capacity == pytest.approx(2.0, abs=1e-9)
-        assert compute_capacity(pair.second).capacity == pytest.approx(1.0, abs=1e-9)
+        assert analyze_channel(pair.first).capacity == pytest.approx(2.0, abs=1e-9)
+        assert analyze_channel(pair.second).capacity == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBracket:
@@ -124,7 +125,7 @@ class TestBracket:
         rng = np.random.default_rng(42)
         for _ in range(20):
             ch = random_channel(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            rep = compute_capacity(ch)
+            rep = analyze_channel(ch)
             assert 0.0 <= rep.gap <= 1e-10
             bound = min(math.log2(len(ch.input)), math.log2(len(ch.output)))
             assert -1e-9 <= rep.capacity <= bound + 1e-9
@@ -151,26 +152,18 @@ class TestBracket:
                 continue
             assert prof.max() >= rep.capacity - 1e-9
 
-    def test_non_convergence_raises_with_bracket(self):
+    def test_non_convergence_raises_with_bracket(self, monkeypatch):
         ch = Channel(B, B, np.array([[0.9, 0.1], [0.4, 0.6]]))
+        monkeypatch.setattr(capacity, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc:
-            compute_capacity(ch, tol=1e-15, max_iter=1)
+            compute_capacity(ch, RunConfig(tol=1e-15))
         lo, hi = exc.value.bracket_bits
         assert hi > lo and exc.value.iterations == 1
-
-    def test_optimal_output_unique_across_initializations(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            ch = random_channel(rng, 4, 3)
-            rep_a = compute_capacity(ch)
-            init = random_distribution(rng, ch.input, alpha=5.0)
-            rep_b = compute_capacity(ch, init=init)
-            assert np.abs(rep_a.optimal_output.probs - rep_b.optimal_output.probs).max() <= 1e-6
 
     def test_unreachable_outputs_ignored(self):
         wide = Channel(B, Alphabet(("0", "1", "dead")),
                        np.array([[0.89, 0.11, 0.0], [0.11, 0.89, 0.0]]))
-        rep = compute_capacity(wide)
+        rep = analyze_channel(wide)
         assert rep.capacity == pytest.approx(1.0 - h2(0.11), abs=1e-9)
         assert rep.optimal_output.prob("dead") == 0.0
 
@@ -183,7 +176,7 @@ class TestDivergenceProfile:
 
     def test_partition_channel_profile(self):
         pair = make_partition_pair(4, 2)
-        rep = compute_capacity(pair.first)
+        rep = analyze_channel(pair.first)
         prof = divergence_profile(pair.first, rep.optimal_output)
         assert np.allclose(prof[:4], 2.0, atol=1e-9)
         assert np.allclose(prof[4:], 0.0, atol=1e-9)
@@ -206,14 +199,12 @@ class TestPeakSet:
 
     def test_empty_peak_set_rejected(self):
         rep = analyze_channel(make_bsc(0.11))
-        doctored = dataclasses.replace(rep, capacity=5.0)
         with pytest.raises(ValueError, match="tolerance"):
-            compute_peak_set(doctored)
+            compute_peak_set(rep.channel, 5.0, rep.gap, rep.divergence_profile, RunConfig.peak_tol)
 
     def test_average_divergence_saturates_on_peak_set(self):
         # any input supported on the peak set realizes capacity as its
         # average divergence to the optimal output
-        from tdopt.core import LN2, neg_entropy, row_divergences
         rng = np.random.default_rng(12)
         for _ in range(10):
             ch = random_channel(rng, 4, 4)
@@ -324,15 +315,13 @@ class TestSupportUnion:
                     specs[spec.name] = spec
         for spec in specs.values():
             ch = Channel(Alphabet(tuple(spec.inputs)), Alphabet(tuple(spec.outputs)), spec.rows)
-            base = compute_capacity(ch)
-            peak = compute_peak_set(base)
-            union, witness = _support_union_lp(ch, peak, base.optimal_output)
+            rep = analyze_channel(ch)
             with monkeypatch.context() as m:
                 m.setattr(capacity, "_RANK_TOL", math.inf)
-                lp_union, lp_witness = _support_union_lp(ch, peak, base.optimal_output)
-            assert union == lp_union, spec.name
-            assert np.abs(witness - lp_witness).max() <= 1e-12, spec.name
-            assert Distribution(ch.input, witness).support() == union, spec.name
+                lp_union, lp_witness = _support_union_lp(ch, rep.peak_set, rep.optimal_output)
+            assert rep.support_union == lp_union, spec.name
+            assert np.abs(rep.achieving_input.probs - lp_witness).max() <= 1e-12, spec.name
+            assert rep.achieving_input.support() == rep.support_union, spec.name
 
 
 class TestIsCapacityAchieving:
@@ -356,11 +345,6 @@ class TestIsCapacityAchieving:
         rep = analyze_channel(pair.first)
         p = Distribution(pair.first.input, np.array([0.25, 0.25, 0.25, 0.25, 0.0, 0.0]))
         assert is_capacity_achieving(p, rep)
-
-    def test_requires_analyzed_report(self):
-        rep = compute_capacity(make_bsc(0.11))
-        with pytest.raises(ValueError, match="peak set"):
-            is_capacity_achieving(rep.achieving_input, rep)
 
 
 class TestFullSupportIdentity:
@@ -399,6 +383,14 @@ def small_channels(draw):
     if erasure:
         rows = np.hstack([(1.0 - erasure) * rows, np.full((n_x, 1), erasure)])
     return channel(rows)
+
+
+@st.composite
+def relabelled_channels(draw):
+    """A small channel and permutations of its input and output symbols."""
+    ch = draw(small_channels())
+    return (ch, draw(st.permutations(range(len(ch.input)))),
+            draw(st.permutations(range(len(ch.output)))))
 
 
 def information_bits(p, rows):
@@ -461,8 +453,26 @@ class TestCertificateProperties:
             assert same_bits(got, want) and not got.flags.writeable
             assert (got.strides, got.flags.c_contiguous, got.flags.f_contiguous) == \
                 (want.strides, want.flags.c_contiguous, want.flags.f_contiguous)
-        rep = compute_capacity(ch)
+        rep = analyze_channel(ch)
         assert same_bits(rep.divergence_profile, divergence_profile(ch, rep.optimal_output))
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_channels())
+    @example((channel(IDENTICAL_ROWS), [5, 4, 3, 2, 1, 0], [4, 3, 2, 1, 0]))
+    def test_certificate_invariant_under_relabelling(self, relabelled):
+        # permuting the input and output symbols permutes the certificate;
+        # witnesses are not compared, since the simplex path averages LP
+        # vertices whose choice depends on the symbol order
+        ch, px, py = relabelled
+        px, py = np.array(px), np.array(py)
+        moved = Channel(Alphabet(tuple(ch.input.symbols[i] for i in px)),
+                        Alphabet(tuple(ch.output.symbols[j] for j in py)), ch.rows[px][:, py])
+        cfg = RunConfig()
+        rep, rep_moved = analyze_channel(ch, cfg), analyze_channel(moved, cfg)
+        assert abs(rep.capacity - rep_moved.capacity) <= cfg.tol
+        assert np.abs(rep.optimal_output.probs[py] - rep_moved.optimal_output.probs).max() <= 1e-6
+        assert set(rep.peak_set) == set(rep_moved.peak_set)
+        assert set(rep.support_union) == set(rep_moved.support_union)
 
     def test_two_cycle_channel(self):
         rep = analyze_channel(channel(TWO_CYCLE_ROWS))
@@ -473,15 +483,15 @@ class TestCertificateProperties:
     def test_more_near_peak_inputs_than_outputs_certify(self, eps):
         # four near-peak rows reach three outputs; the polish solves on the
         # three of largest divergence instead of a singular Newton system
-        rep = compute_capacity(channel(near_duplicate(NEAR_DUPLICATE_ROWS, eps)))
-        assert rep.iterations <= 8
-        assert 0.0 <= rep.gap <= RunConfig.tol
+        bracket = compute_capacity(channel(near_duplicate(NEAR_DUPLICATE_ROWS, eps)))
+        assert bracket.iterations <= 8
+        assert bracket.upper - bracket.lower <= RunConfig.tol * LN2
 
     @pytest.mark.parametrize("n_y", [32, 64])
     def test_random_channels_certify_within_128_iterations(self, n_y):
         # the Newton polish certifies these by iteration 64; the plain
         # iteration alone needs thousands
         rows = np.random.default_rng(0).dirichlet(np.full(n_y, 0.5), size=64)
-        rep = compute_capacity(channel(rows))
-        assert rep.iterations <= 128
-        assert 0.0 <= rep.gap <= RunConfig.tol
+        bracket = compute_capacity(channel(rows))
+        assert bracket.iterations <= 128
+        assert bracket.upper - bracket.lower <= RunConfig.tol * LN2

@@ -70,6 +70,20 @@ class TestChannelFiles:
         with pytest.raises(ValueError, match="output"):
             load_channel(str(path))
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"input": 5, "output": ["0"], "matrix": [[1.0]]}', "input"),
+        ('{"input": "01", "output": ["0"], "matrix": [[1.0], [1.0]]}', "input"),
+        ('{"input": ["0"], "output": {"0": 1}, "matrix": [[1.0]]}', "output"),
+        ('{"input": ["0"], "output": ["0"], "matrix": 5}', "matrix"),
+    ])
+    def test_non_list_field_rejected(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "ch.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match=f"ch.json: field '{field}' must be a list"):
+            load_channel(str(path))
+        assert run(["capacity", str(path)])[0] == EXIT_INPUT
+        assert f"field '{field}' must be a list" in capsys.readouterr().err
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_text('{"input": ["0", "1"], "output": ["0"], "matrix": [[1.0]]}')
@@ -278,7 +292,7 @@ class TestCapacityCommand:
         # BSC(0.11)'s optimizer is unique; with only input 0 counted as peak,
         # no input on the peak set reproduces the uniform optimal output
         b = write_bsc(tmp_path / "b.json", 0.11)
-        monkeypatch.setattr("tdopt.capacity.compute_peak_set", lambda rep, tol: rep.channel.input.symbols[:1])
+        monkeypatch.setattr("tdopt.capacity.compute_peak_set", lambda ch, *rest: ch.input.symbols[:1])
         assert_numeric_error(capsys, b)
 
     def test_seed_from_environment(self, tmp_path, monkeypatch):

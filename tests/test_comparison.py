@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tdopt.capacity import analyze_channel, compute_capacity
+from tdopt.capacity import analyze_channel
 from tdopt.comparison import (
     HOLDS_UP_TO_SEARCH,
     VIOLATED,
@@ -251,7 +251,7 @@ class TestMoreCapable:
 class TestRatioCondition:
     def test_identical_channels_hold(self):
         ch = make_bec(0.25)
-        c = compute_capacity(ch).capacity
+        c = analyze_channel(ch).capacity
         v = ratio_condition_check(ch, ch, c, c)
         assert v.status == HOLDS_UP_TO_SEARCH
         assert v.gap >= -1e-12
@@ -276,8 +276,8 @@ class TestRatioCondition:
 
     def test_bsc_pair_matches_grid_oracle(self):
         ch1, ch2 = make_bsc(0.1), make_bsc(0.3)
-        c1 = compute_capacity(ch1).capacity
-        c2 = compute_capacity(ch2).capacity
+        c1 = analyze_channel(ch1).capacity
+        c2 = analyze_channel(ch2).capacity
         v = ratio_condition_check(ch1, ch2, c1, c2)
         grid = bern_grid()
         vals = mi_bits_batch(ch2, grid) / c2 - mi_bits_batch(ch1, grid) / c1
@@ -344,12 +344,6 @@ class TestDivergenceForm:
         with pytest.raises(AssumptionNotMetError, match="miss"):
             divergence_form_check(pair.first, pair.second, rep1, rep2)
 
-    def test_unanalyzed_report_rejected(self):
-        ch = make_bsc(0.2)
-        bare = compute_capacity(ch)
-        with pytest.raises(ValueError, match="support union"):
-            divergence_form_check(ch, ch, bare, bare)
-
 
 class TestVertexScreen:
     def test_identical_channels_hold_with_equality(self):
@@ -387,13 +381,13 @@ class TestVertexScreen:
         r_z = push_forward(rep1.achieving_input, pair.second)
         assert np.allclose(r_z.probs, rep2.optimal_output.probs, atol=1e-9)
 
-    def test_screens_bare_reports_by_their_profile(self):
-        # every report carries its profile, so no analyze_channel pass is needed
-        ch = make_bsc(0.2)
-        bare = compute_capacity(ch)
-        screen = vertex_screen(ch, ch, bare, bare)
-        assert same_bits(screen.div_first_peak, bare.divergence_profile)
-        assert same_bits(screen.div_second_peak, analyze_channel(ch).divergence_profile)
+    def test_screens_reports_by_their_profile(self):
+        # the peak columns are the reports' own profiles, not recomputed
+        ch1, ch2 = make_bsc(0.2), make_bsc(0.3)
+        rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+        screen = vertex_screen(ch1, ch2, rep1, rep2)
+        assert same_bits(screen.div_first_peak, rep1.divergence_profile)
+        assert same_bits(screen.div_second_peak, rep2.divergence_profile)
 
 
 class TestPerturbation:

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_identity
 from tdopt.bounds import SampleReport
-from tdopt.capacity import compute_capacity
+from tdopt.capacity import analyze_channel
 from tdopt.comparison import HOLDS_UP_TO_SEARCH, VIOLATED
 from tdopt.config import RunConfig
 from tdopt.core import Alphabet, BroadcastPair, Channel, Distribution, mutual_information
@@ -33,7 +33,7 @@ FAST = RunConfig(samples=200, starts=16)
 
 
 def evidence(pair):
-    return evidence_mode(pair, compute_capacity(pair.first), compute_capacity(pair.second), FAST)
+    return evidence_mode(pair, analyze_channel(pair.first), analyze_channel(pair.second), FAST)
 
 
 def merge_pair():
@@ -178,7 +178,7 @@ class TestDecide:
         with pytest.raises(ValueError, match="degenerate"):
             decide_td_optimality(BroadcastPair(bsc, dead), FAST)
 
-    @pytest.mark.parametrize("cards", [(0, 2), (0, 2, 2), (2, 2, 2.5), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("cards", [(0, 2), (0, 2, 2), (2, 2, 2.5), (2, 2, 2, 2), (True, 2, 2)])
     def test_malformed_cardinalities_rejected(self, cards):
         with pytest.raises(ValueError, match="cardinalities must be three counts >= 1"):
             decide_td_optimality(
