@@ -31,6 +31,12 @@ def merge_pair():
     return first, second
 
 
+def zeroed(x: float) -> float:
+    """`x` rounded to the 6 printed decimals, so that a rounding-level
+    negative value prints as 0 rather than as a negative zero."""
+    return round(x, 6) + 0.0
+
+
 def main():
     first, second = merge_pair()
     rep1 = analyze_channel(first)
@@ -47,7 +53,7 @@ def main():
         report = sampler(first, second, rep1, rep2, cfg)
         r1, r2 = report.worst_point
         print(f"{name}: {len(report.sample.points)} corner points sampled")
-        print(f"  min TD slack {report.min_slack:+.6f} at ({r1:.4f}, {r2:.4f})")
+        print(f"  min TD slack {zeroed(report.min_slack):+.6f} at ({r1:.4f}, {r2:.4f})")
 
     # the violation random search hunts for, written down directly: let the
     # input be two independent fair bits, U the low bit, V the high bit

@@ -32,6 +32,12 @@ def merge_pair() -> BroadcastPair:
     return BroadcastPair(first, second)
 
 
+def zeroed(x: float) -> float:
+    """`x` rounded to the 6 printed decimals, so that a rounding-level
+    negative value prints as 0 rather than as a negative zero."""
+    return round(x, 6) + 0.0
+
+
 def show(label, pair, cfg):
     v = decide_td_optimality(pair, cfg)
     print(f"{label}")
@@ -41,16 +47,17 @@ def show(label, pair, cfg):
         f"search_limited {v.search_limited}"
     )
     for name, check in v.checks.items():
-        print(f"  {name}: {check.status} (gap {check.gap:+.6f})")
+        print(f"  {name}: {check.status} (gap {zeroed(check.gap):+.6f})")
     for w in v.witnesses:
         replay1 = mutual_information(w, pair.first)
         replay2 = mutual_information(w, pair.second)
         print(
             f"  witness {np.array2string(w.probs, precision=4)} "
-            f"replays to I1={replay1:.6f}, I2={replay2:.6f}"
+            f"replays to I1={zeroed(replay1):.6f}, I2={zeroed(replay2):.6f}"
         )
     if v.evidence is not None:
-        print(f"  sampled evidence: min inner-bound TD slack {v.evidence.min_marton_slack:+.6f}")
+        slack = zeroed(v.evidence.min_marton_slack)
+        print(f"  sampled evidence: min inner-bound TD slack {slack:+.6f}")
     print()
 
 

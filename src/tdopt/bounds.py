@@ -271,14 +271,12 @@ def timeshare_identities(
 
 @dataclass(frozen=True, eq=False)
 class RegionSample:
-    """Sampled rate points from one bound, reproducible from the metadata:
-    `points` is a read-only (N, 2) array of (R1, R2) rows in bits."""
+    """Rate points from one bound: `points` is a read-only (N, 2) array of
+    (R1, R2) rows in bits. A sampled bound is reproduced from the RunConfig
+    it was drawn under, which holds its seed, sample count and cardinalities."""
 
     points: np.ndarray
     source: str  # MARTON, UV or TD
-    seed: int
-    cardinalities: tuple[int, int, int]
-    samples: int
 
 
 def region_csv(samples, scale: float = 1.0) -> str:
@@ -390,8 +388,8 @@ def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
     points = np.concatenate(batches) if batches else np.empty((0, 2))
     points.flags.writeable = False
     slack, row, aux = worst
-    sample = RegionSample(points, source, cfg.seed, cards, n_samples)
-    return SampleReport(sample, slack, None if row is None else points[row], aux)
+    worst_point = None if row is None else points[row]
+    return SampleReport(RegionSample(points, source), slack, worst_point, aux)
 
 
 def sample_marton(
@@ -436,4 +434,4 @@ def td_boundary_sample(c1: float, c2: float, count: int = 101) -> RegionSample:
     alphas = np.linspace(1.0, 0.0, count)
     points = np.stack([alphas * c1, (1.0 - alphas) * c2], axis=1)
     points.flags.writeable = False
-    return RegionSample(points, TD, 0, (1, 1, 1), count)
+    return RegionSample(points, TD)

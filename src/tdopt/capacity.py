@@ -20,6 +20,7 @@ _LP_TOL = 1e-9                         # mass threshold deciding support-union m
 _RANK_TOL = 1e-6                       # sigma_min / sigma_max below which the support-union
                                        # system counts as rank deficient; above it, rounding in
                                        # its solution stays well under _LP_TOL
+OUTPUT_TOL = 1e-6                      # max-norm slack for reproducing the optimal output
 
 
 class ConvergenceError(RuntimeError):
@@ -312,15 +313,15 @@ def _support_union_lp(ch: Channel, peak: tuple[str, ...], r_star: Distribution):
     return tuple(s for s, m in zip(peak, member) if m), full
 
 
-def is_capacity_achieving(p: Distribution, report: CapacityReport, tol: float = 1e-6) -> bool:
+def is_capacity_achieving(p: Distribution, report: CapacityReport) -> bool:
     """True iff supp(p) sits inside the peak set and p reproduces the optimal
-    output within `tol` in max norm."""
+    output within OUTPUT_TOL in max norm."""
     if p.alphabet != report.channel.input:
         raise ValueError("distribution must live on the channel input alphabet")
     if not set(p.support()) <= set(report.peak_set):
         return False
     pushed = p.probs @ report.channel.rows
-    return bool(np.abs(pushed - report.optimal_output.probs).max() <= tol)
+    return bool(np.abs(pushed - report.optimal_output.probs).max() <= OUTPUT_TOL)
 
 
 def analyze_channel(ch: Channel, cfg: RunConfig = RunConfig()) -> CapacityReport:

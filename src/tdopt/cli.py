@@ -251,7 +251,7 @@ _ONE_PARAMETER_FAMILIES = {
 }
 
 
-def cmd_example_gen(args, cfg: RunConfig, out) -> int:
+def cmd_example_gen(args, out) -> int:
     family = args.family
     params = args.params
     if family in _ONE_PARAMETER_FAMILIES:
@@ -364,9 +364,7 @@ def _parse_card(text: str) -> tuple[int, int, int]:
 
 
 def _env_seed() -> int:
-    raw = os.environ.get("TDOPT_SEED")
-    if raw is None:
-        return 0
+    raw = os.environ.get("TDOPT_SEED", "0")
     try:
         return int(raw)
     except ValueError as exc:
@@ -376,44 +374,46 @@ def _env_seed() -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `tdopt` argument parser, built once per process: parsing leaves it
-    unchanged, and each call of `main` gets a fresh namespace."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="capacity bracket tolerance (bits)")
-    common.add_argument("--tol-k", type=float, default=None, dest="peak_tol", metavar="TOL_K", help="peak-set divergence tolerance (bits)")
-    common.add_argument("--violation-tol", type=float, default=None, help="search violation threshold (bits)")
-    common.add_argument("--cap-eq-tol", type=float, default=None, help="capacity equality tolerance (bits)")
-    common.add_argument("--seed", type=int, default=None, help="master seed (overrides TDOPT_SEED)")
-    common.add_argument("--starts", type=int, default=None, help="random starts per simplex search")
-    common.add_argument("--samples", type=int, default=None, help="auxiliary joints per region sample")
-    common.add_argument("--card", type=_parse_card, default=None, dest="cardinalities", metavar="U,V,W", help="sampled auxiliary cardinalities")
-    common.add_argument("--units", choices=("bits", "nats"), default=None, help="information units in reports")
-    common.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
+    unchanged, and each call of `main` gets a fresh namespace. The run settings
+    go on the commands that run the procedure, --json on those writing JSON."""
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--tol", type=float, default=None, help="capacity bracket tolerance (bits)")
+    settings.add_argument("--tol-k", type=float, default=None, dest="peak_tol", metavar="TOL_K", help="peak-set divergence tolerance (bits)")
+    settings.add_argument("--violation-tol", type=float, default=None, help="search violation threshold (bits)")
+    settings.add_argument("--cap-eq-tol", type=float, default=None, help="capacity equality tolerance (bits)")
+    settings.add_argument("--seed", type=int, default=None, help="master seed (overrides TDOPT_SEED)")
+    settings.add_argument("--starts", type=int, default=None, help="random starts per simplex search")
+    settings.add_argument("--samples", type=int, default=None, help="auxiliary joints per region sample")
+    settings.add_argument("--card", type=_parse_card, default=None, dest="cardinalities", metavar="U,V,W", help="sampled auxiliary cardinalities")
+    settings.add_argument("--units", choices=("bits", "nats"), default=None, help="information units in reports")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
 
     parser = argparse.ArgumentParser(prog="tdopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity", parents=[common], help="capacity certificate for one channel")
+    p = sub.add_parser("capacity", parents=[settings, report], help="capacity certificate for one channel")
     p.add_argument("file")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("verdict", parents=[common], help="time-division optimality verdict for a pair")
+    p = sub.add_parser("verdict", parents=[settings, report], help="time-division optimality verdict for a pair")
     p.add_argument("file1")
     p.add_argument("file2")
     p.set_defaults(func=cmd_verdict)
 
-    p = sub.add_parser("region", parents=[common], help="sampled rate-region CSV for a pair")
+    p = sub.add_parser("region", parents=[settings], help="sampled rate-region CSV for a pair")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--out", default=None, metavar="PATH", help="CSV destination (stdout when omitted)")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("example-gen", parents=[common], help="generate stock channel files")
+    p = sub.add_parser("example-gen", help="generate stock channel files")
     p.add_argument("family", choices=("bsc", "bec", "sec4"))
     p.add_argument("params", nargs="*", type=float)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_example_gen)
 
-    p = sub.add_parser("analyze", parents=[common], help="capacity and comparison tables for a pair")
+    p = sub.add_parser("analyze", parents=[settings, report], help="capacity and comparison tables for a pair")
     p.add_argument("file1")
     p.add_argument("file2")
     p.set_defaults(func=cmd_analyze)
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The defaults, replaced by every common flag that is set (each flag's
+    """The defaults, replaced by every settings flag that is set (each flag's
     destination is its RunConfig field); the seed comes from TDOPT_SEED when
     --seed is absent."""
     fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -441,8 +441,9 @@ def main(argv=None, out=None) -> int:
         # argparse already printed its diagnostic; fold the exit code in
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return args.func(args, cfg, out)
+        if args.func is cmd_example_gen:
+            return cmd_example_gen(args, out)
+        return args.func(args, _config_from_args(args), out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .capacity import CapacityReport, full_support
+from .capacity import OUTPUT_TOL, CapacityReport, full_support
 from .config import RunConfig
 from .core import (
     LN2,
@@ -380,7 +380,7 @@ def vertex_screen(
         first_family_holds=first_holds,
         second_family_holds=second_holds,
         mixed_output_gap=gap,
-        mixed_output_is_optimal=second_holds and gap <= 1e-6,
+        mixed_output_is_optimal=second_holds and gap <= OUTPUT_TOL,
     )
 
 

@@ -12,13 +12,14 @@ NATS_UNITS = "nats"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob a full run exposes, with the library-wide defaults.
+    """Every knob a full run exposes, with the library-wide defaults; samples
+    and verdict documents read a run's settings from here and keep no copies.
 
     tol            capacity bracket width (bits) before a report is accepted
     peak_tol       divergence slack that still counts a symbol as peak
     violation_tol  negative search margin treated as a real violation (bits)
     cap_eq_tol     capacity difference treated as equality (bits)
-    seed           master seed for searches and sampling
+    seed           master seed for searches and sampling, nonnegative
     starts         random restarts per simplex search
     samples        auxiliary joints drawn per region sample
     cardinalities  (|U|, |V|, |W|) for sampled auxiliaries
@@ -51,6 +52,8 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         if self.samples < 0 or self.starts < 0:
             raise ValueError("starts and samples must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         cards = self.cardinalities
         if not (isinstance(cards, (tuple, list)) and len(cards) == 3
                 and all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 1

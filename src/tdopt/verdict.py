@@ -13,7 +13,7 @@ branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bounds import SampleReport, sample_marton, sample_uv
 from .capacity import CapacityReport, analyze_channel, full_support
@@ -245,32 +245,28 @@ def verdict_to_dict(v: TDVerdict) -> dict:
         },
         "checks": {name: _check_dict(c, scale) for name, c in v.checks.items()},
         "witnesses": [[sig12(p) for p in w.probs] for w in v.witnesses],
+        # every setting but the units, which the document carries at top level
         "config": {
-            "seed": v.config.seed,
-            "starts": v.config.starts,
-            "samples": v.config.samples,
-            "cardinalities": list(v.config.cardinalities),
-            "tol": v.config.tol,
-            "peak_tol": v.config.peak_tol,
-            "violation_tol": v.config.violation_tol,
-            "cap_eq_tol": v.config.cap_eq_tol,
-        },
+            f.name: getattr(v.config, f.name) for f in fields(RunConfig) if f.name != "units"
+        } | {"cardinalities": list(v.config.cardinalities)},
         "evidence": None,
     }
     if v.evidence is not None:
-        doc["evidence"] = evidence_to_dict(v.evidence, v.config.units)
+        doc["evidence"] = evidence_to_dict(v.evidence, v.config)
     return doc
 
 
-def evidence_to_dict(ev: EvidenceReport, units: str = "bits") -> dict:
-    scale = unit_scale(units)
+def evidence_to_dict(ev: EvidenceReport, cfg: RunConfig) -> dict:
+    """Plain-dict form of evidence sampled under `cfg`, which supplies each
+    side's sample count, seed and cardinalities and the worst point's units."""
+    scale = unit_scale(cfg.units)
 
     def side(rep: SampleReport) -> dict:
         return {
             "points": len(rep.sample.points),
-            "samples": rep.sample.samples,
-            "seed": rep.sample.seed,
-            "cardinalities": list(rep.sample.cardinalities),
+            "samples": cfg.samples,
+            "seed": cfg.seed,
+            "cardinalities": list(cfg.cardinalities),
             "min_td_slack": sig12(rep.min_slack),
             "worst_point": None
             if rep.worst_point is None

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random objects and brute-force oracles.
+"""Shared helpers: seeded random objects, hypothesis strategies and
+brute-force oracles.
 
 Oracles here are written independently of the library internals (plain loops
 over dicts and explicit log2 sums) so agreement is meaningful.
@@ -10,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tdopt.core import Alphabet, Channel, Distribution, JointDistribution
 
@@ -18,6 +20,14 @@ def same_bits(a, b) -> bool:
     """Equal shapes and bytes: -0.0 differs from 0.0. A plain bool, so a
     failing assert does not diff long byte strings."""
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stochastic(n_rows: int, n_cols: int):
+    """Row-stochastic matrices from small integer weights, so zero entries are
+    common: points on simplex faces and channels that miss outputs."""
+    row = st.lists(st.integers(0, 4), min_size=n_cols, max_size=n_cols).filter(any)
+    weights = st.lists(row, min_size=n_rows, max_size=n_rows)
+    return weights.map(lambda w: np.array(w, dtype=float) / np.sum(w, axis=1, keepdims=True))
 
 
 def random_distribution(rng, alphabet: Alphabet, alpha: float = 1.0) -> Distribution:

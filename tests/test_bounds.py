@@ -421,7 +421,7 @@ class TestSampling:
 
 class TestSerialization:
     def test_csv_shape_and_precision(self):
-        sample = RegionSample(np.array([[1.0 / 3.0, 0.25], [0.0, 1.0]]), MARTON, 0, (2, 2, 2), 2)
+        sample = RegionSample(np.array([[1.0 / 3.0, 0.25], [0.0, 1.0]]), MARTON)
         text = region_csv((sample,))
         lines = text.splitlines()
         assert lines[0] == "source,R1,R2"
@@ -430,8 +430,8 @@ class TestSerialization:
         assert text.endswith("\n")
 
     def test_csv_joins_samples_under_one_header_and_scales(self):
-        first = RegionSample(np.array([[1.0, 0.5]]), MARTON, 0, (2, 2, 2), 1)
-        second = RegionSample(np.array([[0.25, 2.0]]), TD, 0, (1, 1, 1), 1)
+        first = RegionSample(np.array([[1.0, 0.5]]), MARTON)
+        second = RegionSample(np.array([[0.25, 2.0]]), TD)
         lines = region_csv((first, second), math.log(2.0)).splitlines()
         assert lines == [
             "source,R1,R2",

@@ -247,7 +247,7 @@ class TestSupportUnion:
             rep = analyze_channel(ch)
             w = rep.achieving_input
             assert w.support() == rep.support_union
-            assert is_capacity_achieving(w, rep, tol=1e-6)
+            assert is_capacity_achieving(w, rep)
 
     def test_identical_rows_certify(self):
         # four identical rows make the polish's Newton system singular; each

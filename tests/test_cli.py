@@ -154,6 +154,20 @@ class TestExitCodes:
         assert code == EXIT_INPUT and out == ""
         assert capsys.readouterr().err == "error: violation_tol must be finite, got nan\n"
 
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")])
+    def test_negative_seed_is_input_error_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                          flag, env):
+        # the config is checked before the channel files are read or analyzed
+        monkeypatch.setattr("tdopt.cli.load_channel", lambda path: pytest.fail("file read"))
+        if env is None:
+            monkeypatch.delenv("TDOPT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TDOPT_SEED", env)
+        code, out = run(["verdict", str(tmp_path / "a.json"), str(tmp_path / "b.json"), *flag])
+        assert code == EXIT_INPUT and out == ""
+        seed = flag[1] if flag else env
+        assert capsys.readouterr().err == f"error: seed must be nonnegative, got {seed}\n"
+
     def test_unknown_command_is_usage_error(self, capsys):
         code, _ = run(["frobnicate"])
         assert code == EXIT_INPUT
@@ -242,6 +256,39 @@ class TestExampleGen:
         code, _ = run(["example-gen", "sec4", size, "2", "--out", str(tmp_path / "p.json")])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "error: sec4 takes two integer block sizes\n"
+
+
+class TestCommandFlags:
+    """Each command accepts only the settings it reads: the run settings go on
+    the four commands that run the procedure, --json on those writing JSON."""
+
+    @pytest.mark.parametrize("command", ["region", "example-gen"])
+    def test_json_rejected_where_no_json_is_written(self, tmp_path, capsys, command):
+        b = write_bsc(tmp_path / "b.json", 0.1)
+        operands = [b, b, "--samples", "0"] if command == "region" else ["bsc", "0.1"]
+        dest = tmp_path / "x.json"
+        code, _ = run([command, *operands, "--out", str(tmp_path / "o"), "--json", str(dest)])
+        assert code == EXIT_INPUT
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_example_gen_rejects_run_settings(self, tmp_path, capsys):
+        dest = tmp_path / "b.json"
+        code, _ = run(["example-gen", "bsc", "0.1", "--out", str(dest), "--tol", "1"])
+        assert code == EXIT_INPUT
+        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_example_gen_ignores_environment_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TDOPT_SEED", "abc")
+        dest = tmp_path / "b.json"
+        assert run(["example-gen", "bsc", "0.1", "--out", str(dest)])[0] == EXIT_OK
+        assert load_channel(str(dest)).rows.tolist() == [[0.9, 0.1], [0.1, 0.9]]
+
+    def test_example_gen_help_lists_only_its_own_arguments(self, capsys):
+        assert run(["example-gen", "--help"])[0] == EXIT_OK
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: tdopt example-gen [-h] --out PATH {bsc,bec,sec4} [params ...]"
 
 
 class TestCapacityCommand:

@@ -62,20 +62,12 @@ from tdopt.core import (
 )
 from tdopt.families import make_partition_pair
 
-from conftest import same_bits
+from conftest import same_bits, stochastic
 
 _TOL = 4096 * np.finfo(float).eps
 
 settings.register_profile("kernel", max_examples=60, deadline=None)
 settings.load_profile("kernel")
-
-
-def stochastic(n_rows: int, n_cols: int):
-    """Row-stochastic matrices from small integer weights, so zero entries are
-    common: points on simplex faces and channels that miss outputs."""
-    row = st.lists(st.integers(0, 4), min_size=n_cols, max_size=n_cols).filter(any)
-    weights = st.lists(row, min_size=n_rows, max_size=n_rows)
-    return weights.map(lambda w: np.array(w, dtype=float) / np.sum(w, axis=1, keepdims=True))
 
 
 @st.composite

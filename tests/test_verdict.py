@@ -4,13 +4,18 @@ and serialization."""
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_identity
+from conftest import make_identity, stochastic
 from tdopt.bounds import SampleReport
 from tdopt.capacity import analyze_channel
+from tdopt.cli import load_channel, save_channel
 from tdopt.comparison import HOLDS_UP_TO_SEARCH, VIOLATED
 from tdopt.config import RunConfig
 from tdopt.core import Alphabet, BroadcastPair, Channel, Distribution, mutual_information
@@ -210,6 +215,11 @@ class TestDecide:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             RunConfig(**{name: True})
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be nonnegative"):
+            RunConfig(seed=seed)
+
     def test_reserved_inconclusive_status_exists(self):
         assert INCONCLUSIVE == "INCONCLUSIVE"
 
@@ -269,6 +279,19 @@ class TestSerialization:
         assert doc["config"]["seed"] == FAST.seed
         assert doc["checks"]["more_capable_forward"]["witness"] is None
 
+    def test_config_block_and_evidence_read_the_run_config(self):
+        cfg = RunConfig(samples=40, starts=4, seed=5, cardinalities=(2, 3, 2))
+        doc = verdict_to_dict(decide_td_optimality(make_partition_pair(4, 2), cfg))
+        # every setting but the units, which the document carries at top level
+        assert doc["config"] == {
+            "tol": 1e-10, "peak_tol": 1e-6, "violation_tol": 1e-7, "cap_eq_tol": 1e-6,
+            "seed": 5, "starts": 4, "samples": 40, "cardinalities": [2, 3, 2],
+        }
+        for side in ("marton", "uv"):
+            assert doc["evidence"][side]["samples"] == 40
+            assert doc["evidence"][side]["seed"] == 5
+            assert doc["evidence"][side]["cardinalities"] == [2, 3, 2]
+
     def test_nats_scale_capacities(self):
         cfg_bits = FAST
         cfg_nats = RunConfig(samples=200, starts=16, units="nats")
@@ -285,3 +308,143 @@ class TestSerialization:
         vec = doc["witnesses"][0]
         assert sum(vec) == pytest.approx(1.0, abs=1e-9)
         assert doc["checks"]["ratio_condition"]["status"] == VIOLATED
+
+
+INVARIANCE = RunConfig(starts=8, samples=100)
+
+
+@st.composite
+def small_pairs(draw) -> BroadcastPair:
+    """Pairs on 2 or 3 inputs from small integer weights, neither channel
+    constant. The second channel is drawn afresh, a copy of the first (an
+    exact capacity tie) or the first with its outputs reversed (equal
+    capacities up to rounding), so both theorem branches come up."""
+    nx = draw(st.integers(2, 3))
+
+    def rows():
+        return stochastic(nx, draw(st.integers(2, 3))).filter(lambda r: np.any(r != r[0]))
+
+    first = draw(rows())
+    second = draw(st.one_of(rows(), st.just(first), st.just(first[:, ::-1].copy())))
+    x = Alphabet.of_size(nx)
+    return BroadcastPair(
+        Channel(x, Alphabet.of_size(first.shape[1], "y"), first),
+        Channel(x, Alphabet.of_size(second.shape[1], "z"), second),
+    )
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def check_bits(checks) -> dict:
+    return {
+        name: (c.status, bits(c.gap), None if c.witness is None else bits(c.witness.probs),
+               c.starts, c.evaluations)
+        for name, c in checks.items()
+    }
+
+
+def verdict_bits(v) -> tuple:
+    """Everything a verdict decides or reports, except its config, with every
+    real as its bytes: equal tuples are bit-identical verdicts."""
+    reports = tuple(
+        (bits(r.capacity), bits(r.achieving_input.probs), r.peak_set, r.support_union)
+        for r in (v.first_report, v.second_report)
+    )
+    evidence = None if v.evidence is None else tuple(
+        (bits(side.min_slack), bits(side.sample.points))
+        for side in (v.evidence.marton, v.evidence.uv)
+    )
+    witnesses = [bits(w.probs) for w in v.witnesses]
+    return v.status, v.branch, v.swapped, reports, check_bits(v.checks), witnesses, evidence
+
+
+def reloaded(ch: Channel, directory: str, name: str) -> Channel:
+    path = os.path.join(directory, f"{name}.json")
+    save_channel(ch, path)
+    return load_channel(path)
+
+
+def reloaded_pair(pair: BroadcastPair) -> BroadcastPair:
+    with tempfile.TemporaryDirectory() as directory:
+        return BroadcastPair(
+            reloaded(pair.first, directory, "first"), reloaded(pair.second, directory, "second")
+        )
+
+
+def relabelled(ch: Channel, in_perm, out_perm) -> Channel:
+    return Channel(
+        Alphabet(tuple(ch.input.symbols[i] for i in in_perm)),
+        Alphabet(tuple(ch.output.symbols[j] for j in out_perm)),
+        ch.rows[np.ix_(in_perm, out_perm)],
+    )
+
+
+def clear_of_boundaries(v) -> bool:
+    """No check gap between -1e-4 and -1e-9, where a budgeted search may or
+    may not reach a violation beyond violation_tol, and a capacity
+    difference more than 1e-9 away from cap_eq_tol, where rounding could pick
+    the other branch."""
+    gaps_clear = all(not -1e-4 < c.gap < -1e-9 for c in v.checks.values())
+    difference = abs(v.first_report.capacity - v.second_report.capacity)
+    return gaps_clear and abs(difference - v.config.cap_eq_tol) > 1e-9
+
+
+class TestInvariance:
+    """Properties of the whole verdict over small pairs (ROADMAP: swapping the
+    pair, bits vs nats, save/load, and relabelling symbols)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_pairs())
+    def test_swapping_the_pair(self, pair):
+        v = decide_td_optimality(pair, INVARIANCE)
+        w = decide_td_optimality(BroadcastPair(pair.second, pair.first), INVARIANCE)
+        assert (w.status, w.branch) == (v.status, v.branch)
+        checks, witnesses = dict(w.checks), w.witnesses
+        tie = v.first_report.capacity == v.second_report.capacity
+        if v.status == ASSUMPTION_VIOLATED or tie:
+            # a failed assumption never orders the pair and an exact tie keeps
+            # the caller's order, so `swapped` stays false; on a tie the two
+            # more-capable directions trade places instead
+            assert not v.swapped and not w.swapped
+            if tie and v.status != ASSUMPTION_VIOLATED:
+                checks = {"more_capable_forward": w.checks["more_capable_backward"],
+                          "more_capable_backward": w.checks["more_capable_forward"]}
+                witnesses = witnesses[::-1]
+        else:
+            assert w.swapped is not v.swapped
+        assert check_bits(checks) == check_bits(v.checks)
+        assert [bits(p.probs) for p in witnesses] == [bits(p.probs) for p in v.witnesses]
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_pairs())
+    def test_nats_change_only_the_units(self, pair):
+        v = decide_td_optimality(pair, INVARIANCE)
+        n = decide_td_optimality(pair, dataclasses.replace(INVARIANCE, units="nats"))
+        assert n.config == dataclasses.replace(v.config, units="nats")
+        assert verdict_bits(n) == verdict_bits(v)
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_pairs())
+    def test_channel_read_back_from_its_file_gives_the_same_verdict(self, pair):
+        saved = reloaded_pair(pair)
+        again = reloaded_pair(saved)
+        assert verdict_bits(decide_td_optimality(again, INVARIANCE)) == verdict_bits(
+            decide_td_optimality(saved, INVARIANCE)
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(small_pairs(), st.data())
+    def test_relabelling_and_reloading_keep_status_and_branch(self, pair, data):
+        in_perm = data.draw(st.permutations(range(len(pair.first.input))))
+        relabelled_pair = BroadcastPair(*(
+            relabelled(ch, in_perm, data.draw(st.permutations(range(len(ch.output)))))
+            for ch in (pair.first, pair.second)
+        ))
+        verdicts = [decide_td_optimality(p, INVARIANCE)
+                    for p in (pair, relabelled_pair, reloaded_pair(pair))]
+        # examples on a search or branch boundary are dropped, see clear_of_boundaries
+        assume(all(clear_of_boundaries(v) for v in verdicts))
+        for v in verdicts[1:]:
+            assert (v.status, v.branch) == (verdicts[0].status, verdicts[0].branch)
