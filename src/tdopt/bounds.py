@@ -279,17 +279,6 @@ class RegionSample:
     source: str  # MARTON, UV or TD
 
 
-def region_csv(samples, scale: float = 1.0) -> str:
-    """CSV of the rate points of `samples`, one header line, rates multiplied
-    by `scale` (1.0 for bits) and written to 12 significant digits."""
-    lines = ["source,R1,R2"]
-    for sample in samples:
-        lines.extend(
-            f"{sample.source},{r1:.12g},{r2:.12g}" for r1, r2 in (sample.points * scale).tolist()
-        )
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True, eq=False)
 class SampleReport:
     """A RegionSample plus its worst time-division slack and, when that

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .bounds import region_csv, sample_marton, sample_uv, td_boundary_sample
+from .bounds import SampleReport, sample_marton, sample_uv, td_boundary_sample
 from .capacity import CapacityReport, ConvergenceError, analyze_channel, full_support
 from .comparison import (
     divergence_form_check,
@@ -26,16 +26,10 @@ from .comparison import (
     ratio_condition_check,
     vertex_screen,
 )
-from .config import RunConfig
-from .core import Alphabet, AlphabetMismatchError, BroadcastPair, Channel
+from .config import BITS_UNITS, RunConfig
+from .core import LN2, Alphabet, AlphabetMismatchError, BroadcastPair, Channel
 from .families import make_bec, make_bsc, make_partition_pair
-from .verdict import (
-    capacity_to_dict,
-    decide_td_optimality,
-    sig12,
-    unit_scale,
-    verdict_to_dict,
-)
+from .verdict import EvidenceReport, TDVerdict, decide_td_optimality
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,8 +41,106 @@ class ChannelFileError(ValueError):
     and the offending field."""
 
 
+def sig12(x: float) -> float:
+    """`x` rounded to 12 significant digits, so equal runs serialize byte-identically."""
+    return float(f"{x:.12g}")
+
+
 def _fmt(x: float) -> str:
+    """The text form of `sig12(x)`: `_fmt(sig12(x)) == _fmt(x)`, so a text
+    line printed from a document reads as if printed from the report."""
     return f"{x:.12g}"
+
+
+def unit_scale(units: str) -> float:
+    """Factor taking a quantity in bits to `units`."""
+    return 1.0 if units == BITS_UNITS else LN2
+
+
+def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
+    """Plain-dict form of a capacity certificate for JSON emission, with
+    magnitudes in `units` and reals rounded to 12 significant digits."""
+    scale = unit_scale(units)
+    return {
+        "units": units,
+        "capacity": sig12(rep.capacity * scale),
+        "bracket": sig12(rep.gap * scale),
+        "iterations": rep.iterations,
+        "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
+        "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
+        "divergence_profile": [sig12(d * scale) for d in rep.divergence_profile],
+        "peak_set": list(rep.peak_set),
+        "support_union": list(rep.support_union),
+    }
+
+
+def verdict_to_dict(v: TDVerdict) -> dict:
+    """Plain-dict form of a verdict for JSON emission: scalar magnitudes in the
+    configured units, probability vectors unitless, reals at 12 digits."""
+    units = v.config.units
+    scale = unit_scale(units)
+    first, second = (capacity_to_dict(rep, units) for rep in (v.first_report, v.second_report))
+    return {
+        "status": v.status,
+        "branch": v.branch,
+        "swapped": v.swapped,
+        "search_limited": v.search_limited,
+        "units": units,
+        "channels": {
+            name: {k: d[k] for k in ("capacity", "peak_set", "support_union", "optimal_output")}
+            for name, d in (("first", first), ("second", second))
+        },
+        "checks": {
+            name: {
+                "status": c.status,
+                "gap": sig12(c.gap * scale),
+                "witness": None if c.witness is None else [sig12(p) for p in c.witness.probs],
+                "starts": c.starts,
+                "evaluations": c.evaluations,
+            }
+            for name, c in v.checks.items()
+        },
+        "witnesses": [[sig12(p) for p in w.probs] for w in v.witnesses],
+        # every setting but the units, which the document carries at top level
+        "config": {k: x for k, x in dataclasses.asdict(v.config).items() if k != "units"}
+        | {"cardinalities": list(v.config.cardinalities)},
+        "evidence": None if v.evidence is None else evidence_to_dict(v.evidence, v.config),
+    }
+
+
+def evidence_to_dict(ev: EvidenceReport, cfg: RunConfig) -> dict:
+    """Plain-dict form of evidence sampled under `cfg`, which supplies each
+    side's sample count, seed and cardinalities and the worst point's units."""
+    scale = unit_scale(cfg.units)
+
+    def side(rep: SampleReport) -> dict:
+        return {
+            "points": len(rep.sample.points),
+            "samples": cfg.samples,
+            "seed": cfg.seed,
+            "cardinalities": list(cfg.cardinalities),
+            "min_td_slack": sig12(rep.min_slack),
+            "worst_point": None
+            if rep.worst_point is None
+            else [sig12(r) for r in (rep.worst_point * scale).tolist()],
+        }
+
+    return {
+        "marton": side(ev.marton),
+        "uv": side(ev.uv),
+        "violating_aux_present": ev.violating_aux is not None,
+    }
+
+
+def region_csv(samples, scale: float = 1.0) -> str:
+    """CSV of the rate points of `samples`, one header line, rates multiplied
+    by `scale` (1.0 for bits) and written to 12 significant digits."""
+    lines = ["source,R1,R2"]
+    for sample in samples:
+        lines.extend(
+            f"{sample.source},{_fmt(r1)},{_fmt(r2)}" for r1, r2 in (sample.points * scale).tolist()
+        )
+    return "\n".join(lines) + "\n"
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -124,34 +216,31 @@ def save_channel(ch: Channel, path: str):
 def _config_header(cfg: RunConfig) -> str:
     card = ",".join(str(c) for c in cfg.cardinalities)
     return (
-        f"config: tol={cfg.tol:g} tol_k={cfg.peak_tol:g} "
-        f"violation_tol={cfg.violation_tol:g} cap_eq_tol={cfg.cap_eq_tol:g} "
+        f"config: tol={_fmt(cfg.tol)} tol_k={_fmt(cfg.peak_tol)} "
+        f"violation_tol={_fmt(cfg.violation_tol)} cap_eq_tol={_fmt(cfg.cap_eq_tol)} "
         f"seed={cfg.seed} starts={cfg.starts} samples={cfg.samples} "
         f"card={card} units={cfg.units}"
     )
 
 
-def _print_capacity_report(name: str, rep: CapacityReport, cfg: RunConfig, out):
-    scale = unit_scale(cfg.units)
-    print(f"channel: {name}", file=out)
-    print(
-        f"  alphabet: {len(rep.channel.input)} inputs, {len(rep.channel.output)} outputs",
-        file=out,
-    )
-    print(f"  capacity: {_fmt(rep.capacity * scale)} {cfg.units}", file=out)
-    print(
-        f"  bracket: {_fmt(rep.gap * scale)} after {rep.iterations} iterations",
-        file=out,
-    )
+def _print_capacity_report(name: str, ch: Channel, doc: dict, out):
+    """Print the capacity document `doc` of channel `ch`, which supplies only
+    the symbol names."""
     probs = " ".join(
-        f"{sym}={_fmt(p)}" for sym, p in zip(rep.channel.output.symbols, rep.optimal_output.probs)
+        f"{sym}={_fmt(p)}" for sym, p in zip(ch.output.symbols, doc["optimal_output"])
     )
-    print(f"  optimal output: {probs}", file=out)
-    print("  divergence profile:", file=out)
-    for sym, d in zip(rep.channel.input.symbols, rep.divergence_profile):
-        print(f"    {sym}: {_fmt(d * scale)}", file=out)
-    print(f"  peak set: {' '.join(rep.peak_set)}", file=out)
-    print(f"  support union: {' '.join(rep.support_union)}", file=out)
+    lines = [
+        f"channel: {name}",
+        f"  alphabet: {len(ch.input)} inputs, {len(ch.output)} outputs",
+        f"  capacity: {_fmt(doc['capacity'])} {doc['units']}",
+        f"  bracket: {_fmt(doc['bracket'])} after {doc['iterations']} iterations",
+        f"  optimal output: {probs}",
+        "  divergence profile:",
+        *(f"    {sym}: {_fmt(d)}" for sym, d in zip(ch.input.symbols, doc["divergence_profile"])),
+        f"  peak set: {' '.join(doc['peak_set'])}",
+        f"  support union: {' '.join(doc['support_union'])}",
+    ]
+    print(*lines, sep="\n", file=out)
 
 
 def _write_json(path: str, doc: dict):
@@ -160,11 +249,11 @@ def _write_json(path: str, doc: dict):
 
 def cmd_capacity(args, cfg: RunConfig, out) -> int:
     ch = load_channel(args.file)
-    rep = analyze_channel(ch, cfg)
+    doc = capacity_to_dict(analyze_channel(ch, cfg), cfg.units)
     print(_config_header(cfg), file=out)
-    _print_capacity_report(args.file, rep, cfg, out)
+    _print_capacity_report(args.file, ch, doc, out)
     if args.json:
-        _write_json(args.json, capacity_to_dict(rep, cfg.units))
+        _write_json(args.json, doc)
     return EXIT_OK
 
 
@@ -179,44 +268,38 @@ def _load_pair(args) -> BroadcastPair:
 
 def cmd_verdict(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
-    v = decide_td_optimality(pair, cfg)
-    scale = unit_scale(cfg.units)
-    print(_config_header(cfg), file=out)
-    print(f"status: {v.status}", file=out)
-    print(f"branch: {v.branch}", file=out)
-    print(f"swapped: {str(v.swapped).lower()}", file=out)
-    print(
-        f"capacities: C1={_fmt(v.first_report.capacity * scale)} "
-        f"C2={_fmt(v.second_report.capacity * scale)} {cfg.units}",
-        file=out,
-    )
-    for name, rep in (("first", v.first_report), ("second", v.second_report)):
-        print(
-            f"{name}: peak set [{' '.join(rep.peak_set)}] "
-            f"support union [{' '.join(rep.support_union)}]",
-            file=out,
+    doc = verdict_to_dict(decide_td_optimality(pair, cfg))
+    channels, ev = doc["channels"], doc["evidence"]
+    lines = [
+        _config_header(cfg),
+        f"status: {doc['status']}",
+        f"branch: {doc['branch']}",
+        f"swapped: {str(doc['swapped']).lower()}",
+        f"capacities: C1={_fmt(channels['first']['capacity'])} "
+        f"C2={_fmt(channels['second']['capacity'])} {doc['units']}",
+        *(
+            f"{name}: peak set [{' '.join(c['peak_set'])}] "
+            f"support union [{' '.join(c['support_union'])}]"
+            for name, c in channels.items()
+        ),
+        *(
+            f"check {name}: {c['status']} gap={_fmt(c['gap'])} "
+            f"starts={c['starts']} evaluations={c['evaluations']}"
+            for name, c in doc["checks"].items()
+        ),
+        *(f"witness {i}: {' '.join(_fmt(p) for p in w)}" for i, w in enumerate(doc["witnesses"])),
+    ]
+    if doc["search_limited"]:
+        lines.append("note: optimality is certified only up to the search budget")
+    if ev is not None:
+        lines.append(
+            f"evidence: marton min slack {_fmt(ev['marton']['min_td_slack'])} over "
+            f"{ev['marton']['points']} points; uv min slack {_fmt(ev['uv']['min_td_slack'])} "
+            f"over {ev['uv']['points']} points"
         )
-    for name, check in v.checks.items():
-        print(
-            f"check {name}: {check.status} gap={_fmt(check.gap * scale)} "
-            f"starts={check.starts} evaluations={check.evaluations}",
-            file=out,
-        )
-    for i, w in enumerate(v.witnesses):
-        vec = " ".join(_fmt(p) for p in w.probs)
-        print(f"witness {i}: {vec}", file=out)
-    if v.search_limited:
-        print("note: optimality is certified only up to the search budget", file=out)
-    if v.evidence is not None:
-        ev = v.evidence
-        print(
-            f"evidence: marton min slack {_fmt(ev.min_marton_slack)} over "
-            f"{len(ev.marton.sample.points)} points; "
-            f"uv min slack {_fmt(ev.uv.min_slack)} over {len(ev.uv.sample.points)} points",
-            file=out,
-        )
+    print(*lines, sep="\n", file=out)
     if args.json:
-        _write_json(args.json, verdict_to_dict(v))
+        _write_json(args.json, doc)
     return EXIT_OK
 
 
@@ -296,10 +379,6 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
     rep1 = analyze_channel(pair.first, cfg)
     rep2 = analyze_channel(pair.second, cfg)
     scale = unit_scale(cfg.units)
-    print(_config_header(cfg), file=out)
-    _print_capacity_report(args.file1, rep1, cfg, out)
-    _print_capacity_report(args.file2, rep2, cfg, out)
-
     checks = {
         "more_capable_forward": more_capable_check(pair.first, pair.second, cfg),
         "more_capable_backward": more_capable_check(pair.second, pair.first, cfg),
@@ -309,46 +388,43 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
     }
     if full_support(rep1) and full_support(rep2):
         checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, cfg)
-    print("comparison:", file=out)
-    for key, check in checks.items():
-        print(f"  {_ANALYZE_LABELS[key]}: {check.status} gap={_fmt(check.gap * scale)}", file=out)
-    if "divergence_form" not in checks:
-        print("  divergence_form: skipped (support union misses input symbols)", file=out)
-
     screen = vertex_screen(pair.first, pair.second, rep1, rep2)
-    print("vertex screen (per input symbol, divergences in " + cfg.units + "):", file=out)
-    header = f"  {'symbol':<10} {'D1@mix2':>14} {'D2@peak':>14} {'D2@mix1':>14} {'D1@peak':>14}"
-    print(header, file=out)
+    doc = {
+        "first": capacity_to_dict(rep1, cfg.units),
+        "second": capacity_to_dict(rep2, cfg.units),
+        "checks": {k: checks[k].status if k in checks else "SKIPPED" for k in _ANALYZE_LABELS},
+        "gaps": {k: sig12(checks[k].gap * scale) if k in checks else None for k in _ANALYZE_LABELS},
+        "vertex_screen": {
+            "first_family_holds": screen.first_family_holds,
+            "second_family_holds": screen.second_family_holds,
+            "mixed_output_gap": sig12(screen.mixed_output_gap),
+        },
+    }
+
+    print(_config_header(cfg), file=out)
+    _print_capacity_report(args.file1, pair.first, doc["first"], out)
+    _print_capacity_report(args.file2, pair.second, doc["second"], out)
+    lines = ["comparison:"]
+    for key, label in _ANALYZE_LABELS.items():
+        if doc["gaps"][key] is None:
+            lines.append(f"  {label}: skipped (support union misses input symbols)")
+        else:
+            lines.append(f"  {label}: {doc['checks'][key]} gap={_fmt(doc['gaps'][key])}")
+    # the per-symbol divergences are not in the document: the table reads the screen
+    lines.append(f"vertex screen (per input symbol, divergences in {cfg.units}):")
+    columns = {"D1@mix2": screen.div_first_at_second_mix, "D2@peak": screen.div_second_peak,
+               "D2@mix1": screen.div_second_at_first_mix, "D1@peak": screen.div_first_peak}
+    lines.append(f"  {'symbol':<10}" + "".join(f" {name:>14}" for name in columns))
     for i, sym in enumerate(screen.symbols):
-        print(
-            f"  {sym:<10} {_fmt(screen.div_first_at_second_mix[i] * scale):>14}"
-            f" {_fmt(screen.div_second_peak[i] * scale):>14}"
-            f" {_fmt(screen.div_second_at_first_mix[i] * scale):>14}"
-            f" {_fmt(screen.div_first_peak[i] * scale):>14}",
-            file=out,
-        )
-    print(
-        f"  first family holds: {str(screen.first_family_holds).lower()}; "
-        f"second family holds: {str(screen.second_family_holds).lower()}; "
-        f"mixed output gap: {_fmt(screen.mixed_output_gap)}",
-        file=out,
+        lines.append(f"  {sym:<10}" + "".join(f" {_fmt(c[i] * scale):>14}" for c in columns.values()))
+    families = doc["vertex_screen"]
+    lines.append(
+        f"  first family holds: {str(families['first_family_holds']).lower()}; "
+        f"second family holds: {str(families['second_family_holds']).lower()}; "
+        f"mixed output gap: {_fmt(families['mixed_output_gap'])}"
     )
+    print(*lines, sep="\n", file=out)
     if args.json:
-        statuses = {key: check.status for key, check in checks.items()}
-        gaps = {key: sig12(check.gap * scale) for key, check in checks.items()}
-        statuses.setdefault("divergence_form", "SKIPPED")
-        gaps.setdefault("divergence_form", None)
-        doc = {
-            "first": capacity_to_dict(rep1, cfg.units),
-            "second": capacity_to_dict(rep2, cfg.units),
-            "checks": statuses,
-            "gaps": gaps,
-            "vertex_screen": {
-                "first_family_holds": screen.first_family_holds,
-                "second_family_holds": screen.second_family_holds,
-                "mixed_output_gap": sig12(screen.mixed_output_gap),
-            },
-        }
         _write_json(args.json, doc)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .bounds import SampleReport, sample_marton, sample_uv
 from .capacity import CapacityReport, analyze_channel, full_support
@@ -24,8 +24,8 @@ from .comparison import (
     more_capable_check,
     ratio_condition_check,
 )
-from .config import BITS_UNITS, RunConfig
-from .core import LN2, BroadcastPair, Distribution, JointDistribution
+from .config import RunConfig
+from .core import BroadcastPair, Distribution, JointDistribution
 
 TD_OPTIMAL = "TD_OPTIMAL"
 TD_NOT_OPTIMAL = "TD_NOT_OPTIMAL"
@@ -70,8 +70,7 @@ class TDVerdict:
 
     Reports stay in caller order; `swapped` records whether the internal
     comparison treated the second channel as the stronger one. `checks` holds
-    every simplex search consulted, keyed by role, and `witnesses` collects
-    the violating inputs (if any) in the order the checks ran.
+    every simplex search consulted, keyed by role.
     """
 
     status: str
@@ -80,9 +79,16 @@ class TDVerdict:
     first_report: CapacityReport
     second_report: CapacityReport
     checks: dict[str, SearchVerdict]
-    witnesses: tuple[Distribution, ...]
     evidence: EvidenceReport | None
     config: RunConfig
+
+    @property
+    def witnesses(self) -> tuple[Distribution, ...]:
+        """The violating inputs of a TD_NOT_OPTIMAL verdict, in the order the
+        checks ran; empty for any other status."""
+        if self.status != TD_NOT_OPTIMAL:
+            return ()
+        return tuple(c.witness for c in self.checks.values())
 
     @property
     def search_limited(self) -> bool:
@@ -132,7 +138,6 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
             first_report=rep_first,
             second_report=rep_second,
             checks={},
-            witnesses=(),
             evidence=evidence_mode(pair, rep_first, rep_second, cfg),
             config=cfg,
         )
@@ -148,26 +153,19 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
     branch = theorem_statement_normalization(
         strong_rep.capacity, weak_rep.capacity, cfg.cap_eq_tol
     )
-    checks: dict[str, SearchVerdict] = {}
-
     if branch == CAPACITY_GAP_RATIO:
-        ratio = ratio_condition_check(
-            strong_ch, weak_ch, strong_rep.capacity, weak_rep.capacity, cfg
-        )
-        checks["ratio_condition"] = ratio
-        if ratio.status == VIOLATED:
-            status, witnesses = TD_NOT_OPTIMAL, (ratio.witness,)
-        else:
-            status, witnesses = TD_OPTIMAL, ()
+        checks = {
+            "ratio_condition": ratio_condition_check(
+                strong_ch, weak_ch, strong_rep.capacity, weak_rep.capacity, cfg
+            )
+        }
     else:
-        forward = more_capable_check(strong_ch, weak_ch, cfg)
-        backward = more_capable_check(weak_ch, strong_ch, cfg)
-        checks["more_capable_forward"] = forward
-        checks["more_capable_backward"] = backward
-        if HOLDS_UP_TO_SEARCH in (forward.status, backward.status):
-            status, witnesses = TD_OPTIMAL, ()
-        else:
-            status, witnesses = TD_NOT_OPTIMAL, (forward.witness, backward.witness)
+        checks = {
+            "more_capable_forward": more_capable_check(strong_ch, weak_ch, cfg),
+            "more_capable_backward": more_capable_check(weak_ch, strong_ch, cfg),
+        }
+    # on either branch, time division is refuted only when every check is violated
+    status = TD_NOT_OPTIMAL if all(c.status == VIOLATED for c in checks.values()) else TD_OPTIMAL
 
     return TDVerdict(
         status=status,
@@ -176,105 +174,7 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
         first_report=rep_first,
         second_report=rep_second,
         checks=checks,
-        witnesses=witnesses,
         evidence=None,
         config=cfg,
     )
 
-
-def sig12(x: float) -> float:
-    """`x` rounded to 12 significant digits, so equal runs serialize byte-identically."""
-    return float(f"{x:.12g}")
-
-
-def unit_scale(units: str) -> float:
-    """Factor taking a quantity in bits to `units`."""
-    return 1.0 if units == BITS_UNITS else LN2
-
-
-def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
-    """Plain-dict form of a capacity certificate for JSON emission, with
-    magnitudes in `units` and reals rounded to 12 significant digits."""
-    scale = unit_scale(units)
-    return {
-        "units": units,
-        "capacity": sig12(rep.capacity * scale),
-        "bracket": sig12(rep.gap * scale),
-        "iterations": rep.iterations,
-        "achieving_input": [sig12(p) for p in rep.achieving_input.probs],
-        "optimal_output": [sig12(p) for p in rep.optimal_output.probs],
-        "divergence_profile": [sig12(d * scale) for d in rep.divergence_profile],
-        "peak_set": list(rep.peak_set),
-        "support_union": list(rep.support_union),
-    }
-
-
-def _check_dict(v: SearchVerdict, scale: float) -> dict:
-    return {
-        "status": v.status,
-        "gap": sig12(v.gap * scale),
-        "witness": None if v.witness is None else [sig12(p) for p in v.witness.probs],
-        "starts": v.starts,
-        "evaluations": v.evaluations,
-    }
-
-
-def verdict_to_dict(v: TDVerdict) -> dict:
-    """Plain-dict form of a verdict for JSON emission.
-
-    Scalar magnitudes honor the configured units; probability vectors are
-    unitless. All reals are rounded to 12 significant digits so equal runs
-    serialize byte-identically.
-    """
-    scale = unit_scale(v.config.units)
-    doc = {
-        "status": v.status,
-        "branch": v.branch,
-        "swapped": v.swapped,
-        "search_limited": v.search_limited,
-        "units": v.config.units,
-        "channels": {
-            name: {
-                key: full[key]
-                for key in ("capacity", "peak_set", "support_union", "optimal_output")
-            }
-            for name, full in (
-                ("first", capacity_to_dict(v.first_report, v.config.units)),
-                ("second", capacity_to_dict(v.second_report, v.config.units)),
-            )
-        },
-        "checks": {name: _check_dict(c, scale) for name, c in v.checks.items()},
-        "witnesses": [[sig12(p) for p in w.probs] for w in v.witnesses],
-        # every setting but the units, which the document carries at top level
-        "config": {
-            f.name: getattr(v.config, f.name) for f in fields(RunConfig) if f.name != "units"
-        } | {"cardinalities": list(v.config.cardinalities)},
-        "evidence": None,
-    }
-    if v.evidence is not None:
-        doc["evidence"] = evidence_to_dict(v.evidence, v.config)
-    return doc
-
-
-def evidence_to_dict(ev: EvidenceReport, cfg: RunConfig) -> dict:
-    """Plain-dict form of evidence sampled under `cfg`, which supplies each
-    side's sample count, seed and cardinalities and the worst point's units."""
-    scale = unit_scale(cfg.units)
-
-    def side(rep: SampleReport) -> dict:
-        return {
-            "points": len(rep.sample.points),
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "cardinalities": list(cfg.cardinalities),
-            "min_td_slack": sig12(rep.min_slack),
-            "worst_point": None
-            if rep.worst_point is None
-            else [sig12(r) for r in (rep.worst_point * scale).tolist()],
-        }
-
-    return {
-        "marton": side(ev.marton),
-        "uv": side(ev.uv),
-        "violating_aux_present": ev.violating_aux is not None,
-    }

@@ -16,7 +16,6 @@ from tdopt.bounds import (
     RateConstraints,
     RegionSample,
     marton_rates,
-    region_csv,
     sample_marton,
     sample_uv,
     td_boundary_sample,
@@ -26,6 +25,7 @@ from tdopt.bounds import (
     uv_bound_rates,
 )
 from tdopt.capacity import analyze_channel
+from tdopt.cli import region_csv
 from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,

@@ -4,6 +4,7 @@ units handling, and the stock example generator."""
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from tdopt.cli import (
     save_channel,
 )
 from tdopt.core import Alphabet, Channel
-from tdopt.families import make_bsc, make_partition_pair
+from tdopt.families import make_bec, make_bsc, make_partition_pair
+
+# Two partitions of a 4-letter alphabet resolving different bits: equal
+# capacities, and neither channel is more capable than the other.
+LOW_HIGH = (
+    Channel(Alphabet.of_size(4), Alphabet(("l0", "l1")), np.array([[1, 0], [0, 1], [1, 0], [0, 1]])),
+    Channel(Alphabet.of_size(4), Alphabet(("h0", "h1")), np.array([[1, 0], [1, 0], [0, 1], [0, 1]])),
+)
+
+PARTITION = make_partition_pair(4, 2)
 
 # Four identical rows among six inputs reaching three outputs: the capacity
 # optimizer is not unique, so the support union runs the simplex.
@@ -35,6 +45,74 @@ def run(argv):
 def write_bsc(path, eps):
     save_channel(make_bsc(eps), str(path))
     return str(path)
+
+
+def write_pair(tmp_path, pair):
+    paths = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    for ch, path in zip(pair, paths):
+        save_channel(ch, path)
+    return paths
+
+
+def read_capacity_text(lines):
+    """The capacity document's fields as the text report `lines` (one
+    channel's block) prints them, numbers read back with float()."""
+    doc = {"divergence_profile": []}
+    for line in lines[1:]:
+        if m := re.fullmatch(r"  capacity: (\S+) (bits|nats)", line):
+            doc["capacity"], doc["units"] = float(m[1]), m[2]
+        elif m := re.fullmatch(r"  bracket: (\S+) after (\d+) iterations", line):
+            doc["bracket"], doc["iterations"] = float(m[1]), int(m[2])
+        elif m := re.fullmatch(r"  optimal output: (.*)", line):
+            doc["optimal_output"] = [float(t.split("=")[1]) for t in m[1].split()]
+        elif m := re.fullmatch(r"    \S+: (\S+)", line):
+            doc["divergence_profile"].append(float(m[1]))
+        elif m := re.fullmatch(r"  (peak set|support union): (.*)", line):
+            doc[m[1].replace(" ", "_")] = m[2].split()
+        else:
+            assert re.fullmatch(r"  alphabet: .*|  divergence profile:", line), line
+    return doc
+
+
+def read_verdict_text(text):
+    """The verdict document's fields as its text report prints them, numbers
+    read back with float()."""
+    doc = {"channels": {}, "checks": {}, "witnesses": [], "search_limited": False, "evidence": None}
+    for line in text.splitlines()[1:]:
+        if m := re.fullmatch(r"(status|branch): (\w+)", line):
+            doc[m[1]] = m[2]
+        elif m := re.fullmatch(r"swapped: (true|false)", line):
+            doc["swapped"] = m[1] == "true"
+        elif m := re.fullmatch(r"capacities: C1=(\S+) C2=(\S+) (bits|nats)", line):
+            capacities, doc["units"] = (float(m[1]), float(m[2])), m[3]
+        elif m := re.fullmatch(r"(first|second): peak set \[(.*)\] support union \[(.*)\]", line):
+            doc["channels"][m[1]] = {"peak_set": m[2].split(), "support_union": m[3].split()}
+        elif m := re.fullmatch(r"check (\w+): (\w+) gap=(\S+) starts=(\d+) evaluations=(\d+)", line):
+            doc["checks"][m[1]] = {
+                "status": m[2], "gap": float(m[3]), "starts": int(m[4]), "evaluations": int(m[5]),
+            }
+        elif m := re.fullmatch(r"witness (\d+): (.*)", line):
+            assert int(m[1]) == len(doc["witnesses"])
+            doc["witnesses"].append([float(t) for t in m[2].split()])
+        elif line == "note: optimality is certified only up to the search budget":
+            doc["search_limited"] = True
+        else:
+            m = re.fullmatch(
+                r"evidence: marton min slack (\S+) over (\d+) points; "
+                r"uv min slack (\S+) over (\d+) points", line
+            )
+            assert m, line
+            doc["evidence"] = {
+                "marton": {"min_td_slack": float(m[1]), "points": int(m[2])},
+                "uv": {"min_td_slack": float(m[3]), "points": int(m[4])},
+            }
+    for name, capacity in zip(("first", "second"), capacities):
+        doc["channels"][name]["capacity"] = capacity
+    return doc
+
+
+def pick(doc, keys):
+    return {k: doc[k] for k in keys}
 
 
 def assert_numeric_error(capsys, path):
@@ -342,6 +420,21 @@ class TestCapacityCommand:
         monkeypatch.setattr("tdopt.capacity.compute_peak_set", lambda ch, *rest: ch.input.symbols[:1])
         assert_numeric_error(capsys, b)
 
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    @pytest.mark.parametrize(
+        "ch",
+        [make_bsc(0.1), LOW_HIGH[0], PARTITION.first, PARTITION.second],
+        ids=["bsc-0.1", "low", "partition-first", "partition-second"],
+    )
+    def test_text_carries_the_json(self, tmp_path, ch, units):
+        path, dest = str(tmp_path / "ch.json"), tmp_path / "cap.json"
+        save_channel(ch, path)
+        code, out = run(["capacity", path, "--units", units, "--json", str(dest)])
+        assert code == EXIT_OK
+        doc = json.loads(dest.read_text())
+        printed = read_capacity_text(out.splitlines()[1:])
+        assert printed == pick(doc, [k for k in doc if k != "achieving_input"])
+
     def test_seed_from_environment(self, tmp_path, monkeypatch):
         b = write_bsc(tmp_path / "b.json", 0.11)
         monkeypatch.setenv("TDOPT_SEED", "7")
@@ -350,6 +443,21 @@ class TestCapacityCommand:
         # an explicit flag wins over the environment
         _, out = run(["capacity", b, "--seed", "3"])
         assert "seed=3" in out
+
+    def test_config_header_keeps_every_tolerance_digit(self, tmp_path):
+        b = write_bsc(tmp_path / "b.json", 0.11)
+        assert run(["capacity", b])[1].splitlines()[0] == (
+            "config: tol=1e-10 tol_k=1e-06 violation_tol=1e-07 cap_eq_tol=1e-06 "
+            "seed=0 starts=64 samples=2000 card=2,2,2 units=bits"
+        )
+        for last in "19":
+            flags = ["--tol", f"1.2345678{last}e-10", "--tol-k", f"2.3456789{last}e-6",
+                     "--violation-tol", f"3.4567891{last}e-7", "--cap-eq-tol", f"4.5678912{last}e-6"]
+            header = run(["capacity", b, *flags])[1].splitlines()[0]
+            assert header.startswith(
+                f"config: tol=1.2345678{last}e-10 tol_k=2.3456789{last}e-06 "
+                f"violation_tol=3.4567891{last}e-07 cap_eq_tol=4.5678912{last}e-06 "
+            )
 
     def test_bad_environment_seed_rejected(self, tmp_path, monkeypatch, capsys):
         b = write_bsc(tmp_path / "b.json", 0.11)
@@ -392,6 +500,42 @@ class TestVerdictCommand:
         d2 = json.loads(j2.read_text())
         assert d1["status"] == d2["status"] == "TD_NOT_OPTIMAL"
         assert d1["branch"] == d2["branch"]
+
+    @pytest.mark.parametrize("units", ["bits", "nats"])
+    @pytest.mark.parametrize(
+        "pair, argv, shown",
+        [
+            ((make_bsc(0.1), make_bsc(0.3)), [], "witnesses"),
+            (LOW_HIGH, [], "checks"),
+            ((PARTITION.first, PARTITION.second), ["--samples", "20"], "evidence"),
+            ((make_bec(0.1), make_bec(0.4)), [], "search_limited"),
+        ],
+        ids=["refuted-gap", "equal-capacity", "partition", "optimal"],
+    )
+    def test_text_carries_the_json(self, tmp_path, pair, argv, shown, units):
+        dest = tmp_path / "v.json"
+        code, out = run(["verdict", *write_pair(tmp_path, pair), *argv, "--units", units,
+                         "--json", str(dest)])
+        assert code == EXIT_OK
+        doc = json.loads(dest.read_text())
+        assert doc[shown]
+        if shown == "checks":
+            assert len(doc["checks"]) == 2 and len(doc["witnesses"]) == 2
+        evidence = doc["evidence"] and {
+            side: pick(doc["evidence"][side], ["min_td_slack", "points"]) for side in ("marton", "uv")
+        }
+        assert read_verdict_text(out) == {
+            **pick(doc, ["status", "branch", "swapped", "units", "witnesses", "search_limited"]),
+            "channels": {
+                name: pick(c, ["capacity", "peak_set", "support_union"])
+                for name, c in doc["channels"].items()
+            },
+            "checks": {
+                name: pick(c, ["status", "gap", "starts", "evaluations"])
+                for name, c in doc["checks"].items()
+            },
+            "evidence": evidence,
+        }
 
     def test_json_is_reproducible(self, tmp_path):
         b1 = write_bsc(tmp_path / "b1.json", 0.1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_identity, stochastic
 from tdopt.bounds import SampleReport
 from tdopt.capacity import analyze_channel
-from tdopt.cli import load_channel, save_channel
+from tdopt.cli import load_channel, save_channel, verdict_to_dict
 from tdopt.comparison import HOLDS_UP_TO_SEARCH, VIOLATED
 from tdopt.config import RunConfig
 from tdopt.core import Alphabet, BroadcastPair, Channel, Distribution, mutual_information
@@ -31,7 +31,6 @@ from tdopt.verdict import (
     decide_td_optimality,
     evidence_mode,
     theorem_statement_normalization,
-    verdict_to_dict,
 )
 
 FAST = RunConfig(samples=200, starts=16)

@@ -4,11 +4,13 @@ change.
     python3 tools/parity.py [ROOT] > hashes.txt
 
 Runs every command of tdbench's search, region and capacity corpora at seeds
-0 and 1 in-process through tdopt.cli.main, then the four demos, all with
-tdopt imported from ROOT/src (default: this checkout). Prints one sha256 per
-output over its stdout, stderr, exit code and the JSON or CSV file it wrote
-(a demo's over its stdout alone). Channel paths appear in stdout, so the work
-directory is fixed; diff the printed lines of two checkouts.
+0 and 1 in-process through tdopt.cli.main, then `--help` of tdopt and of each
+command, three `example-gen` runs and the four demos, all with tdopt imported
+from ROOT/src (default: this checkout). Prints one sha256 per output over its
+stdout, stderr, exit code and the files it wrote (a demo's over its stdout
+alone). Channel paths appear in stdout, so the work directory is fixed, and
+help text is wrapped at a fixed width; diff the printed lines of two
+checkouts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -28,11 +31,34 @@ import tempfile  # noqa: E402
 
 ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), ".."))
 WORKDIR = os.path.join(tempfile.gettempdir(), "tdopt-parity")
+COMMANDS = ("capacity", "verdict", "region", "example-gen", "analyze")
+# example-gen arguments, and the files each writes given --out example.json
+EXAMPLES = (
+    (["bsc", "0.11"], ["example.json"]),
+    (["bec", "0.3"], ["example.json"]),
+    (["sec4"], ["example.first.json", "example.second.json"]),
+)
 DEMOS = ("capacity_certificates", "perturbation_and_timeshare", "region_sampling", "verdict_gallery")
 
 
 def digest(*parts: str) -> str:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
+def run_cli(tdopt_main, argv) -> tuple[str, str, str]:
+    """stdout, stderr and exit code of one in-process command; argparse prints
+    help to sys.stdout, so that is captured too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = tdopt_main(argv, out=out)
+    return out.getvalue(), err.getvalue(), str(code)
+
+
+def read(path: str) -> str:
+    if not os.path.exists(path):
+        return ""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def main():
@@ -45,15 +71,17 @@ def main():
             shutil.rmtree(WORKDIR, ignore_errors=True)
             os.makedirs(WORKDIR)
             for cmd in corpus(seed, WORKDIR):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = tdopt_main(cmd.argv, out=out)
-                written = ""
-                if os.path.exists(cmd.out_path):
-                    with open(cmd.out_path, encoding="utf-8") as fh:
-                        written = fh.read()
-                print(digest(out.getvalue(), err.getvalue(), str(code), written),
+                print(digest(*run_cli(tdopt_main, cmd.argv), read(cmd.out_path)),
                       f"seed {seed} {cmd.label}")
+    for command in ("", *COMMANDS):
+        print(digest(*run_cli(tdopt_main, [command, "--help"] if command else ["--help"])),
+              f"help {command or 'tdopt'}")
+    for args, written in EXAMPLES:
+        shutil.rmtree(WORKDIR, ignore_errors=True)
+        os.makedirs(WORKDIR)
+        outputs = run_cli(tdopt_main, ["example-gen", *args, "--out", os.path.join(WORKDIR, "example.json")])
+        files = [read(os.path.join(WORKDIR, name)) for name in written]
+        print(digest(*outputs, *files), f"example-gen {' '.join(args)}")
     shutil.rmtree(WORKDIR, ignore_errors=True)
     for name in DEMOS:
         out = io.StringIO()
