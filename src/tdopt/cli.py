@@ -1,9 +1,9 @@
-"""Command-line front end: channel file IO, stock example generation, and
-report/CSV emission for the capacity and region machinery.
-
-Commands print deterministic text (no timestamps, stable 12-significant-digit
-numbers) so that identically seeded runs are byte-identical. Exit codes:
-0 success, 2 input error, 3 numerical non-convergence.
+"""Command-line front end and the one serializer: channel file IO, stock
+example generation, and every serializer of the documents tdopt writes
+(channel, capacity, verdict and analyze JSON, region CSV, and the text
+reports printed from them). Reals are written at 12 significant digits.
+Capacities, rates, divergences and more-capable gaps are in the run's units;
+probabilities, capacity-normalized gaps and time-division slacks carry none.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# the description `tdopt --help` prints
+DESCRIPTION = """Command-line front end: channel file IO, stock example generation, and
+report/CSV emission for the capacity and region machinery.
+
+Commands print deterministic text (no timestamps, stable 12-significant-digit
+numbers) so that identically seeded runs are byte-identical. Exit codes:
+0 success, 2 input error, 3 numerical non-convergence.
+"""
+
 
 class ChannelFileError(ValueError):
     """A channel file failed to parse or validate; message carries the path
@@ -57,6 +66,13 @@ def unit_scale(units: str) -> float:
     return 1.0 if units == BITS_UNITS else LN2
 
 
+def gap_scale(check: str, units: str) -> float:
+    """Factor taking the gap of check `check` to `units`: a more-capable gap
+    is a rate difference in bits, while the capacity-normalized gaps are
+    ratios of rates and carry no unit."""
+    return 1.0 if check in ("ratio_condition", "divergence_form") else unit_scale(units)
+
+
 def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
     """Plain-dict form of a capacity certificate for JSON emission, with
     magnitudes in `units` and reals rounded to 12 significant digits."""
@@ -76,9 +92,9 @@ def capacity_to_dict(rep: CapacityReport, units: str = BITS_UNITS) -> dict:
 
 def verdict_to_dict(v: TDVerdict) -> dict:
     """Plain-dict form of a verdict for JSON emission: scalar magnitudes in the
-    configured units, probability vectors unitless, reals at 12 digits."""
+    configured units, probability vectors and normalized gaps unitless, reals
+    at 12 digits."""
     units = v.config.units
-    scale = unit_scale(units)
     first, second = (capacity_to_dict(rep, units) for rep in (v.first_report, v.second_report))
     return {
         "status": v.status,
@@ -93,7 +109,7 @@ def verdict_to_dict(v: TDVerdict) -> dict:
         "checks": {
             name: {
                 "status": c.status,
-                "gap": sig12(c.gap * scale),
+                "gap": sig12(c.gap * gap_scale(name, units)),
                 "witness": None if c.witness is None else [sig12(p) for p in c.witness.probs],
                 "starts": c.starts,
                 "evaluations": c.evaluations,
@@ -393,7 +409,10 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         "first": capacity_to_dict(rep1, cfg.units),
         "second": capacity_to_dict(rep2, cfg.units),
         "checks": {k: checks[k].status if k in checks else "SKIPPED" for k in _ANALYZE_LABELS},
-        "gaps": {k: sig12(checks[k].gap * scale) if k in checks else None for k in _ANALYZE_LABELS},
+        "gaps": {
+            k: sig12(checks[k].gap * gap_scale(k, cfg.units)) if k in checks else None
+            for k in _ANALYZE_LABELS
+        },
         "vertex_screen": {
             "first_family_holds": screen.first_family_holds,
             "second_family_holds": screen.second_family_holds,
@@ -465,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", default=None, metavar="PATH", help="also write a JSON report")
 
-    parser = argparse.ArgumentParser(prog="tdopt", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tdopt", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", parents=[settings, report], help="capacity certificate for one channel")

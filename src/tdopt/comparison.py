@@ -38,6 +38,7 @@ VIOLATED = "VIOLATED"
 _GRID_LIMIT = 1_000_000
 _AUTO_SUBDIVISIONS = {1: 1, 2: 1000, 3: 100, 4: 40, 5: 20, 6: 10, 7: 8, 8: 7}
 _MAX_ITERS = 400     # projected-gradient steps per start
+_TRIALS = 3          # backtracking trials each start makes per pass of the descent
 _SCREEN_TOL = 1e-9   # slack allowed in the vertex screen's inequalities (bits)
 
 
@@ -106,14 +107,18 @@ def _descend(objective, gradient, starts: np.ndarray):
     `scale` on, halving up to 50 times until one passes the Armijo test. A
     row stops when a trial step does not move, when no trial passes, or
     after an accepted step that moved less than 1e-20. Every pass of the
-    loop makes one trial step for each live row, so rows keep their own
-    outer-step and halving counts and none waits for another's halvings.
-    The objective and gradient also see rows whose value they do not count,
-    which leaves the other rows' bits alone.
+    loop makes the next _TRIALS trials of each live row at once (steps
+    alpha, alpha/2, ... from the same point and gradient), and the row keeps
+    its first decisive one: it passed, did not move, or was the 50th to
+    fail. The row is credited the evaluations and halvings of the trials up
+    to that one, so rows keep their own outer-step and halving counts and
+    none waits for another's halvings. Halving by 0.5 is exact, and the
+    objective and gradient also see trials and rows whose value they do not
+    count, which leaves the counted rows' bits alone.
     """
     x = project_to_simplex(np.asarray(starts, dtype=float))
     fx = objective(x)
-    n = len(x)
+    n, dim = x.shape
     out_x, out_fx, out_evals = x.copy(), fx.copy(), np.ones(n, dtype=int)
     # the live rows: start index, evaluations, step scale and size, gradient,
     # outer steps and halvings taken, and whether an outer step begins
@@ -121,26 +126,37 @@ def _descend(objective, gradient, starts: np.ndarray):
     scale, alpha, g = np.ones(n), np.ones(n), np.zeros_like(x)
     steps, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     fresh = np.ones(n, dtype=bool)
+    halved = 0.5 ** np.arange(_TRIALS)
     while ids.size:
         if fresh.any():
-            g_now = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
-            g = np.where(fresh[:, None], g_now, g)
-            alpha = np.where(fresh, scale, alpha)
-            halvings[fresh] = 0
-        y = project_to_simplex(x - alpha[:, None] * g)
-        diff = x - y
-        move = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        fy = objective(y)
+            g_new = gradient(x[fresh])
+            if not np.isfinite(g_new).all():
+                g_new = np.nan_to_num(g_new, nan=0.0, posinf=1e6, neginf=-1e6)
+            g[fresh], alpha[fresh], halvings[fresh] = g_new, scale[fresh], 0
+        alphas = alpha[:, None] * halved
+        y = project_to_simplex(x[:, None, :] - alphas[:, :, None] * g[:, None, :])
+        diff = (x[:, None, :] - y).reshape(-1, dim)
+        move = (diff[:, None, :] @ diff[:, :, None]).reshape(alphas.shape)
+        fy = objective(y.reshape(-1, dim)).reshape(alphas.shape)
         moved = move != 0.0
-        evals += moved
-        accepted = moved & (fy <= fx - 1e-4 * move / alpha)
+        passed = moved & (fy <= fx[:, None] - 1e-4 * move / alphas)
+        decisive = ~moved | passed | (halvings[:, None] + np.arange(1, _TRIALS + 1) == 50)
+        # the trial that counts: the first decisive one, else the last
+        decisive[:, -1] = True
+        t = decisive.argmax(1)
+        rows = np.arange(len(ids))
+        y, move, fy, moved, accepted, alpha = (
+            a[rows, t] for a in (y, move, fy, moved, passed, alphas)
+        )
+        # every trial before the one that counts moved and failed
+        evals += t + moved
+        halvings += t + (moved & ~accepted)
         x = np.where(accepted[:, None], y, x)
         fx = np.where(accepted, fy, fx)
         scale = np.where(accepted, np.minimum(alpha * 2.0, 64.0), scale)
         steps += accepted
         alpha = np.where(accepted, alpha, alpha * 0.5)
-        halvings += ~accepted
-        stop = ~moved | (halvings == 50) | (accepted & ((move < 1e-20) | (steps == _MAX_ITERS)))
+        stop = ~moved | (halvings >= 50) | (accepted & ((move < 1e-20) | (steps == _MAX_ITERS)))
         fresh = accepted
         if stop.any():
             done = ids[stop]

@@ -17,7 +17,10 @@ class RunConfig:
 
     tol            capacity bracket width (bits) before a report is accepted
     peak_tol       divergence slack that still counts a symbol as peak
-    violation_tol  negative search margin treated as a real violation (bits)
+    violation_tol  negative search margin treated as a real violation, in the
+                   unit of the gap it judges: bits for the more-capable
+                   checks, none for the capacity-normalized checks and the
+                   time-division slack
     cap_eq_tol     capacity difference treated as equality (bits)
     seed           master seed for searches and sampling, nonnegative
     starts         random restarts per simplex search

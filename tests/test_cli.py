@@ -645,8 +645,8 @@ class TestAnalyzeCommand:
         for key, label in labels.items():
             line = f"  {label}: {doc['checks'][key]} gap={doc['gaps'][key]:.12g}\n"
             assert line in out
-        scale = 1.0 if units == "bits" else math.log(2.0)
-        assert doc["gaps"]["ratio_condition"] == pytest.approx(-0.0317392992283 * scale, abs=1e-11)
+        # capacity-normalized gaps carry no unit, so both units give the bits value
+        assert doc["gaps"]["ratio_condition"] == pytest.approx(-0.0317392992283, abs=1e-11)
         screen = doc["vertex_screen"]
         assert screen["first_family_holds"] is False
         assert screen["second_family_holds"] is True

@@ -291,6 +291,48 @@ class TestRatioCondition:
             ratio_condition_check(ch, ch, 0.0, 1.0)
 
 
+class TestSearchGolden:
+    """Every check's gap to the last bit, start count and evaluation count at
+    the default configuration, on a 4-input and a 5-input pair: any change in
+    how the starts descend shows here. Each channel is half the identity
+    plus half Dirichlet(1) rows, so both optimizers have full support and
+    the divergence form runs too."""
+
+    @pytest.mark.parametrize(
+        "nx, seed, golden",
+        [
+            (4, 40, {
+                "more_capable_forward": ("-0x1.2cf75c48a4cfap-2", 70, 15747),
+                "more_capable_backward": ("-0x1.9efcbaa44b446p-2", 70, 16157),
+                "ratio_condition": ("-0x1.060bb92711448p-1", 70, 18142),
+                "divergence_form": ("-0x1.060bb92711443p-1", 70, 18246),
+            }),
+            (5, 5, {
+                "more_capable_forward": ("-0x1.fb8c13d05e9e4p-3", 71, 14708),
+                "more_capable_backward": ("-0x1.f20d1d355db3ep-3", 71, 15737),
+                "ratio_condition": ("-0x1.71f319f518545p-2", 71, 20552),
+                "divergence_form": ("-0x1.71f319f51853cp-2", 71, 20624),
+            }),
+        ],
+        ids=["4-inputs", "5-inputs"],
+    )
+    def test_every_check(self, nx, seed, golden):
+        rng = np.random.default_rng(seed)
+        ch1, ch2 = (
+            Channel(Alphabet.of_size(nx), Alphabet.of_size(nx, "y"),
+                    0.5 * np.eye(nx) + 0.5 * rng.dirichlet(np.ones(nx), nx))
+            for _ in range(2)
+        )
+        rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+        checks = {
+            "more_capable_forward": more_capable_check(ch1, ch2),
+            "more_capable_backward": more_capable_check(ch2, ch1),
+            "ratio_condition": ratio_condition_check(ch1, ch2, rep1.capacity, rep2.capacity),
+            "divergence_form": divergence_form_check(ch1, ch2, rep1, rep2),
+        }
+        assert {k: (c.gap.hex(), c.starts, c.evaluations) for k, c in checks.items()} == golden
+
+
 class TestDivergenceForm:
     @staticmethod
     def _analyzed(ch):

@@ -4,7 +4,9 @@ batch evaluates as each of its rows alone.
 
 The kernel functions, the three checks' objectives and gradients, the
 row-wise simplex projection and the batched descent agree bit for bit: each
-row takes the elementwise arithmetic and the BLAS call a lone point takes.
+row takes the elementwise arithmetic and the BLAS call a lone point takes,
+and the descent does so whatever number of backtracking trials one of its
+passes makes per start.
 The one exception is the search grid's path (`one_product`), where the whole
 batch goes through one `p @ rows`: BLAS sums a matrix product in another order
 than a vector product, so rows may differ in the last bits, and the bound is
@@ -457,3 +459,71 @@ def test_batched_descent_rows_equal_serial(data, c1, c2):
             assert np.array_equal(x[i], one_x)
             assert fx[i] == one_fx
             assert evals[i] == one_evals
+
+
+def assert_any_trials_per_pass_equal_serial(objective, gradient, starts):
+    """Descend from `starts` with 1 to 4 backtracking trials per pass, and
+    compare every row with its lone descent; returns the lone evaluations."""
+    serial = [serial_descent(objective, gradient, x0) for x0 in starts]
+    for trials in (1, 2, 3, 4):
+        with patch("tdopt.comparison._TRIALS", trials):
+            x, fx, evals = _descend(objective, gradient, starts)
+        for i, (one_x, one_fx, one_evals) in enumerate(serial):
+            assert np.array_equal(x[i], one_x)
+            assert fx[i] == one_fx
+            assert evals[i] == one_evals
+    return np.array([one_evals for _, _, one_evals in serial])
+
+
+def linear(c):
+    """p -> c.p and its constant gradient."""
+    return (lambda p: (p * c).sum(-1)), (lambda p: np.broadcast_to(c, p.shape).copy())
+
+
+def vertices_and_draws(nx, rng):
+    return np.vstack([np.eye(nx), rng.dirichlet(np.ones(nx), 2)])
+
+
+@settings(max_examples=15)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_uphill_rows_stop_at_the_halving_cap_mid_pass(nx, seed):
+    # with the gradient's sign flipped every moving trial raises a linear
+    # objective, by far more than its rounding, so each start but the
+    # vertex of the largest coefficient fails 50 trials in its first outer
+    # step; 50 is no multiple of 3 or 4
+    rng = np.random.default_rng(seed)
+    c = 100.0 * (rng.permutation(nx) + rng.random(nx) * 0.5)
+    objective, gradient = linear(c)
+    starts = vertices_and_draws(nx, rng)
+    evals = assert_any_trials_per_pass_equal_serial(objective, lambda p: -gradient(p), starts)
+    assert evals[c.argmax()] == 1
+    assert (np.delete(evals, c.argmax()) == 51).all()
+
+
+@settings(max_examples=15)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_vertex_start_whose_trial_does_not_move(nx, seed):
+    # a linear objective descends to the vertex of its smallest coefficient,
+    # where every trial step projects back onto the point itself
+    rng = np.random.default_rng(seed)
+    c = rng.permutation(nx) + rng.random(nx) * 0.5
+    evals = assert_any_trials_per_pass_equal_serial(*linear(c), vertices_and_draws(nx, rng))
+    assert evals[c.argmin()] == 1
+
+
+@settings(max_examples=15)
+@given(pair_and_starts(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+def test_non_finite_gradient_entries(data, c1, c2):
+    # NaN, +inf and -inf entries chosen by the point's own coordinates, so a
+    # lone point and a batch row get the same ones
+    rows1, rows2, starts = data
+    objective, gradient = _rate_gap(channel(rows1), channel(rows2), c1, c2)
+
+    def non_finite(p):
+        g = gradient(p)
+        g = np.where(p > 0.8, np.nan, g)
+        g = np.where((p > 0.45) & (p < 0.5), np.inf, g)
+        return np.where(p == 0.0, -np.inf, g)
+
+    assert not np.isfinite(non_finite(starts)).all()
+    assert_any_trials_per_pass_equal_serial(objective, non_finite, starts)

@@ -46,6 +46,25 @@ def merge_pair():
     return BroadcastPair(ident, Channel(ident.input, Alphabet(("m0", "m1")), rows))
 
 
+def low_high_pair():
+    """Two partitions of a 4-letter alphabet that resolve different bits."""
+    x = Alphabet.of_size(4)
+    low = Channel(x, Alphabet(("l0", "l1")), np.array(
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    ))
+    high = Channel(x, Alphabet(("h0", "h1")), np.array(
+        [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+    ))
+    return BroadcastPair(low, high)
+
+
+def docs_in_bits_and_nats(pair):
+    return tuple(
+        verdict_to_dict(decide_td_optimality(pair, dataclasses.replace(FAST, units=units)))
+        for units in ("bits", "nats")
+    )
+
+
 class TestBranchSelection:
     def test_clear_gap(self):
         assert theorem_statement_normalization(2.0, 1.0, 1e-6) == CAPACITY_GAP_RATIO
@@ -154,14 +173,7 @@ class TestDecide:
     def test_equal_capacity_violation_keeps_both_witnesses(self):
         # two partitions of a 4-letter alphabet resolve different bits, so
         # neither channel is more capable, while both capacities equal 1
-        x = Alphabet.of_size(4)
-        low = Channel(x, Alphabet(("l0", "l1")), np.array(
-            [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        ))
-        high = Channel(x, Alphabet(("h0", "h1")), np.array(
-            [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
-        ))
-        v = decide_td_optimality(BroadcastPair(low, high), FAST)
+        v = decide_td_optimality(low_high_pair(), FAST)
         assert v.branch == EQUAL_CAPACITY_MORE_CAPABLE
         assert v.status == TD_NOT_OPTIMAL
         assert len(v.witnesses) == 2
@@ -299,6 +311,21 @@ class TestSerialization:
         in_nats = verdict_to_dict(decide_td_optimality(pair, cfg_nats))
         want = in_bits["channels"]["first"]["capacity"] * math.log(2.0)
         assert in_nats["channels"]["first"]["capacity"] == pytest.approx(want, abs=1e-9)
+
+    def test_nats_leave_the_ratio_gap_unitless(self):
+        in_bits, in_nats = docs_in_bits_and_nats(BroadcastPair(make_bsc(0.1), make_bsc(0.3)))
+        assert in_nats["branch"] == CAPACITY_GAP_RATIO
+        assert in_nats["checks"] == in_bits["checks"]
+        assert in_nats["checks"]["ratio_condition"]["gap"] == pytest.approx(-0.0317392992283, abs=1e-11)
+
+    def test_nats_scale_the_more_capable_gaps(self):
+        in_bits, in_nats = docs_in_bits_and_nats(low_high_pair())
+        assert in_nats["branch"] == EQUAL_CAPACITY_MORE_CAPABLE
+        for name, bits in in_bits["checks"].items():
+            nats = in_nats["checks"][name]
+            assert bits["gap"] < 0.0
+            assert nats["gap"] == pytest.approx(bits["gap"] * math.log(2.0), rel=1e-11)
+            assert {**nats, "gap": None} == {**bits, "gap": None}
 
     def test_witness_vector_serialized(self):
         v = decide_td_optimality(merge_pair(), FAST)

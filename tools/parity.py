@@ -5,12 +5,13 @@ change.
 
 Runs every command of tdbench's search, region and capacity corpora at seeds
 0 and 1 in-process through tdopt.cli.main, then `--help` of tdopt and of each
-command, three `example-gen` runs and the four demos, all with tdopt imported
-from ROOT/src (default: this checkout). Prints one sha256 per output over its
-stdout, stderr, exit code and the files it wrote (a demo's over its stdout
-alone). Channel paths appear in stdout, so the work directory is fixed, and
-help text is wrapped at a fixed width; diff the printed lines of two
-checkouts.
+command, three `example-gen` runs, `verdict` and `analyze` of one
+capacity-gap pair with `--units nats` (the corpora run in bits) and the four
+demos, all with tdopt imported from ROOT/src (default: this checkout).
+Prints one sha256 per output over its stdout, stderr, exit code and the
+files it wrote (a demo's over its stdout alone). Channel paths appear in
+stdout, so the work directory is fixed, and help text is wrapped at a fixed
+width; diff the printed lines of two checkouts.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ EXAMPLES = (
     (["bec", "0.3"], ["example.json"]),
     (["sec4"], ["example.first.json", "example.second.json"]),
 )
+# the capacity-gap pair run in nats: example-gen arguments of its two channels
+NATS_PAIR = (["bsc", "0.1"], ["bsc", "0.3"])
 DEMOS = ("capacity_certificates", "perturbation_and_timeshare", "region_sampling", "verdict_gallery")
 
 
@@ -82,6 +85,15 @@ def main():
         outputs = run_cli(tdopt_main, ["example-gen", *args, "--out", os.path.join(WORKDIR, "example.json")])
         files = [read(os.path.join(WORKDIR, name)) for name in written]
         print(digest(*outputs, *files), f"example-gen {' '.join(args)}")
+    shutil.rmtree(WORKDIR, ignore_errors=True)
+    os.makedirs(WORKDIR)
+    pair = [os.path.join(WORKDIR, f"{'-'.join(args)}.json") for args in NATS_PAIR]
+    for args, path in zip(NATS_PAIR, pair):
+        run_cli(tdopt_main, ["example-gen", *args, "--out", path])
+    for command in ("verdict", "analyze"):
+        dest = os.path.join(WORKDIR, f"{command}.json")
+        outputs = run_cli(tdopt_main, [command, *pair, "--units", "nats", "--json", dest])
+        print(digest(*outputs, read(dest)), f"nats {command} {' '.join(os.path.basename(p) for p in pair)}")
     shutil.rmtree(WORKDIR, ignore_errors=True)
     for name in DEMOS:
         out = io.StringIO()
