@@ -8,6 +8,7 @@ seeded region sampling that mixes Dirichlet draws with structured probes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,15 +171,38 @@ class TimeshareConstruction:
     joint: JointDistribution        # (Q, W, U', V', X)
 
     def marton_joint(self) -> JointDistribution:
-        """Reshape to the (U, V, W, X) arity with W = (Q, W) merged."""
-        arr = self.joint.probs
-        q_alpha, w_alpha, u_alpha, v_alpha, x_alpha = self.joint.alphabets
-        merged = Alphabet(
-            tuple(f"{q}:{w}" for q in q_alpha.symbols for w in w_alpha.symbols)
-        )
-        moved = np.transpose(arr, (2, 3, 0, 1, 4))
-        moved = moved.reshape(len(u_alpha), len(v_alpha), len(merged), len(x_alpha))
-        return JointDistribution((u_alpha, v_alpha, merged, x_alpha), moved)
+        """The same joint in the (U, V, W, X) arity, with W = (Q, W) merged."""
+        plans = [(p.alphabets, p.probs) for p in (self.first_plan, self.second_plan)]
+        probs, alphabets, _ = _timeshare_joints(np.array([self.first_fraction]), *plans)
+        return JointDistribution(alphabets, probs[0])
+
+
+def _timeshare_joints(lams: np.ndarray, first, second):
+    """Time-sharing joints between two plans, one per fraction in `lams` of
+    the uses devoted to the first receiver, written straight into the
+    (U', V', W, X) layout of `TimeshareConstruction.marton_joint`.
+
+    Each plan is an ((X, auxiliary) alphabets, (|X|, n) probs) pair. Returns
+    the (len(lams), |X|+1, |X|+1, 2(n1+n2), |X|) batch, its alphabets
+    (U', V', W, X), whose merged W labels read "q:w", and the alphabets
+    (Q, W) before the merge.
+    """
+    ((x_alpha, aux1), probs1), ((_, aux2), probs2) = first, second
+    if U_STAR in x_alpha.symbols or V_STAR in x_alpha.symbols:
+        raise ValueError(f"input alphabet may not use the reserved labels {U_STAR!r}, {V_STAR!r}")
+    nx, n1, n2 = len(x_alpha), len(aux1), len(aux2)
+    q_alpha = Alphabet(("0", "1"))
+    w_alpha = Alphabet(tuple(f"u:{s}" for s in aux1) + tuple(f"v:{s}" for s in aux2))
+    merged = Alphabet(tuple(f"{q}:{w}" for q in q_alpha for w in w_alpha))
+    u_alpha, v_alpha = (Alphabet(x_alpha.symbols + (star,)) for star in (U_STAR, V_STAR))
+    probs = np.zeros((len(lams), nx + 1, nx + 1, len(merged), nx))
+    xs = np.arange(nx)[:, None]
+    # Q = 0: W is the first plan's auxiliary a, U' copies X, V' is reserved;
+    # Q = 1: W is the second's b, at merged index 2 n1 + n2 + b, and the
+    # roles of U' and V' swap
+    probs[:, xs, nx, np.arange(n1), xs] = lams[:, None, None] * probs1
+    probs[:, nx, xs, 2 * n1 + n2 + np.arange(n2), xs] = (1.0 - lams)[:, None, None] * probs2
+    return probs, (u_alpha, v_alpha, merged, x_alpha), (q_alpha, w_alpha)
 
 
 def timeshare_construction(
@@ -196,28 +220,15 @@ def timeshare_construction(
     x_alpha = first_plan.alphabets[0]
     if second_plan.alphabets[0] != x_alpha:
         raise AlphabetMismatchError("plans must share the input alphabet")
-    if U_STAR in x_alpha.symbols or V_STAR in x_alpha.symbols:
-        raise ValueError(f"input alphabet may not use the reserved labels {U_STAR!r}, {V_STAR!r}")
 
-    aux1 = first_plan.alphabets[1]
-    aux2 = second_plan.alphabets[1]
     lam = float(first_fraction)
-    nx, n1, n2 = len(x_alpha), len(aux1), len(aux2)
-
-    q_alpha = Alphabet(("0", "1"))
-    w_alpha = Alphabet(
-        tuple(f"u:{s}" for s in aux1.symbols) + tuple(f"v:{s}" for s in aux2.symbols)
-    )
-    u_alpha = Alphabet(x_alpha.symbols + (U_STAR,))
-    v_alpha = Alphabet(x_alpha.symbols + (V_STAR,))
-
-    arr = np.zeros((2, n1 + n2, nx + 1, nx + 1, nx))
-    xs = np.arange(nx)
-    for a in range(n1):
-        arr[0, a, xs, nx, xs] = lam * first_plan.probs[xs, a]
-    for b in range(n2):
-        arr[1, n1 + b, nx, xs, xs] = (1.0 - lam) * second_plan.probs[xs, b]
-
+    plans = [(p.alphabets, p.probs) for p in (first_plan, second_plan)]
+    probs, (u_alpha, v_alpha, _, _), (q_alpha, w_alpha) = _timeshare_joints(np.array([lam]), *plans)
+    # split the merged W back into (Q, W) and move both to the front, in C
+    # order: the kernel's sums follow the memory order of the joint
+    nx = len(x_alpha)
+    arr = probs[0].reshape(nx + 1, nx + 1, 2, len(w_alpha), nx).transpose(2, 3, 0, 1, 4)
+    arr = np.ascontiguousarray(arr)
     joint = JointDistribution((q_alpha, w_alpha, u_alpha, v_alpha, x_alpha), arr)
     return TimeshareConstruction(lam, first_plan, second_plan, joint)
 
@@ -304,81 +315,70 @@ def _check_cells(cards: tuple[int, int, int], nx: int, arity: int) -> int:
 
 def _timeshare_probes(rep1: CapacityReport, rep2: CapacityReport):
     """Time-sharing joints between the two copy plans (an auxiliary that
-    copies X at a capacity-achieving input), at 11 fractions from 0 to 1, as
-    one validated (11, |X|+1, |X|+1, 4|X|, |X|) batch in the layout of
-    `TimeshareConstruction.marton_joint`, with the function that builds a
-    probe's own joint. A copy plan's auxiliary equals X, so on Q = 0 the
-    merged W is x and U' = x; on Q = 1, W is 3|X| + x and V' = x."""
-    plan1, plan2 = (
-        JointDistribution((p.alphabet, p.alphabet), np.diag(p.probs))
-        for p in (rep1.achieving_input, rep2.achieving_input)
-    )
-    lams = np.linspace(0.0, 1.0, 11)
-    nx = len(plan1.alphabets[0])
-    xs = np.arange(nx)
-    probs = np.zeros((len(lams), nx + 1, nx + 1, 4 * nx, nx))
-    probs[:, xs, nx, xs, xs] = lams[:, None] * np.diagonal(plan1.probs)
-    probs[:, nx, xs, 3 * nx + xs, xs] = (1.0 - lams)[:, None] * np.diagonal(plan2.probs)
-    probs = _clean_probs(probs, "joint distribution", batch=True)
-    yield probs, lambda i: timeshare_construction(plan1, plan2, float(lams[i])).marton_joint()
+    copies X at a capacity-achieving input) at 11 fractions from 0 to 1: one
+    (probs, alphabets) batch in the layout of `TimeshareConstruction.marton_joint`."""
+    plans = [((p.alphabet, p.alphabet), np.diag(p.probs))
+             for p in (rep1.achieving_input, rep2.achieving_input)]
+    # yielded from no local, so the raw batch is freed once validated
+    yield _timeshare_joints(np.linspace(0.0, 1.0, 11), *plans)[:2]
 
 
 def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
     """One auxiliary copies X at a capacity-achieving input, the other is
-    constant: two lone joints, each with the function that returns it."""
+    constant: two (probs, alphabets) batches of one (U, V, X) joint each."""
     const = Alphabet(("c0",))
     p1, p2 = rep1.achieving_input, rep2.achieving_input
-    for joint in (
-        JointDistribution((p1.alphabet, const, p1.alphabet), np.diag(p1.probs)[:, None, :]),
-        JointDistribution((const, p2.alphabet, p2.alphabet), np.diag(p2.probs)[None, :, :]),
-    ):
-        yield joint.probs[None], lambda _, joint=joint: joint
+    yield np.diag(p1.probs)[None, :, None, :], (p1.alphabet, const, p1.alphabet)
+    yield np.diag(p2.probs)[None, None, :, :], (const, p2.alphabet, p2.alphabet)
+
+
+def _draws(cfg: RunConfig, arity: int, x_alpha: Alphabet, cells: int):
+    """`cfg.samples` Dirichlet joints over the first `arity` auxiliaries at
+    `cfg.cardinalities` and X, as (probs, alphabets) batches of up to _BATCH
+    joints, each drawn by a generator seeded by [cfg.seed, batch index]."""
+    cards = cfg.cardinalities[:arity]
+    alphabets = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards, "uvw")) + (x_alpha,)
+    shape = (-1,) + cards + (len(x_alpha),)
+    for batch_index, done in enumerate(range(0, cfg.samples, _BATCH)):
+        rng = np.random.default_rng([cfg.seed, batch_index])
+        size = min(_BATCH, cfg.samples - done)
+        # no local keeps the raw draws, so they are freed once validated
+        yield rng.dirichlet(np.ones(cells), size=size).reshape(shape), alphabets
 
 
 def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
-    """The sampling loop both bounds share: the batches of structured
-    `probes`, then `cfg.samples` Dirichlet joints over the first `arity`
-    auxiliaries and X, drawn in batches seeded by [cfg.seed, batch index].
-    Each batch is validated once and evaluated at once by the array formulas
-    `rates`. Every joint's two corners become points, in order, and the first
-    point with the smallest time-division slack is kept; only its joint is
-    built as a JointDistribution."""
+    """The sampling loop both bounds share. It walks one list of (probs,
+    alphabets) batches: the structured `probes`, then the seeded Dirichlet
+    draws of `_draws`, none of them when `cfg.samples` is 0. Each batch is
+    validated once and evaluated at once by the array formulas `rates`.
+    Every joint's two corners become points, in order, and the first point
+    with the smallest time-division slack is kept. A JointDistribution is
+    built, from its batch's row and alphabets, only for a joint that lowers
+    that slack, so no batch outlives its own evaluation."""
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("channels must share the input alphabet")
     c1, c2 = rep1.capacity, rep2.capacity
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("region sampling against time division needs positive capacities")
-    nx = len(ch1.input)
-    cards, n_samples = cfg.cardinalities, cfg.samples
-    cells = _check_cells(cards, nx, arity)
-    batches: list[np.ndarray] = []  # each batch's corners, (2 * joints, 2)
-    worst = [1.0, None, None]  # slack, row of the points, auxiliary joint
+    cells = _check_cells(cfg.cardinalities, len(ch1.input), arity)
+    # probes and draws, or nothing at all with no samples
+    sources = (probes(rep1, rep2), _draws(cfg, arity, ch1.input, cells)) if cfg.samples > 0 else ()
+    corners: list[np.ndarray] = []  # each batch's corners, (2 * joints, 2)
+    min_slack, worst_row, worst_aux = 1.0, None, None
+    for probs, alphabets in itertools.chain(*sources):
+        probs = _clean_probs(probs, "joint distribution", batch=True)
+        batch = _corners(*rates(probs, ch1.rows, ch2.rows)).reshape(-1, 2)
+        slack = _td_slack(batch[:, 0], batch[:, 1], c1, c2)
+        row = int(slack.argmin())
+        if slack[row] < min_slack:
+            min_slack, worst_row = float(slack[row]), sum(map(len, corners)) + row
+            worst_aux = JointDistribution(alphabets, probs[row // 2])
+        corners.append(batch)
 
-    def fold(probs, joint_of):
-        corners = _corners(*rates(probs, ch1.rows, ch2.rows)).reshape(-1, 2)
-        slack = _td_slack(corners[:, 0], corners[:, 1], c1, c2)
-        i = int(slack.argmin())
-        if slack[i] < worst[0]:
-            worst[:] = float(slack[i]), sum(map(len, batches)) + i, joint_of(i // 2)
-        batches.append(corners)
-
-    if n_samples > 0:
-        for probs, joint_of in probes(rep1, rep2):
-            fold(probs, joint_of)
-        alphas = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards[:arity], "uvw"))
-        alphas += (ch1.input,)
-        shape = cards[:arity] + (nx,)
-        for batch_index, done in enumerate(range(0, n_samples, _BATCH)):
-            rng = np.random.default_rng([cfg.seed, batch_index])
-            draws = rng.dirichlet(np.ones(cells), size=min(_BATCH, n_samples - done))
-            draws = _clean_probs(draws.reshape((-1,) + shape), "joint distribution", batch=True)
-            fold(draws, lambda i: JointDistribution(alphas, draws[i]))
-
-    points = np.concatenate(batches) if batches else np.empty((0, 2))
+    points = np.concatenate(corners) if corners else np.empty((0, 2))
     points.flags.writeable = False
-    slack, row, aux = worst
-    worst_point = None if row is None else points[row]
-    return SampleReport(RegionSample(points, source), slack, worst_point, aux)
+    worst_point = None if worst_row is None else points[worst_row]
+    return SampleReport(RegionSample(points, source), min_slack, worst_point, worst_aux)
 
 
 def sample_marton(

@@ -36,8 +36,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 # the description `tdopt --help` prints
-DESCRIPTION = """Command-line front end: channel file IO, stock example generation, and
-report/CSV emission for the capacity and region machinery.
+DESCRIPTION = """Is plain time division optimal for a two-receiver broadcast channel? Certify
+the capacity of one channel, decide or analyze a pair, sample its rate
+regions as CSV, or write a stock example channel.
 
 Commands print deterministic text (no timestamps, stable 12-significant-digit
 numbers) so that identically seeded runs are byte-identical. Exit codes:
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--tol", type=float, default=None, help="capacity bracket tolerance (bits)")
     settings.add_argument("--tol-k", type=float, default=None, dest="peak_tol", metavar="TOL_K", help="peak-set divergence tolerance (bits)")
-    settings.add_argument("--violation-tol", type=float, default=None, help="search violation threshold (bits)")
+    settings.add_argument("--violation-tol", type=float, default=None, help="how far below zero a gap or slack must fall to count as a violation: bits for more-capable gaps, unitless for ratio and divergence-form gaps and time-division slacks")
     settings.add_argument("--cap-eq-tol", type=float, default=None, help="capacity equality tolerance (bits)")
     settings.add_argument("--seed", type=int, default=None, help="master seed (overrides TDOPT_SEED)")
     settings.add_argument("--starts", type=int, default=None, help="random starts per simplex search")

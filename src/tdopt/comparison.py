@@ -36,6 +36,7 @@ HOLDS_UP_TO_SEARCH = "HOLDS_UP_TO_SEARCH"
 VIOLATED = "VIOLATED"
 
 _GRID_LIMIT = 1_000_000
+_START_CELL_LIMIT = 1_000_000  # cells of the random starts, starts x |X|
 _AUTO_SUBDIVISIONS = {1: 1, 2: 1000, 3: 100, 4: 40, 5: 20, 6: 10, 7: 8, 8: 7}
 _MAX_ITERS = 400     # projected-gradient steps per start
 _TRIALS = 3          # backtracking trials each start makes per pass of the descent
@@ -194,6 +195,11 @@ def dc_minimize(
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    if cfg.starts * dim > _START_CELL_LIMIT:
+        raise ValueError(
+            f"{cfg.starts} random starts would need {cfg.starts * dim} cells "
+            f"(limit {_START_CELL_LIMIT}); reduce the starts"
+        )
     evals = 0
 
     rng = np.random.default_rng(cfg.seed)

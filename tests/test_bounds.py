@@ -1,6 +1,7 @@
 """Region machinery: TD membership, constraint pentagons, the time-sharing
 construction identities, and seeded sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -417,6 +418,45 @@ class TestSampling:
         dead = Channel(bsc.input, Alphabet(("y",)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="positive"):
             sampled(sample_marton, dead, bsc, samples=10)
+
+
+PARTITION_43 = make_partition_pair(4, 3)
+PARTITION_43_INPUTS = "a0 a1 a2 a3 b0 b1 b2"
+PARTITION_43_MERGED = " ".join(
+    f"{q}:{role}:{x}" for q in "01" for role in "uv" for x in PARTITION_43_INPUTS.split()
+)
+BSC_PAIR = (make_bsc(0.1), make_bsc(0.3))
+
+
+class TestSamplingBytes:
+    """The exact bytes of two region samples per bound at seed 0: every point,
+    the worst joint's probabilities and its alphabets. A layout, order or
+    rounding change in the probes, the draws or the rate formulas moves them."""
+
+    @pytest.mark.parametrize("pair, sampler, cfg, points_sha, aux_sha, symbols", [
+        ((PARTITION_43.first, PARTITION_43.second), sample_marton, dict(samples=500),
+         "3fa400152b1d2b51ce9bd6a26b328425040083e3b8a128a36d143e9a64fc6133",
+         "2fa9cd0e4ad5e74f2d693c86a249b4111d6fa695919415dc60a0828711ba6995",
+         (f"{PARTITION_43_INPUTS} __u_star", f"{PARTITION_43_INPUTS} __v_star",
+          PARTITION_43_MERGED, PARTITION_43_INPUTS)),
+        ((PARTITION_43.first, PARTITION_43.second), sample_uv, dict(samples=500),
+         "cba34d10106ae0e708d0f95d24b3713b9aa1c5543c52649f6a92915d72e277a2",
+         "dc8ebf48b36207ad9da74bb28e11ba5a7314d0167889b344a782fabff44955d2",
+         (PARTITION_43_INPUTS, "c0", PARTITION_43_INPUTS)),
+        (BSC_PAIR, sample_marton, dict(cardinalities=(3, 3, 2)),
+         "35110fb6b49ef518bf4c7d39b6dec0432b494da798eb08469b6698dba53538eb",
+         "8c1aec786ad8ae8f5e3ae38b69e2148948794a3b1c37eeb6c6e02889363af61d",
+         ("0 1 __u_star", "0 1 __v_star", "0:u:0 0:u:1 0:v:0 0:v:1 1:u:0 1:u:1 1:v:0 1:v:1", "0 1")),
+        (BSC_PAIR, sample_uv, dict(cardinalities=(3, 3, 2)),
+         "acc9e9b7510d3b7380a886762e7ab68afcb54c5989b84242433d6f4682a09053",
+         "7e5cfbb2f362088a333aeb03f34eb9f4915fb2c3a25ef7fd6bc7ffd2d85dba90",
+         ("c0", "0 1", "0 1")),
+    ], ids=["partition43-marton", "partition43-uv", "bsc-marton", "bsc-uv"])
+    def test_seed_zero_bytes(self, pair, sampler, cfg, points_sha, aux_sha, symbols):
+        rep = sampled(sampler, *pair, seed=0, **cfg)
+        assert hashlib.sha256(rep.sample.points.tobytes()).hexdigest() == points_sha
+        assert hashlib.sha256(rep.worst_aux.probs.tobytes()).hexdigest() == aux_sha
+        assert tuple(" ".join(a.symbols) for a in rep.worst_aux.alphabets) == symbols
 
 
 class TestSerialization:

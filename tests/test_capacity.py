@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import pathlib
 
@@ -43,6 +44,10 @@ from conftest import (
 
 B = Alphabet(("0", "1"))
 TDBENCH = pathlib.Path(__file__).resolve().parents[1] / "tdbench"
+# the benchmark's reference computations, which import nothing from tdopt
+_ORACLES_SPEC = importlib.util.spec_from_file_location("oracles", TDBENCH / "oracles.py")
+oracles = importlib.util.module_from_spec(_ORACLES_SPEC)
+_ORACLES_SPEC.loader.exec_module(oracles)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -393,6 +398,37 @@ def relabelled_channels(draw):
             draw(st.permutations(range(len(ch.output)))))
 
 
+@st.composite
+def binary_channels(draw):
+    """Binary-input channels with 2-4 outputs, each row a seeded Dirichlet
+    draw at concentration 0.3, 1 or 3."""
+    n_y = draw(st.integers(2, 4))
+    alpha = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return channel(rng.dirichlet(np.full(n_y, alpha), size=2))
+
+
+def binary_grid_capacity(rows) -> float:
+    """max I(X;Y) in bits over inputs Bern(delta), independent of the tdopt
+    kernel: the best point of a 10,001-point grid of delta, refined by
+    golden-section search between its two neighbours (I is concave in
+    delta)."""
+    def info(deltas):
+        return oracles.mutual_information_batch(np.column_stack([1.0 - deltas, deltas]), rows)
+
+    grid = np.linspace(0.0, 1.0, 10_001)
+    values = info(grid)
+    k = int(values.argmax())
+    lo, hi, best = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], float(values[k])
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        fa, fb = info(np.array([a, b]))
+        best = max(best, fa, fb)
+        lo, hi = (a, hi) if fa < fb else (lo, b)
+    return best
+
+
 def information_bits(p, rows):
     q = [sum(p[x] * rows[x][y] for x in range(len(p))) for y in range(len(rows[0]))]
     return sum(p[x] * w * math.log2(w / q[y])
@@ -473,6 +509,16 @@ class TestCertificateProperties:
         assert np.abs(rep.optimal_output.probs[py] - rep_moved.optimal_output.probs).max() <= 1e-6
         assert set(rep.peak_set) == set(rep_moved.peak_set)
         assert set(rep.support_union) == set(rep_moved.support_union)
+
+    @settings(max_examples=50, deadline=None)
+    @given(binary_channels())
+    @example(channel([[0.9, 0.1], [0.1, 0.9]]))
+    @example(channel([[1, 0], [0.5, 0.5]]))  # Z channel: the optimum is off delta = 1/2
+    @example(channel([[0.3, 0.7], [0.3, 0.7]]))  # identical rows: capacity 0
+    def test_bracket_contains_binary_grid_oracle(self, ch):
+        rep = analyze_channel(ch)
+        oracle = binary_grid_capacity(ch.rows)
+        assert rep.capacity - rep.gap / 2 - 1e-12 <= oracle <= rep.capacity + rep.gap / 2 + 1e-12
 
     def test_two_cycle_channel(self):
         rep = analyze_channel(channel(TWO_CYCLE_ROWS))

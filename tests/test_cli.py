@@ -232,6 +232,26 @@ class TestExitCodes:
         assert code == EXIT_INPUT and out == ""
         assert capsys.readouterr().err == "error: violation_tol must be finite, got nan\n"
 
+    def test_huge_starts_is_input_error_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # a billion starts over two inputs would ask numpy for 16 GB of draws;
+        # every generator refuses to draw, so a missing check fails here
+        # without allocating anything
+        class Drew(Exception):
+            pass
+
+        class NoDraws(np.random.Generator):
+            def dirichlet(self, *args, **kwargs):
+                raise Drew
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws(np.random.PCG64(seed)))
+        b1, b3 = write_bsc(tmp_path / "b1.json", 0.1), write_bsc(tmp_path / "b3.json", 0.3)
+        code, out = run(["verdict", b1, b3, "--samples", "0", "--starts", "1000000000"])
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == (
+            "error: 1000000000 random starts would need 2000000000 cells (limit 1000000); "
+            "reduce the starts\n"
+        )
+
     @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")])
     def test_negative_seed_is_input_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                           flag, env):
@@ -289,6 +309,14 @@ class TestParserReuse:
         assert capsys.readouterr().out == build_parser.__wrapped__().format_help()
         assert run(["capacity", "--help"])[0] == EXIT_OK
         assert "--tol TOL" in capsys.readouterr().out
+
+    def test_violation_tol_help_names_every_gap_it_judges(self, capsys):
+        assert run(["verdict", "--help"])[0] == EXIT_OK
+        assert (
+            "--violation-tol VIOLATION_TOL how far below zero a gap or slack must fall to count "
+            "as a violation: bits for more-capable gaps, unitless for ratio and divergence-form "
+            "gaps and time-division slacks --cap-eq-tol"
+        ) in " ".join(capsys.readouterr().out.split())
 
 
 class TestExampleGen:

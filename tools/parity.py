@@ -6,8 +6,10 @@ change.
 Runs every command of tdbench's search, region and capacity corpora at seeds
 0 and 1 in-process through tdopt.cli.main, then `--help` of tdopt and of each
 command, three `example-gen` runs, `verdict` and `analyze` of one
-capacity-gap pair with `--units nats` (the corpora run in bits) and the four
-demos, all with tdopt imported from ROOT/src (default: this checkout).
+capacity-gap pair with `--units nats` (the corpora run in bits), `verdict` and
+`region` of the `sec4 3 2` partition pair at `--samples 0` (no probes and no
+draws) and the four demos, all with tdopt imported from ROOT/src (default:
+this checkout).
 Prints one sha256 per output over its stdout, stderr, exit code and the
 files it wrote (a demo's over its stdout alone). Channel paths appear in
 stdout, so the work directory is fixed, and help text is wrapped at a fixed
@@ -41,6 +43,8 @@ EXAMPLES = (
 )
 # the capacity-gap pair run in nats: example-gen arguments of its two channels
 NATS_PAIR = (["bsc", "0.1"], ["bsc", "0.3"])
+# example-gen arguments of the partition pair run with an empty sample
+EMPTY_SAMPLE_PAIR = ["sec4", "3", "2"]
 DEMOS = ("capacity_certificates", "perturbation_and_timeshare", "region_sampling", "verdict_gallery")
 
 
@@ -94,6 +98,14 @@ def main():
         dest = os.path.join(WORKDIR, f"{command}.json")
         outputs = run_cli(tdopt_main, [command, *pair, "--units", "nats", "--json", dest])
         print(digest(*outputs, read(dest)), f"nats {command} {' '.join(os.path.basename(p) for p in pair)}")
+    shutil.rmtree(WORKDIR, ignore_errors=True)
+    os.makedirs(WORKDIR)
+    run_cli(tdopt_main, ["example-gen", *EMPTY_SAMPLE_PAIR, "--out", os.path.join(WORKDIR, "pair.json")])
+    pair = [os.path.join(WORKDIR, f"pair.{side}.json") for side in ("first", "second")]
+    for command, dest_flag in (("verdict", "--json"), ("region", "--out")):
+        dest = os.path.join(WORKDIR, f"{command}.out")
+        outputs = run_cli(tdopt_main, [command, *pair, "--samples", "0", dest_flag, dest])
+        print(digest(*outputs, read(dest)), f"samples 0 {command} {' '.join(EMPTY_SAMPLE_PAIR)}")
     shutil.rmtree(WORKDIR, ignore_errors=True)
     for name in DEMOS:
         out = io.StringIO()
