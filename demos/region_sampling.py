@@ -50,7 +50,7 @@ def main():
 
     cfg = RunConfig(cardinalities=(2, 2, 2), samples=3000, seed=17)
     for name, sampler in (("inner bound", sample_marton), ("outer bound", sample_uv)):
-        report = sampler(first, second, rep1, rep2, cfg)
+        report = sampler(rep1, rep2, cfg)
         r1, r2 = report.worst_point
         print(f"{name}: {len(report.sample.points)} corner points sampled")
         print(f"  min TD slack {zeroed(report.min_slack):+.6f} at ({r1:.4f}, {r2:.4f})")

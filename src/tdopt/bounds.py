@@ -36,6 +36,7 @@ U_STAR = "__u_star"
 V_STAR = "__v_star"
 
 _CELL_LIMIT = 1_000_000
+_SAMPLE_LIMIT = 1_000_000  # Dirichlet joints per bound; every joint's corners are kept
 _BATCH = 512  # Dirichlet draws per seeded generator, evaluated at once
 
 
@@ -346,20 +347,27 @@ def _draws(cfg: RunConfig, arity: int, x_alpha: Alphabet, cells: int):
         yield rng.dirichlet(np.ones(cells), size=size).reshape(shape), alphabets
 
 
-def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
-    """The sampling loop both bounds share. It walks one list of (probs,
-    alphabets) batches: the structured `probes`, then the seeded Dirichlet
-    draws of `_draws`, none of them when `cfg.samples` is 0. Each batch is
-    validated once and evaluated at once by the array formulas `rates`.
-    Every joint's two corners become points, in order, and the first point
-    with the smallest time-division slack is kept. A JointDistribution is
-    built, from its batch's row and alphabets, only for a joint that lowers
-    that slack, so no batch outlives its own evaluation."""
+def _sample(rep1, rep2, cfg, arity, rates, probes, source):
+    """The sampling loop both bounds share, over the channels of the reports
+    `rep1` and `rep2`. It walks one list of (probs, alphabets) batches: the
+    structured `probes`, then the seeded Dirichlet draws of `_draws`, none of
+    them when `cfg.samples` is 0. Each batch is validated once and evaluated
+    at once by the array formulas `rates`. Every joint's two corners become
+    points, in order, and the first point with the smallest time-division
+    slack is kept. A JointDistribution is built, from its batch's row and
+    alphabets, only for a joint that lowers that slack, so no batch outlives
+    its own evaluation."""
+    ch1, ch2 = rep1.channel, rep2.channel
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("channels must share the input alphabet")
     c1, c2 = rep1.capacity, rep2.capacity
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("region sampling against time division needs positive capacities")
+    if cfg.samples > _SAMPLE_LIMIT:
+        raise ValueError(
+            f"{cfg.samples} samples per bound exceed the limit of {_SAMPLE_LIMIT}; "
+            "reduce the samples"
+        )
     cells = _check_cells(cfg.cardinalities, len(ch1.input), arity)
     # probes and draws, or nothing at all with no samples
     sources = (probes(rep1, rep2), _draws(cfg, arity, ch1.input, cells)) if cfg.samples > 0 else ()
@@ -382,26 +390,19 @@ def _sample(ch1, ch2, rep1, rep2, cfg, arity, rates, probes, source):
 
 
 def sample_marton(
-    ch1: Channel,
-    ch2: Channel,
-    rep1: CapacityReport,
-    rep2: CapacityReport,
-    cfg: RunConfig = RunConfig(),
+    rep1: CapacityReport, rep2: CapacityReport, cfg: RunConfig = RunConfig()
 ) -> SampleReport:
-    """Sample the inner bound: `cfg.samples` Dirichlet-random auxiliary
+    """Sample the inner bound of the pair of channels behind the capacity
+    reports `rep1` and `rep2`: `cfg.samples` Dirichlet-random auxiliary
     joints at `cfg.cardinalities` = (|U|, |V|, |W|), plus structured
-    time-sharing probes built from the capacity-achieving inputs of the
-    reports `rep1` and `rep2`. Deterministic given `cfg.seed`; with no
-    samples the sample is empty and the slack defaults to +1."""
-    return _sample(ch1, ch2, rep1, rep2, cfg, 3, _marton, _timeshare_probes, MARTON)
+    time-sharing probes built from the reports' capacity-achieving inputs.
+    Deterministic given `cfg.seed`; with no samples the sample is empty and
+    the slack defaults to +1."""
+    return _sample(rep1, rep2, cfg, 3, _marton, _timeshare_probes, MARTON)
 
 
 def sample_uv(
-    ch1: Channel,
-    ch2: Channel,
-    rep1: CapacityReport,
-    rep2: CapacityReport,
-    cfg: RunConfig = RunConfig(),
+    rep1: CapacityReport, rep2: CapacityReport, cfg: RunConfig = RunConfig()
 ) -> SampleReport:
     """Sample the outer bound's constraint pentagons the same way, with
     single-user probes (one auxiliary copying X at a capacity-achieving
@@ -410,7 +411,7 @@ def sample_uv(
     Sampled outer-bound points witness what the converse permits; they do
     not certify achievability.
     """
-    return _sample(ch1, ch2, rep1, rep2, cfg, 2, _uv, _single_user_probes, UV)
+    return _sample(rep1, rep2, cfg, 2, _uv, _single_user_probes, UV)
 
 
 def td_boundary_sample(c1: float, c2: float, count: int = 101) -> RegionSample:

@@ -324,8 +324,8 @@ def cmd_region(args, cfg: RunConfig, out) -> int:
     pair = _load_pair(args)
     rep1 = analyze_channel(pair.first, cfg)
     rep2 = analyze_channel(pair.second, cfg)
-    marton = sample_marton(pair.first, pair.second, rep1, rep2, cfg)
-    uv = sample_uv(pair.first, pair.second, rep1, rep2, cfg)
+    marton = sample_marton(rep1, rep2, cfg)
+    uv = sample_uv(rep1, rep2, cfg)
     td = td_boundary_sample(rep1.capacity, rep2.capacity, 101)
 
     text = region_csv((marton.sample, uv.sample, td), unit_scale(cfg.units))
@@ -404,8 +404,8 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         ),
     }
     if full_support(rep1) and full_support(rep2):
-        checks["divergence_form"] = divergence_form_check(pair.first, pair.second, rep1, rep2, cfg)
-    screen = vertex_screen(pair.first, pair.second, rep1, rep2)
+        checks["divergence_form"] = divergence_form_check(rep1, rep2, cfg)
+    screen = vertex_screen(rep1, rep2)
     doc = {
         "first": capacity_to_dict(rep1, cfg.units),
         "second": capacity_to_dict(rep2, cfg.units),

@@ -246,11 +246,12 @@ def _rate_gap(ch_minus: Channel, ch_plus: Channel, c_minus: float = 1.0, c_plus:
     return objective, gradient
 
 
-def _divergence_gap(ch1: Channel, ch2: Channel, rep1: CapacityReport, rep2: CapacityReport):
+def _divergence_gap(rep1: CapacityReport, rep2: CapacityReport):
     """Objective p -> D(p_Y || r*)/c1 - D(p_Z || s*)/c2 in bits against the
-    optimal outputs, and its gradient, batch-first as in `_rate_gap`. The
-    gradient of D(p_Y || r) in p(x) is sum_y W(y|x) ln(p_Y(y)/r(y)) plus a
-    constant."""
+    optimal outputs of the reports' channels, and its gradient, batch-first
+    as in `_rate_gap`. The gradient of D(p_Y || r) in p(x) is
+    sum_y W(y|x) ln(p_Y(y)/r(y)) plus a constant."""
+    ch1, ch2 = rep1.channel, rep2.channel
     c1, c2 = rep1.capacity, rep2.capacity
     rows1, ref1 = ch1.reduced_rows, rep1.optimal_output.probs[ch1.reachable]
     rows2, ref2 = ch2.reduced_rows, rep2.optimal_output.probs[ch2.reachable]
@@ -314,20 +315,17 @@ def ratio_condition_check(
 
 
 def divergence_form_check(
-    ch1: Channel,
-    ch2: Channel,
-    rep1: CapacityReport,
-    rep2: CapacityReport,
-    cfg: RunConfig = RunConfig(),
+    rep1: CapacityReport, rep2: CapacityReport, cfg: RunConfig = RunConfig()
 ) -> SearchVerdict:
-    """Capacity-normalized output-divergence form of the ratio condition:
+    """Capacity-normalized output-divergence form of the ratio condition
+    between the channels of the reports `rep1` and `rep2`:
     minimize D(p_Y || r*)/c1 - D(p_Z || s*)/c2.
 
     Only valid when every input symbol participates in some optimizer of each
     channel (full support union), which is exactly when the two objectives
     coincide pointwise with the ratio form.
     """
-    _require_shared_input(ch1, ch2)
+    _require_shared_input(rep1.channel, rep2.channel)
     for name, rep in (("first", rep1), ("second", rep2)):
         if not full_support(rep):
             raise AssumptionNotMetError(
@@ -336,7 +334,7 @@ def divergence_form_check(
             )
     if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
         raise ValueError("the divergence form needs positive capacities")
-    return _search(_divergence_gap(ch1, ch2, rep1, rep2), ch1.input, cfg)
+    return _search(_divergence_gap(rep1, rep2), rep1.channel.input, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,19 +363,18 @@ class VertexScreen:
     mixed_output_is_optimal: bool
 
 
-def vertex_screen(
-    ch1: Channel,
-    ch2: Channel,
-    rep1: CapacityReport,
-    rep2: CapacityReport,
-) -> VertexScreen:
-    """Evaluate both point-mass inequality families exactly (no search).
+def vertex_screen(rep1: CapacityReport, rep2: CapacityReport) -> VertexScreen:
+    """Evaluate both point-mass inequality families exactly (no search), for
+    the channels of the reports `rep1` and `rep2`.
 
     When family two holds, the second-channel image of the first channel's
     optimizer can be checked against the second channel's optimal output;
     agreement is reported in `mixed_output_gap`.
     """
+    ch1, ch2 = rep1.channel, rep2.channel
     _require_shared_input(ch1, ch2)
+    if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
+        raise ValueError("the vertex screen needs positive capacities")
     s_y = push_forward(rep2.achieving_input, ch1)
     r_z = push_forward(rep1.achieving_input, ch2)
 

@@ -99,18 +99,15 @@ class TDVerdict:
 
 
 def evidence_mode(
-    pair: BroadcastPair,
-    rep1: CapacityReport,
-    rep2: CapacityReport,
-    cfg: RunConfig = RunConfig(),
+    rep1: CapacityReport, rep2: CapacityReport, cfg: RunConfig = RunConfig()
 ) -> EvidenceReport:
     """Region sampling for pairs outside the theorem's reach (or as a
     cross-check), from the two channels' capacity reports; never claims
     optimality."""
-    marton = sample_marton(pair.first, pair.second, rep1, rep2, cfg)
+    marton = sample_marton(rep1, rep2, cfg)
     return EvidenceReport(
         marton=marton,
-        uv=sample_uv(pair.first, pair.second, rep1, rep2, cfg),
+        uv=sample_uv(rep1, rep2, cfg),
         violating_aux=marton.worst_aux if marton.min_slack < -cfg.violation_tol else None,
     )
 
@@ -138,31 +135,24 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
             first_report=rep_first,
             second_report=rep_second,
             checks={},
-            evidence=evidence_mode(pair, rep_first, rep_second, cfg),
+            evidence=evidence_mode(rep_first, rep_second, cfg),
             config=cfg,
         )
 
     swapped = rep_second.capacity > rep_first.capacity
-    if swapped:
-        strong_ch, weak_ch = pair.second, pair.first
-        strong_rep, weak_rep = rep_second, rep_first
-    else:
-        strong_ch, weak_ch = pair.first, pair.second
-        strong_rep, weak_rep = rep_first, rep_second
+    strong, weak = (rep_second, rep_first) if swapped else (rep_first, rep_second)
 
-    branch = theorem_statement_normalization(
-        strong_rep.capacity, weak_rep.capacity, cfg.cap_eq_tol
-    )
+    branch = theorem_statement_normalization(strong.capacity, weak.capacity, cfg.cap_eq_tol)
     if branch == CAPACITY_GAP_RATIO:
         checks = {
             "ratio_condition": ratio_condition_check(
-                strong_ch, weak_ch, strong_rep.capacity, weak_rep.capacity, cfg
+                strong.channel, weak.channel, strong.capacity, weak.capacity, cfg
             )
         }
     else:
         checks = {
-            "more_capable_forward": more_capable_check(strong_ch, weak_ch, cfg),
-            "more_capable_backward": more_capable_check(weak_ch, strong_ch, cfg),
+            "more_capable_forward": more_capable_check(strong.channel, weak.channel, cfg),
+            "more_capable_backward": more_capable_check(weak.channel, strong.channel, cfg),
         }
     # on either branch, time division is refuted only when every check is violated
     status = TD_NOT_OPTIMAL if all(c.status == VIOLATED for c in checks.values()) else TD_OPTIMAL

@@ -225,7 +225,7 @@ def test_criterion_08_ratio_divergence_equivalence():
         assert rep1.support_union == ch1.input.symbols
         assert rep2.support_union == ch2.input.symbols
         ratio = ratio_condition_check(ch1, ch2, rep1.capacity, rep2.capacity)
-        div = divergence_form_check(ch1, ch2, rep1, rep2)
+        div = divergence_form_check(rep1, rep2)
         assert ratio.status == div.status
         worst = max(worst, abs(ratio.gap - div.gap))
         assert abs(ratio.gap - div.gap) <= 1e-6
@@ -245,14 +245,12 @@ def test_criterion_09_no_false_violations():
     for label, ch1, ch2 in optimal_pairs:
         verdict = decide_td_optimality(BroadcastPair(ch1, ch2), RunConfig(samples=0))
         assert verdict.status == TD_OPTIMAL, label
-        report = sample_marton(ch1, ch2, analyze_channel(ch1), analyze_channel(ch2), sampling)
+        report = sample_marton(analyze_channel(ch1), analyze_channel(ch2), sampling)
         overall = min(overall, report.min_slack)
         assert report.min_slack >= -1e-6, label
 
     partition = make_partition_pair(4, 2)
     report = sample_marton(
-        partition.first,
-        partition.second,
         analyze_channel(partition.first),
         analyze_channel(partition.second),
         sampling,

@@ -345,7 +345,7 @@ class TestTimeshareConstruction:
 def sampled(sampler, ch1, ch2, **cfg):
     """`sampler` run from the two channels' capacity reports under
     `RunConfig(**cfg)`."""
-    return sampler(ch1, ch2, analyze_channel(ch1), analyze_channel(ch2), RunConfig(**cfg))
+    return sampler(analyze_channel(ch1), analyze_channel(ch2), RunConfig(**cfg))
 
 
 class TestSampling:
@@ -397,7 +397,7 @@ class TestSampling:
         ch1, ch2 = merge_pair()
         rep1 = analyze_channel(ch1)
         rep2 = analyze_channel(ch2)
-        srep = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=300, seed=1))
+        srep = sample_marton(rep1, rep2, RunConfig(samples=300, seed=1))
         assert srep.worst_aux is not None
         replay = marton_rates(srep.worst_aux, ch1, ch2)
         slacks = [

@@ -252,6 +252,29 @@ class TestExitCodes:
             "reduce the starts\n"
         )
 
+    @pytest.mark.parametrize("command", ["verdict", "region"])
+    def test_huge_samples_is_input_error_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                         command):
+        # a billion samples would keep about 93 GB of corners; every generator
+        # refuses to draw, so a missing check fails here without allocating
+        # anything. The partition pair samples on both commands.
+        class Drew(Exception):
+            pass
+
+        class NoDraws(np.random.Generator):
+            def dirichlet(self, *args, **kwargs):
+                raise Drew
+
+        assert run(["example-gen", "sec4", "3", "2", "--out", str(tmp_path / "p.json")])[0] == EXIT_OK
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws(np.random.PCG64(seed)))
+        pair = [str(tmp_path / f"p.{side}.json") for side in ("first", "second")]
+        code, out = run([command, *pair, "--samples", "1000000000"])
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == (
+            "error: 1000000000 samples per bound exceed the limit of 1000000; "
+            "reduce the samples\n"
+        )
+
     @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")])
     def test_negative_seed_is_input_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                           flag, env):

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from tdopt.bounds import sample_marton, sample_uv
 from tdopt.capacity import analyze_channel
 from tdopt.comparison import (
     HOLDS_UP_TO_SEARCH,
@@ -155,7 +156,7 @@ class TestMinimizer:
         for objective, gradient in (
             _rate_gap(ch2, ch1),
             _rate_gap(ch1, ch2, rep1.capacity, rep2.capacity),
-            _divergence_gap(ch1, ch2, rep1, rep2),
+            _divergence_gap(rep1, rep2),
         ):
             res = dc_minimize(objective, gradient, len(ch1.input))
             assert res.value == objective(res.argmin)
@@ -328,7 +329,7 @@ class TestSearchGolden:
             "more_capable_forward": more_capable_check(ch1, ch2),
             "more_capable_backward": more_capable_check(ch2, ch1),
             "ratio_condition": ratio_condition_check(ch1, ch2, rep1.capacity, rep2.capacity),
-            "divergence_form": divergence_form_check(ch1, ch2, rep1, rep2),
+            "divergence_form": divergence_form_check(rep1, rep2),
         }
         assert {k: (c.gap.hex(), c.starts, c.evaluations) for k, c in checks.items()} == golden
 
@@ -362,7 +363,7 @@ class TestDivergenceForm:
         ]:
             rep1, rep2 = self._analyzed(ch1), self._analyzed(ch2)
             a = ratio_condition_check(ch1, ch2, rep1.capacity, rep2.capacity)
-            b = divergence_form_check(ch1, ch2, rep1, rep2)
+            b = divergence_form_check(rep1, rep2)
             assert a.status == b.status
             assert a.gap == pytest.approx(b.gap, abs=1e-6)
 
@@ -384,14 +385,14 @@ class TestDivergenceForm:
         pair = make_partition_pair(4, 2)
         rep1, rep2 = self._analyzed(pair.first), self._analyzed(pair.second)
         with pytest.raises(AssumptionNotMetError, match="miss"):
-            divergence_form_check(pair.first, pair.second, rep1, rep2)
+            divergence_form_check(rep1, rep2)
 
 
 class TestVertexScreen:
     def test_identical_channels_hold_with_equality(self):
         ch = make_bsc(0.13)
         rep = analyze_channel(ch)
-        screen = vertex_screen(ch, ch, rep, rep)
+        screen = vertex_screen(rep, rep)
         assert screen.first_family_holds
         assert screen.second_family_holds
         assert np.allclose(
@@ -403,7 +404,7 @@ class TestVertexScreen:
     def test_bsc_pair_divergence_table(self):
         ch1, ch2 = make_bsc(0.11), make_bsc(0.3)
         rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
-        screen = vertex_screen(ch1, ch2, rep1, rep2)
+        screen = vertex_screen(rep1, rep2)
         # both optimizers are uniform, so each mixed reference equals the
         # channel's own optimal output and the table collapses to the
         # divergence profiles
@@ -416,7 +417,7 @@ class TestVertexScreen:
     def test_partition_pair_mixed_output_is_uniform_on_small_block(self):
         pair = make_partition_pair(4, 2)
         rep1, rep2 = analyze_channel(pair.first), analyze_channel(pair.second)
-        screen = vertex_screen(pair.first, pair.second, rep1, rep2)
+        screen = vertex_screen(rep1, rep2)
         # pushing the uniform-on-large-block optimizer through the second
         # channel lands exactly on its optimal output
         assert screen.mixed_output_gap <= 1e-9
@@ -427,9 +428,63 @@ class TestVertexScreen:
         # the peak columns are the reports' own profiles, not recomputed
         ch1, ch2 = make_bsc(0.2), make_bsc(0.3)
         rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
-        screen = vertex_screen(ch1, ch2, rep1, rep2)
+        screen = vertex_screen(rep1, rep2)
         assert same_bits(screen.div_first_peak, rep1.divergence_profile)
         assert same_bits(screen.div_second_peak, rep2.divergence_profile)
+
+    @pytest.mark.parametrize("dead_first", [True, False], ids=["first", "second"])
+    def test_zero_capacity_rejected_before_any_division(self, dead_first):
+        bsc = make_bsc(0.1)
+        dead = analyze_channel(Channel(bsc.input, bsc.output, np.array([[0.3, 0.7], [0.3, 0.7]])))
+        assert dead.capacity == 0.0
+        reps = (dead, analyze_channel(bsc)) if dead_first else (analyze_channel(bsc), dead)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="positive capacities"):
+            vertex_screen(*reps)
+
+    @pytest.mark.parametrize("pair, golden", [
+        ((make_bsc(0.1), make_bsc(0.3)), (
+            ("0x1.0fdfcf3f21c23p-1", "0x1.0fdfcf3f21c16p-1"),
+            ("0x1.e63b8398aafb0p-4", "0x1.e63b8398aafb0p-4"),
+            ("0x1.e63b8398aafb3p-4", "0x1.e63b8398aafadp-4"),
+            ("0x1.0fdfcf3f21c19p-1", "0x1.0fdfcf3f21c19p-1"),
+            False, True, "0x1.0000000000000p-54",
+        )),
+        (None, (
+            ("0x1.0537573fecf47p-1", "0x1.fa22cf723969dp-2", "0x1.7ee47d4c4a4f7p-2",
+             "0x1.74f451f0f938dp+0"),
+            ("0x1.314bdf6b717ecp-1", "0x1.314bdf6b717f0p-1", "0x1.314bdf6b717f2p-1",
+             "0x1.314bdf6b717efp-1"),
+            ("0x1.cc2e66c6882cep-1", "0x1.50413ca403412p-1", "0x1.4a6fb00a55e02p-1",
+             "0x1.1c29b9d4b2ae3p-2"),
+            ("0x1.6dc98c4b00d65p-1", "0x1.6dc98c4b00d68p-1", "0x1.6dc98c4b00d65p-1",
+             "0x1.6dc98c4b00d68p-1"),
+            False, False, "0x1.98700c238839cp-4",
+        )),
+    ], ids=["bsc", "4-inputs"])
+    def test_golden_bits(self, pair, golden):
+        # every table entry, both family flags and the output gap to the last
+        # bit; None is TestSearchGolden's 4-input pair (seed 40)
+        if pair is None:
+            rng = np.random.default_rng(40)
+            pair = [Channel(Alphabet.of_size(4), Alphabet.of_size(4, "y"),
+                            0.5 * np.eye(4) + 0.5 * rng.dirichlet(np.ones(4), 4))
+                    for _ in range(2)]
+        screen = vertex_screen(*map(analyze_channel, pair))
+        tables = (screen.div_first_at_second_mix, screen.div_second_peak,
+                  screen.div_second_at_first_mix, screen.div_first_peak)
+        assert (
+            *(tuple(float(v).hex() for v in t) for t in tables),
+            screen.first_family_holds, screen.second_family_holds, screen.mixed_output_gap.hex(),
+        ) == golden
+
+
+@pytest.mark.parametrize("check", [sample_marton, sample_uv, divergence_form_check, vertex_screen])
+def test_pair_functions_need_a_shared_input(check):
+    # the reports' channels are read from the reports, and their inputs must agree
+    bsc, partition = make_bsc(0.1), make_partition_pair(4, 2).first
+    for reps in ((bsc, partition), (partition, bsc)):
+        with pytest.raises(AlphabetMismatchError):
+            check(*map(analyze_channel, reps))
 
 
 class TestPerturbation:

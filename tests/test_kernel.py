@@ -156,7 +156,7 @@ def test_divergence_gap_objective_and_gradient_rows_match(data):
     rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
     c_min = min(rep1.capacity, rep2.capacity)
     assume(c_min > 0.01)
-    objective, gradient = _divergence_gap(ch1, ch2, rep1, rep2)
+    objective, gradient = _divergence_gap(rep1, rep2)
     assert_rows_exact(objective, pts)
     assert_rows_exact(gradient, pts)
     refs = np.concatenate([rep.optimal_output.probs for rep in (rep1, rep2)])
@@ -338,7 +338,7 @@ def test_timeshare_probe_batch_equals_lone_constructions(data, seed):
         timeshare_construction(copy_plan(rep1), copy_plan(rep2), float(lam)).marton_joint()
         for lam in np.linspace(0.0, 1.0, 11)
     ]
-    points = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=1, seed=seed)).sample.points
+    points = sample_marton(rep1, rep2, RunConfig(samples=1, seed=seed)).sample.points
     assert same_bits(points[:22], np.concatenate([marton_rates(j, ch1, ch2).corners() for j in joints]))
     (probs, alphabets), = _timeshare_probes(rep1, rep2)
     for i, joint in enumerate(joints):
@@ -349,7 +349,7 @@ def test_probe_held_minimum_returns_that_probes_joint():
     pair = make_partition_pair(4, 3)
     ch1, ch2 = pair.first, pair.second
     rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
-    report = sample_marton(ch1, ch2, rep1, rep2, RunConfig(samples=8))
+    report = sample_marton(rep1, rep2, RunConfig(samples=8))
     points = report.sample.points
     row = int((1.0 - points[:, 0] / rep1.capacity - points[:, 1] / rep2.capacity).argmin())
     assert row < 22 and report.min_slack <= 0.0
@@ -451,7 +451,7 @@ def test_batched_descent_rows_equal_serial(data, c1, c2):
     gaps = [_rate_gap(ch2, ch1), _rate_gap(ch1, ch2, c1, c2)]
     rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
     if min(rep1.capacity, rep2.capacity) > 0.01:
-        gaps.append(_divergence_gap(ch1, ch2, rep1, rep2))
+        gaps.append(_divergence_gap(rep1, rep2))
     for objective, gradient in gaps:
         x, fx, evals = _descend(objective, gradient, starts)
         for i, x0 in enumerate(starts):

@@ -37,7 +37,7 @@ FAST = RunConfig(samples=200, starts=16)
 
 
 def evidence(pair):
-    return evidence_mode(pair, analyze_channel(pair.first), analyze_channel(pair.second), FAST)
+    return evidence_mode(analyze_channel(pair.first), analyze_channel(pair.second), FAST)
 
 
 def merge_pair():

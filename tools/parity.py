@@ -8,8 +8,10 @@ Runs every command of tdbench's search, region and capacity corpora at seeds
 command, three `example-gen` runs, `verdict` and `analyze` of one
 capacity-gap pair with `--units nats` (the corpora run in bits), `verdict` and
 `region` of the `sec4 3 2` partition pair at `--samples 0` (no probes and no
-draws) and the four demos, all with tdopt imported from ROOT/src (default:
-this checkout).
+draws), `capacity --json` of two channels whose capacity optimizer is not
+unique (so their achieving inputs come from the support-union simplex) and
+the four demos, all with tdopt imported from ROOT/src (default: this
+checkout).
 Prints one sha256 per output over its stdout, stderr, exit code and the
 files it wrote (a demo's over its stdout alone). Channel paths appear in
 stdout, so the work directory is fixed, and help text is wrapped at a fixed
@@ -45,6 +47,12 @@ EXAMPLES = (
 NATS_PAIR = (["bsc", "0.1"], ["bsc", "0.3"])
 # example-gen arguments of the partition pair run with an empty sample
 EMPTY_SAMPLE_PAIR = ["sec4", "3", "2"]
+# rows of channels with more than one capacity-achieving input: the simplex
+# runs once per peak symbol to average their optimizers into one witness
+SIMPLEX_CHANNELS = {
+    "repeated-rows": [[0.9, 0.1], [0.1, 0.9], [0.9, 0.1], [0.1, 0.9]],
+    "twin-rows": [[0.9, 0.1, 0.0], [0.9, 0.1, 0.0], [0.0, 0.1, 0.9]],
+}
 DEMOS = ("capacity_certificates", "perturbation_and_timeshare", "region_sampling", "verdict_gallery")
 
 
@@ -72,6 +80,8 @@ def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tdbench")]
     from corpus import CORPORA
     from tdopt.cli import main as tdopt_main
+    from tdopt.cli import save_channel
+    from tdopt.core import Alphabet, Channel
 
     for seed in (0, 1):
         for workload, corpus in CORPORA.items():
@@ -106,6 +116,13 @@ def main():
         dest = os.path.join(WORKDIR, f"{command}.out")
         outputs = run_cli(tdopt_main, [command, *pair, "--samples", "0", dest_flag, dest])
         print(digest(*outputs, read(dest)), f"samples 0 {command} {' '.join(EMPTY_SAMPLE_PAIR)}")
+    shutil.rmtree(WORKDIR, ignore_errors=True)
+    os.makedirs(WORKDIR)
+    for name, rows in SIMPLEX_CHANNELS.items():
+        path, dest = (os.path.join(WORKDIR, f"{name}{suffix}.json") for suffix in ("", ".capacity"))
+        save_channel(Channel(Alphabet.of_size(len(rows)), Alphabet.of_size(len(rows[0]), "y"), rows), path)
+        outputs = run_cli(tdopt_main, ["capacity", path, "--json", dest])
+        print(digest(*outputs, read(dest)), f"simplex capacity {name}")
     shutil.rmtree(WORKDIR, ignore_errors=True)
     for name in DEMOS:
         out = io.StringIO()
