@@ -356,13 +356,40 @@ def mutual_information_pair(
 # The batch-first joint kernel: a batch of joints is an array of shape
 # (S, *joint_shape), and axis arguments index the joint axes. Each joint of a
 # batch gets the bits it would get alone.
+#
+# The fast paths below keep numpy's order of addition, which follows memory:
+# a reduction over a middle axis (one with more cells after it) adds its
+# slices one at a time in memory order, so adding them in a Python loop
+# gives the same bits; a sum over a contiguous last axis of 8 or more cells
+# is pairwise, so those sums stay numpy's. A batch whose cells are all
+# positive skips the structural-zero mask, which would mask nothing.
+
+
+_SHORT_LOOP = 32  # an inner loop over fewer cells costs numpy more to start than to run
 
 
 def _marginal_batch(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Marginals over joint axes `axes`, kept in the given order, as a view
-    of their sums: its memory layout is the one every later sum follows."""
+    of their sums: its memory layout is the one every later sum follows.
+
+    When the dropped axes are adjacent and some kept cells follow them in a
+    C-contiguous batch, numpy's reduction adds their slices in memory order,
+    running one inner loop over the `tail` cells after them per slice row.
+    When those loops are short and a slice has many rows, as in a batch of
+    draws, the slices are added whole instead, in the same order."""
     drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
-    reduced = probs.sum(axis=drop) if drop else probs
+    shape = probs.shape
+    first, last = (drop[0], drop[-1] + 1) if drop else (0, 0)
+    sizes = (math.prod(shape[:first]), math.prod(shape[first:last]), math.prod(shape[last:]))
+    if (drop and last - first == len(drop) and 1 < sizes[2] < _SHORT_LOOP < sizes[0]
+            and probs.flags.c_contiguous):
+        cells = probs.reshape(sizes)
+        reduced = cells[:, 0]
+        for k in range(1, sizes[1]):
+            reduced = reduced + cells[:, k]
+        reduced = reduced.reshape(shape[:first] + shape[last:])
+    else:
+        reduced = probs.sum(axis=drop) if drop else probs
     order = sorted(axes).index  # reduced axes appear in sorted order
     return np.transpose(reduced, (0,) + tuple(order(a) + 1 for a in axes))
 
@@ -381,11 +408,19 @@ def extended_marginal(probs: np.ndarray, axes: tuple[int, ...], rows: np.ndarray
     its new last axis, without building that extension.
 
     Each joint is summed over the axes it drops, then multiplied by `rows`
-    and summed over X elementwise (no BLAS product), so every joint of a
-    batch gets the bits it would get alone. The output axis comes last."""
+    one input row at a time and summed over X in input order (no BLAS
+    product), so every joint of a batch gets the bits it would get alone.
+    That is the order of a sum over the middle X axis of the (..., X, Y)
+    product; with one output X is that product's last axis, and the product
+    is summed as such. The output axis comes last."""
     x_axis = probs.ndim - 2
     marginal = _marginal_batch(probs, tuple(axes) + (x_axis,))
-    return (marginal[..., None] * rows).sum(axis=-2)
+    if rows.shape[1] == 1:
+        return (marginal[..., None] * rows).sum(axis=-2)
+    acc = marginal[..., 0, None] * rows[0]
+    for x in range(1, len(rows)):
+        acc = acc + marginal[..., x, None] * rows[x]
+    return acc
 
 
 def conditional_information(
@@ -422,10 +457,18 @@ def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
     n, nc, na, nb = (len(marginal), math.prod(shape[:n_cond]),
                      math.prod(shape[n_cond:n_cond + n_a]), math.prod(shape[n_cond + n_a:]))
     cube = marginal.reshape(n, nc, na, nb)
-    nz = cube > 0.0
     # Structural independence: a slice where A or B is constant carries no
-    # information, and saying so exactly avoids spurious 1e-16 residue.
-    live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
+    # information, and saying so exactly avoids spurious 1e-16 residue. When
+    # every cell is positive, as in any batch of Dirichlet draws, no cell is
+    # masked and a slice is live exactly when A and B each take two values.
+    # On a joint with no zero cell the mask keeps every cell, so both paths
+    # give it the same bits.
+    positive = cube.size > 0 and cube.min() > 0.0
+    if positive:
+        live = np.full((n, nc), na > 1 and nb > 1)
+    else:
+        nz = cube > 0.0
+        live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
     if not live.any():
         return np.zeros(n)
 
@@ -444,10 +487,15 @@ def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
         s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(nz, (cube * s) / (pa * pb), 1.0)
+        ratio = (cube * s) / (pa * pb)
+        if not positive:
+            ratio = np.where(nz, ratio, 1.0)
     terms = (cube * np.log(ratio)).reshape(n * nc, na * nb)
-    slice_nats = _sum_nonzero(terms, nz.reshape(n * nc, na * nb)).reshape(n, nc)
-    slice_nats = np.where(live, slice_nats, 0.0)
+    if positive:
+        slice_nats = terms.sum(axis=1).reshape(n, nc)
+    else:
+        slice_nats = _sum_nonzero(terms, nz.reshape(n * nc, na * nb)).reshape(n, nc)
+        slice_nats = np.where(live, slice_nats, 0.0)
     # accumulate adds strictly left to right; sum would pair slices
     return np.add.accumulate(slice_nats, axis=1)[:, -1] / LN2
 

@@ -420,16 +420,23 @@ class TestSampling:
             sampled(sample_marton, dead, bsc, samples=10)
 
 
+def merged_labels(inputs: str) -> str:
+    """The merged W labels of the time-sharing probes on these inputs."""
+    return " ".join(f"{q}:{role}:{x}" for q in "01" for role in "uv" for x in inputs.split())
+
+
 PARTITION_43 = make_partition_pair(4, 3)
 PARTITION_43_INPUTS = "a0 a1 a2 a3 b0 b1 b2"
-PARTITION_43_MERGED = " ".join(
-    f"{q}:{role}:{x}" for q in "01" for role in "uv" for x in PARTITION_43_INPUTS.split()
-)
+PARTITION_43_MERGED = merged_labels(PARTITION_43_INPUTS)
+# |X| = 8, the fewest inputs whose contiguous sum numpy adds pairwise (as in
+# the marginal that drops X for I(U;V|W)); no corpus pair has that many
+PARTITION_53 = make_partition_pair(5, 3)
+PARTITION_53_INPUTS = "a0 a1 a2 a3 a4 b0 b1 b2"
 BSC_PAIR = (make_bsc(0.1), make_bsc(0.3))
 
 
 class TestSamplingBytes:
-    """The exact bytes of two region samples per bound at seed 0: every point,
+    """The exact bytes of three region samples per bound at seed 0: every point,
     the worst joint's probabilities and its alphabets. A layout, order or
     rounding change in the probes, the draws or the rate formulas moves them."""
 
@@ -451,7 +458,17 @@ class TestSamplingBytes:
          "acc9e9b7510d3b7380a886762e7ab68afcb54c5989b84242433d6f4682a09053",
          "7e5cfbb2f362088a333aeb03f34eb9f4915fb2c3a25ef7fd6bc7ffd2d85dba90",
          ("c0", "0 1", "0 1")),
-    ], ids=["partition43-marton", "partition43-uv", "bsc-marton", "bsc-uv"])
+        ((PARTITION_53.first, PARTITION_53.second), sample_marton, dict(samples=500),
+         "95e9a2d0e76a8b8cfb1994fe6f4c77417474c4502f8c29d21566edc6cc76ab55",
+         "01a779cc81764a00cd8ce18aa630092532468f03d8813d1115a112edd8ea2637",
+         (f"{PARTITION_53_INPUTS} __u_star", f"{PARTITION_53_INPUTS} __v_star",
+          merged_labels(PARTITION_53_INPUTS), PARTITION_53_INPUTS)),
+        ((PARTITION_53.first, PARTITION_53.second), sample_uv, dict(samples=500),
+         "b14f257f48042eb753f4c94beaab2a6ca39e795a986a2fd36f99c834e43a980e",
+         "6c544b0176294019354d7c89f27330a505c5c0e593d9c3d038dc1d0e7510e7e7",
+         (PARTITION_53_INPUTS, "c0", PARTITION_53_INPUTS)),
+    ], ids=["partition43-marton", "partition43-uv", "bsc-marton", "bsc-uv",
+            "partition53-marton", "partition53-uv"])
     def test_seed_zero_bytes(self, pair, sampler, cfg, points_sha, aux_sha, symbols):
         rep = sampled(sampler, *pair, seed=0, **cfg)
         assert hashlib.sha256(rep.sample.points.tobytes()).hexdigest() == points_sha

@@ -14,9 +14,14 @@ than a vector product, so rows may differ in the last bits, and the bound is
 over auxiliary joints, and the channel marginal `extended_marginal`) and the
 Marton and UV bounds built on it agree bit for bit, and so do the batched
 time-sharing probes with the lone constructions. The channel marginal agrees
-with the marginal of the full extension within 1e-14.
+with the marginal of the full extension within 1e-14. The joint kernel's
+fast paths give the bits, in the memory layout, of the formulas they
+replaced, which are kept here as references: on every drop pattern and axis
+subset, and on batches that mix all-positive joints with joints that have
+zero cells.
 """
 
+import itertools
 import math
 from functools import partial
 from unittest.mock import patch
@@ -51,6 +56,7 @@ from tdopt.core import (
     JointDistribution,
     _clean_probs,
     _marginal_batch,
+    _sum_nonzero,
     conditional_information,
     cube_information,
     extend_batch,
@@ -320,6 +326,134 @@ def test_cube_with_no_live_slice_returns_positive_zero(cube):
         expected = reference_information(JointDistribution(alphas, row), (1,), (2,), (0,))
         assert batch[i] == expected == 0.0
         assert not np.signbit(batch[i]) and math.copysign(1.0, expected) == 1.0
+
+
+# The joint kernel's fast paths against the formulas they replaced, kept here
+# as references: a sum over every dropped axis at once, the (..., X, Y)
+# product summed over X, and the cube with its structural-zero mask always
+# built. Each fast path must return their bits, in their memory layout.
+
+
+def reference_marginal_batch(probs, axes):
+    drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
+    reduced = probs.sum(axis=drop) if drop else probs
+    order = sorted(axes).index
+    return np.transpose(reduced, (0,) + tuple(order(a) + 1 for a in axes))
+
+
+def reference_extended_marginal(probs, axes, rows):
+    marginal = reference_marginal_batch(probs, tuple(axes) + (probs.ndim - 2,))
+    return (marginal[..., None] * rows).sum(axis=-2)
+
+
+def reference_cube_information(marginal, n_cond, n_a):
+    shape = marginal.shape[1:]
+    n, nc, na, nb = (len(marginal), math.prod(shape[:n_cond]),
+                     math.prod(shape[n_cond:n_cond + n_a]), math.prod(shape[n_cond + n_a:]))
+    cube = marginal.reshape(n, nc, na, nb)
+    nz = cube > 0.0
+    live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
+    if not live.any():
+        return np.zeros(n)
+    pa, pb, s = np.ones((n, nc, na, 1)), np.ones((n, nc, 1, nb)), np.ones((n, nc, 1, 1))
+    for ic in np.flatnonzero(live.any(axis=0)):
+        m = cube[:, ic]
+        pa[:, ic] = m.sum(axis=2, keepdims=True)
+        pb[:, ic] = m.sum(axis=1, keepdims=True)
+        s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(nz, (cube * s) / (pa * pb), 1.0)
+    terms = (cube * np.log(ratio)).reshape(n * nc, na * nb)
+    slice_nats = _sum_nonzero(terms, nz.reshape(n * nc, na * nb)).reshape(n, nc)
+    slice_nats = np.where(live, slice_nats, 0.0)
+    return np.add.accumulate(slice_nats, axis=1)[:, -1] / LN2
+
+
+def same_layout(a, b) -> bool:
+    """Equal bits, laid out alike: equal strides on every axis of two or more
+    entries (a stride on an axis of one entry is never stepped)."""
+    def steps(arr):
+        return [step for step, n in zip(arr.strides, arr.shape) if n > 1]
+    return same_bits(a, b) and steps(a) == steps(b)
+
+
+@st.composite
+def mixed_batch(draw, shape):
+    """A batch of 1 to 600 Dirichlet joints of `shape`, at most 60,000 cells
+    in all, validated as region sampling validates its draws. None, some or
+    all of its joints get zero cells, as the structured probes have, so
+    all-positive batches, batches with zeros and mixed ones all occur. Some
+    batches are laid out in memory with their joint axes permuted, as a
+    JointDistribution copied from a transposed view is, so not C-contiguous."""
+    cells = math.prod(shape)
+    s = draw(st.integers(1, min(600, 60_000 // cells)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(cells), s)
+    holed = rng.random(s) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    probs[holed] *= rng.random((int(holed.sum()), cells)) >= 0.3
+    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs = _clean_probs(probs.reshape((s,) + shape), "joint distribution", batch=True)
+    layout = (0,) + tuple(draw(st.permutations(range(1, len(shape) + 1))))
+    return np.ascontiguousarray(probs.transpose(layout)).transpose(np.argsort(layout))
+
+
+def axis_sizes(draw, min_size, max_size, top=9):
+    return tuple(draw(st.lists(st.integers(1, top), min_size=min_size, max_size=max_size)))
+
+
+def subsets(n):
+    """Every subset of range(n), each in increasing and in decreasing order."""
+    for k in range(n + 1):
+        for kept in itertools.combinations(range(n), k):
+            yield from {kept, kept[::-1]}
+
+
+@given(st.data())
+def test_marginal_batch_equals_reference_on_every_drop_pattern(data):
+    shape = axis_sizes(data.draw, 1, 4)
+    probs = data.draw(mixed_batch(shape))
+    for axes in subsets(len(shape)):
+        assert same_layout(_marginal_batch(probs, axes), reference_marginal_batch(probs, axes))
+
+
+@settings(max_examples=200)  # one output and 8 or more inputs is a rare draw
+@given(st.data())
+def test_extended_marginal_equals_reference_on_every_axis_subset(data):
+    shape = axis_sizes(data.draw, 0, 3) + (data.draw(st.integers(1, 12)),)
+    assume(math.prod(shape) <= 6000)
+    probs = data.draw(mixed_batch(shape))
+    rows = data.draw(stochastic(shape[-1], data.draw(st.integers(1, 9))))
+    for axes in subsets(len(shape) - 1):
+        assert same_layout(extended_marginal(probs, axes, rows),
+                           reference_extended_marginal(probs, axes, rows))
+
+
+@given(st.data())
+def test_cube_information_equals_reference_and_each_joint_alone(data):
+    shape = axis_sizes(data.draw, 2, 4)
+    assume(math.prod(shape) <= 6000)
+    n_cond = data.draw(st.integers(0, len(shape) - 2))
+    n_a = data.draw(st.integers(1, len(shape) - n_cond - 1))
+    probs = data.draw(mixed_batch(shape))
+    # the rate bounds hand over transposed marginals too
+    perm = data.draw(st.permutations(range(1, len(shape) + 1)))
+    marginal = probs.transpose(0, *perm)
+    batch = cube_information(marginal, n_cond, n_a)
+    assert same_bits(batch, reference_cube_information(marginal, n_cond, n_a))
+    for i in range(len(marginal)):
+        assert same_bits(batch[i:i + 1], cube_information(marginal[i:i + 1], n_cond, n_a))
+
+
+def test_empty_batch_equals_reference():
+    probs = np.empty((0, 2, 3, 4))
+    rows = np.full((4, 2), 0.5)
+    for axes in subsets(3):
+        assert same_bits(_marginal_batch(probs, axes), reference_marginal_batch(probs, axes))
+    for axes in subsets(2):
+        assert same_bits(extended_marginal(probs, axes, rows),
+                         reference_extended_marginal(probs, axes, rows))
+    assert same_bits(cube_information(probs, 1, 1), reference_cube_information(probs, 1, 1))
 
 
 def copy_plan(rep):

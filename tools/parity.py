@@ -8,10 +8,12 @@ Runs every command of tdbench's search, region and capacity corpora at seeds
 command, three `example-gen` runs, `verdict` and `analyze` of one
 capacity-gap pair with `--units nats` (the corpora run in bits), `verdict` and
 `region` of the `sec4 3 2` partition pair at `--samples 0` (no probes and no
-draws), `capacity --json` of two channels whose capacity optimizer is not
-unique (so their achieving inputs come from the support-union simplex) and
-the four demos, all with tdopt imported from ROOT/src (default: this
-checkout).
+draws), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
+the most any output here sums over X, and 8 cells are where numpy's
+contiguous sums turn pairwise), `capacity --json` of two channels whose
+capacity optimizer is not unique (so their achieving inputs come from the
+support-union simplex) and the four demos, all with tdopt imported from
+ROOT/src (default: this checkout).
 Prints one sha256 per output over its stdout, stderr, exit code and the
 files it wrote (a demo's over its stdout alone). Channel paths appear in
 stdout, so the work directory is fixed, and help text is wrapped at a fixed
@@ -45,8 +47,12 @@ EXAMPLES = (
 )
 # the capacity-gap pair run in nats: example-gen arguments of its two channels
 NATS_PAIR = (["bsc", "0.1"], ["bsc", "0.3"])
-# example-gen arguments of the partition pair run with an empty sample
-EMPTY_SAMPLE_PAIR = ["sec4", "3", "2"]
+# example-gen arguments of partition pairs, each with its sample count and
+# the commands run on it, with the flag that names each command's output file
+SAMPLED_PAIRS = (
+    (["sec4", "3", "2"], "0", (("verdict", "--json"), ("region", "--out"))),
+    (["sec4", "5", "3"], "500", (("region", "--out"),)),
+)
 # rows of channels with more than one capacity-achieving input: the simplex
 # runs once per peak symbol to average their optimizers into one witness
 SIMPLEX_CHANNELS = {
@@ -108,14 +114,15 @@ def main():
         dest = os.path.join(WORKDIR, f"{command}.json")
         outputs = run_cli(tdopt_main, [command, *pair, "--units", "nats", "--json", dest])
         print(digest(*outputs, read(dest)), f"nats {command} {' '.join(os.path.basename(p) for p in pair)}")
-    shutil.rmtree(WORKDIR, ignore_errors=True)
-    os.makedirs(WORKDIR)
-    run_cli(tdopt_main, ["example-gen", *EMPTY_SAMPLE_PAIR, "--out", os.path.join(WORKDIR, "pair.json")])
-    pair = [os.path.join(WORKDIR, f"pair.{side}.json") for side in ("first", "second")]
-    for command, dest_flag in (("verdict", "--json"), ("region", "--out")):
-        dest = os.path.join(WORKDIR, f"{command}.out")
-        outputs = run_cli(tdopt_main, [command, *pair, "--samples", "0", dest_flag, dest])
-        print(digest(*outputs, read(dest)), f"samples 0 {command} {' '.join(EMPTY_SAMPLE_PAIR)}")
+    for args, samples, commands in SAMPLED_PAIRS:
+        shutil.rmtree(WORKDIR, ignore_errors=True)
+        os.makedirs(WORKDIR)
+        run_cli(tdopt_main, ["example-gen", *args, "--out", os.path.join(WORKDIR, "pair.json")])
+        pair = [os.path.join(WORKDIR, f"pair.{side}.json") for side in ("first", "second")]
+        for command, dest_flag in commands:
+            dest = os.path.join(WORKDIR, f"{command}.out")
+            outputs = run_cli(tdopt_main, [command, *pair, "--samples", samples, dest_flag, dest])
+            print(digest(*outputs, read(dest)), f"samples {samples} {command} {' '.join(args)}")
     shutil.rmtree(WORKDIR, ignore_errors=True)
     os.makedirs(WORKDIR)
     for name, rows in SIMPLEX_CHANNELS.items():
