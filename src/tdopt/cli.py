@@ -20,9 +20,10 @@ import numpy as np
 
 from .bounds import SampleReport, sample_marton, sample_uv, td_boundary_sample
 from .capacity import CapacityReport, ConvergenceError, analyze_channel, full_support
-from .comparison import (
+from .comparison import (  # noqa: F401 (the lone checks stay names here for tdbench's layer sites)
     divergence_form_check,
     more_capable_check,
+    pair_checks,
     ratio_condition_check,
     vertex_screen,
 )
@@ -397,15 +398,9 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
     rep1 = analyze_channel(pair.first, cfg)
     rep2 = analyze_channel(pair.second, cfg)
     scale = unit_scale(cfg.units)
-    checks = {
-        "more_capable_forward": more_capable_check(pair.first, pair.second, cfg),
-        "more_capable_backward": more_capable_check(pair.second, pair.first, cfg),
-        "ratio_condition": ratio_condition_check(
-            pair.first, pair.second, rep1.capacity, rep2.capacity, cfg
-        ),
-    }
-    if full_support(rep1) and full_support(rep2):
-        checks["divergence_form"] = divergence_form_check(rep1, rep2, cfg)
+    full = full_support(rep1) and full_support(rep2)
+    names = [k for k in _ANALYZE_LABELS if full or k != "divergence_form"]
+    checks = pair_checks(rep1, rep2, names, cfg)
     screen = vertex_screen(rep1, rep2)
     doc = {
         "first": capacity_to_dict(rep1, cfg.units),

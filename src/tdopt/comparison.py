@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,6 +51,14 @@ class MinimizationResult:
     value: float
     argmin: np.ndarray
     starts: int
+    evaluations: int
+
+
+@dataclass(frozen=True, eq=False)
+class JointMinimization:
+    """One result per objective of a shared descent, and their evaluations."""
+
+    results: tuple[MinimizationResult, ...]
     evaluations: int
 
 
@@ -99,9 +106,11 @@ def _grid_size(dim: int, subdivisions: int) -> int:
     return math.comb(subdivisions + dim - 1, dim - 1)
 
 
-def _descend(objective, gradient, starts: np.ndarray):
+def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
     """Armijo-backtracked projected gradient descent from every row of
     `starts` at once; returns (x, f(x), evaluations), one entry per row.
+    The objective and gradient take each point's label from `checks` (one
+    per start) after the points, so several objectives can share the batch.
 
     Each row takes exactly the steps a lone start would. An outer step (at
     most _MAX_ITERS) takes the gradient and tries steps from the row's
@@ -118,19 +127,21 @@ def _descend(objective, gradient, starts: np.ndarray):
     count, which leaves the counted rows' bits alone.
     """
     x = project_to_simplex(np.asarray(starts, dtype=float))
-    fx = objective(x)
+    fx = objective(x, checks)
     n, dim = x.shape
     out_x, out_fx, out_evals = x.copy(), fx.copy(), np.ones(n, dtype=int)
-    # the live rows: start index, evaluations, step scale and size, gradient,
-    # outer steps and halvings taken, and whether an outer step begins
-    ids, evals = np.arange(n), np.ones(n, dtype=int)
+    # the live rows: start index, label, evaluations, step scale and size,
+    # gradient, outer steps and halvings taken, and whether an outer step begins
+    ids, labels, evals = np.arange(n), np.asarray(checks), np.ones(n, dtype=int)
     scale, alpha, g = np.ones(n), np.ones(n), np.zeros_like(x)
     steps, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     fresh = np.ones(n, dtype=bool)
-    halved = 0.5 ** np.arange(_TRIALS)
+    halved, trial = 0.5 ** np.arange(_TRIALS), np.arange(1, _TRIALS + 1)
+    # the live rows' trial labels, and the flat index of each live row's first trial
+    trial_labels, first = np.repeat(labels, _TRIALS), np.arange(0, n * _TRIALS, _TRIALS)
     while ids.size:
         if fresh.any():
-            g_new = gradient(x[fresh])
+            g_new = gradient(x[fresh], labels[fresh])
             if not np.isfinite(g_new).all():
                 g_new = np.nan_to_num(g_new, nan=0.0, posinf=1e6, neginf=-1e6)
             g[fresh], alpha[fresh], halvings[fresh] = g_new, scale[fresh], 0
@@ -138,17 +149,16 @@ def _descend(objective, gradient, starts: np.ndarray):
         y = project_to_simplex(x[:, None, :] - alphas[:, :, None] * g[:, None, :])
         diff = (x[:, None, :] - y).reshape(-1, dim)
         move = (diff[:, None, :] @ diff[:, :, None]).reshape(alphas.shape)
-        fy = objective(y.reshape(-1, dim)).reshape(alphas.shape)
+        fy = objective(y.reshape(-1, dim), trial_labels).reshape(alphas.shape)
         moved = move != 0.0
         passed = moved & (fy <= fx[:, None] - 1e-4 * move / alphas)
-        decisive = ~moved | passed | (halvings[:, None] + np.arange(1, _TRIALS + 1) == 50)
+        decisive = ~moved | passed | (halvings[:, None] + trial == 50)
         # the trial that counts: the first decisive one, else the last
         decisive[:, -1] = True
         t = decisive.argmax(1)
-        rows = np.arange(len(ids))
-        y, move, fy, moved, accepted, alpha = (
-            a[rows, t] for a in (y, move, fy, moved, passed, alphas)
-        )
+        counts = first + t
+        y = y.reshape(-1, dim)[counts]
+        move, fy, moved, accepted, alpha = (a.take(counts) for a in (move, fy, moved, passed, alphas))
         # every trial before the one that counts moved and failed
         evals += t + moved
         halvings += t + (moved & ~accepted)
@@ -163,9 +173,10 @@ def _descend(objective, gradient, starts: np.ndarray):
             done = ids[stop]
             out_x[done], out_fx[done], out_evals[done] = x[stop], fx[stop], evals[stop]
             live = ~stop
-            ids, evals, scale, alpha, g, steps, halvings, fresh, x, fx = (
-                a[live] for a in (ids, evals, scale, alpha, g, steps, halvings, fresh, x, fx)
+            ids, labels, evals, scale, alpha, g, steps, halvings, fresh, x, fx = (
+                a[live] for a in (ids, labels, evals, scale, alpha, g, steps, halvings, fresh, x, fx)
             )
+            trial_labels, first = np.repeat(labels, _TRIALS), first[: len(ids)]
     return out_x, out_fx, out_evals
 
 
@@ -175,7 +186,8 @@ def dc_minimize(
     dim: int,
     cfg: RunConfig = RunConfig(),
     grid_objective=None,
-) -> MinimizationResult:
+    checks: int | None = None,
+) -> MinimizationResult | JointMinimization:
     """Minimize a (typically difference-of-concave) function over the simplex.
 
     `objective` maps points of shape (S, dim) to values of shape (S,), and
@@ -192,6 +204,11 @@ def dc_minimize(
     reported value replays exactly at the reported minimizer. Ties are broken
     toward the lexicographically smallest minimizer, so results are
     reproducible regardless of evaluation order.
+
+    With `checks` = K, K objectives share the random starts and one descent
+    (as in `_descend`, labelled by objective), `grid_objective(grid)` yields
+    each one's grid values in turn, and a `JointMinimization` is returned.
+    Each objective keeps its own grid start, tie-break and evaluation count.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
@@ -200,90 +217,148 @@ def dc_minimize(
             f"{cfg.starts} random starts would need {cfg.starts * dim} cells "
             f"(limit {_START_CELL_LIMIT}); reduce the starts"
         )
-    evals = 0
+    single = checks is None
+    if single:  # functions of the points alone
+        grid_objective = (lambda grid, f=grid_objective or objective: [f(grid)])
+        objective, gradient = ((lambda p, k, f=f: f(p)) for f in (objective, gradient))
+        checks = 1
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.full((1, dim), 1.0 / dim), np.eye(dim)]
+    shared = [np.full((1, dim), 1.0 / dim), np.eye(dim)]
     if cfg.starts > 0:
-        starts.append(rng.dirichlet(np.ones(dim), size=cfg.starts))
-
+        shared.append(rng.dirichlet(np.ones(dim), size=cfg.starts))
     subdivisions = _AUTO_SUBDIVISIONS.get(dim, 6)
-    if _grid_size(dim, subdivisions) <= _GRID_LIMIT:
-        grid = _simplex_grid(dim, subdivisions)
-        values = np.asarray((grid_objective or objective)(grid), dtype=float)
-        evals += len(grid)
-        # the descent from the grid's best point is a candidate no worse than
-        # it; a grid value may differ from a descent value in the last bits,
-        # so it never becomes a candidate
-        starts.append(grid[int(values.argmin())][None])
-
-    x, fx, used = _descend(objective, gradient, np.concatenate(starts))
-    best = min(range(len(x)), key=lambda i: (float(fx[i]), tuple(x[i])))
-    return MinimizationResult(float(fx[best]), x[best], len(x), evals + int(used.sum()))
-
-
-def _rate_gap(ch_minus: Channel, ch_plus: Channel, c_minus: float = 1.0, c_plus: float = 1.0):
-    """Objective p -> I(p; ch_plus)/c_plus - I(p; ch_minus)/c_minus in bits,
-    and its gradient, both batch-first over points p of shape (S, |X|). The
-    gradient of I(X;Y) in p(x) is D(W(.|x) || p_Y) less a constant, and
-    projection onto the simplex ignores constant shifts. The objective's
-    `one_product` takes the grid's path of `information`."""
-    rows_m, rne_m = ch_minus.reduced_rows, ch_minus.reduced_neg_ent
-    rows_p, rne_p = ch_plus.reduced_rows, ch_plus.reduced_neg_ent
-
-    def objective(p, one_product=False):
-        return (
-            information(p, rows_p, rne_p, one_product) / c_plus
-            - information(p, rows_m, rne_m, one_product) / c_minus
-        )
-
-    def gradient(p):
-        return (
-            row_divergences(rows_p, rne_p, _point_dot(p, rows_p)) / LN2 / c_plus
-            - row_divergences(rows_m, rne_m, _point_dot(p, rows_m)) / LN2 / c_minus
-        )
-
-    return objective, gradient
+    grid = _simplex_grid(dim, subdivisions) if _grid_size(dim, subdivisions) <= _GRID_LIMIT else None
+    # the descent from the grid's best point is a candidate no worse than it;
+    # a grid value may differ from a descent value in the last bits, so it
+    # never becomes a candidate
+    picks = [] if grid is None else [grid[[int(np.argmin(v))]] for v in grid_objective(grid)]
+    starts = np.concatenate([s for k in range(checks) for s in shared + picks[k : k + 1]])
+    per = len(starts) // checks
+    x, fx, used = _descend(objective, gradient, starts, np.repeat(np.arange(checks), per))
+    grid_evals = 0 if grid is None else len(grid)
+    results = []
+    for rows in np.split(np.arange(len(x)), checks):
+        best = min(rows, key=lambda i: (float(fx[i]), tuple(x[i])))
+        results.append(MinimizationResult(float(fx[best]), x[best], per, grid_evals + int(used[rows].sum())))
+    return results[0] if single else JointMinimization(tuple(results), sum(r.evaluations for r in results))
 
 
-def _divergence_gap(rep1: CapacityReport, rep2: CapacityReport):
-    """Objective p -> D(p_Y || r*)/c1 - D(p_Z || s*)/c2 in bits against the
-    optimal outputs of the reports' channels, and its gradient, batch-first
-    as in `_rate_gap`. The gradient of D(p_Y || r) in p(x) is
-    sum_y W(y|x) ln(p_Y(y)/r(y)) plus a constant."""
-    ch1, ch2 = rep1.channel, rep2.channel
-    c1, c2 = rep1.capacity, rep2.capacity
-    rows1, ref1 = ch1.reduced_rows, rep1.optimal_output.probs[ch1.reachable]
-    rows2, ref2 = ch2.reduced_rows, rep2.optimal_output.probs[ch2.reachable]
+def _check_terms(name: str, c1: float = 1.0, c2: float = 1.0) -> tuple[float, float, bool]:
+    """Check `name` between channels of capacities c1 and c2, as
+    `_pair_gaps` reads it: (d1, d2, divergence). The check minimizes
+    t1/d1 + t2/d2 over the two channels' terms; x/(-c) is -(x/c), a - b is
+    a + (-b) and addition commutes, all to the bit, so the sum is the
+    difference it stands for."""
+    return {
+        "more_capable_forward": (1.0, -1.0, False),  # I1 - I2
+        "more_capable_backward": (-1.0, 1.0, False),  # I2 - I1
+        "ratio_condition": (-c1, c2, False),  # I2/c2 - I1/c1
+        "divergence_form": (c1, -c2, True),  # D1/c1 - D2/c2
+    }[name]
 
-    def objective(p, one_product=False):
+
+def _pair_gaps(ch1: Channel, ch2: Channel, terms, refs=(None, None)):
+    """`dc_minimize`'s objective, gradient and grid objective for the checks
+    `terms` (`_check_terms`) between ch1 and ch2, in bits. A check's terms
+    are I(p; ch1) and I(p; ch2), or D(p ch1 || refs[0]) and D(p ch2 ||
+    refs[1]); their gradients are D(W(.|x) || p_Y) and sum_y W(y|x)
+    ln(p_Y(y)/r(y)) up to constants, which projection ignores. Divisions are
+    per point, dividing by 1.0 is exact and each form is taken at its
+    checks' points only, so a point gets its check's bits alone. The grid
+    takes one product per channel (see `information`) and each form once."""
+    rows = (ch1.reduced_rows, ch2.reduced_rows)
+    rne = (ch1.reduced_neg_ent, ch2.reduced_neg_ent)
+    table = np.array(terms, dtype=float)
+
+    def gap(c, t1, t2):  # `c`: a table row per point, or one row for every point
+        d1, d2 = c[:, 0], c[:, 1]
+        if t1.ndim > 1:  # gradients: one term per input symbol
+            d1, d2 = d1[:, None], d2[:, None]
+        return t1 / d1 + t2 / d2
+
+    def by_form(rate, divergence):  # `rate` at rate checks' points, `divergence` at the others'
+        def f(p, k):
+            c = table.take(k, 0)
+            div = c[:, 2] != 0.0
+            n_div = np.count_nonzero(div)
+            if n_div in (0, len(div)):
+                return (divergence if n_div else rate)(p, c)
+            on_rates = ~div
+            at_rates, at_divergences = rate(p[on_rates], c[on_rates]), divergence(p[div], c[div])
+            value = np.empty((len(p),) + at_rates.shape[1:])
+            value[on_rates], value[div] = at_rates, at_divergences
+            return value
+
+        return f
+
+    def rates(p, one_product=False):
+        return [information(p, r, e, one_product) for r, e in zip(rows, rne)]
+
+    def divergences(p, one_product=False):
         dot = np.matmul if one_product else _point_dot
-        return kl(dot(p, rows1), ref1) / c1 - kl(dot(p, rows2), ref2) / c2
+        return [kl(dot(p, r), ref) for r, ref in zip(rows, refs)]
 
-    def gradient(p):
-        return (
-            row_log_ratios(rows1, _point_dot(p, rows1), ref1) / c1
-            - row_log_ratios(rows2, _point_dot(p, rows2), ref2) / c2
-        ) / LN2
+    def grid_objective(grid):
+        forms = {}
+        for i, c in enumerate(terms):
+            if c[2] not in forms:
+                forms[c[2]] = (divergences if c[2] else rates)(grid, one_product=True)
+            yield gap(table[[i]], *forms[c[2]])
 
-    return objective, gradient
+    objective = by_form(lambda p, c: gap(c, *rates(p)), lambda p, c: gap(c, *divergences(p)))
+    gradient = by_form(
+        lambda p, c: gap(c, *(row_divergences(r, e, _point_dot(p, r)) / LN2 for r, e in zip(rows, rne))),
+        lambda p, c: gap(c, *(row_log_ratios(r, _point_dot(p, r), ref) for r, ref in zip(rows, refs))) / LN2,
+    )
+    return objective, gradient, grid_objective
 
 
-def _search(gap, alphabet, cfg: RunConfig) -> SearchVerdict:
-    """Minimize a check's objective (from `_rate_gap` or `_divergence_gap`),
-    the grid in one product, and judge the minimum at `cfg.violation_tol`."""
-    objective, gradient = gap
-    grid_objective = partial(objective, one_product=True)
-    res = dc_minimize(objective, gradient, len(alphabet), cfg, grid_objective)
-    if res.value < -cfg.violation_tol:
-        witness = Distribution(alphabet, res.argmin)
-        return SearchVerdict(VIOLATED, res.value, witness, res.starts, res.evaluations)
-    return SearchVerdict(HOLDS_UP_TO_SEARCH, res.value, None, res.starts, res.evaluations)
+def _search(ch1: Channel, ch2: Channel, terms, cfg: RunConfig, refs=(None, None)) -> list[SearchVerdict]:
+    """Minimize the checks `terms` between ch1 and ch2 in one descent and
+    judge each minimum at `cfg.violation_tol`."""
+    objective, gradient, grid_objective = _pair_gaps(ch1, ch2, terms, refs)
+    joint = dc_minimize(objective, gradient, len(ch1.input), cfg, grid_objective, len(terms))
+    return [
+        SearchVerdict(VIOLATED, r.value, Distribution(ch1.input, r.argmin), r.starts, r.evaluations)
+        if r.value < -cfg.violation_tol
+        else SearchVerdict(HOLDS_UP_TO_SEARCH, r.value, None, r.starts, r.evaluations)
+        for r in joint.results
+    ]
 
 
 def _require_shared_input(ch1: Channel, ch2: Channel):
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("checks need channels with a shared input alphabet")
+
+
+def _require_positive(c1: float, c2: float, what: str):
+    if c1 <= 0.0 or c2 <= 0.0:
+        raise ValueError(f"{what} needs positive capacities")
+
+
+def pair_checks(
+    rep1: CapacityReport, rep2: CapacityReport, names, cfg: RunConfig = RunConfig()
+) -> dict[str, SearchVerdict]:
+    """The checks `names` (keys of `_check_terms`) between the reports'
+    channels in one descent, each verdict the lone check's to the bit; every
+    check's assumptions are checked before any search."""
+    ch1, ch2 = rep1.channel, rep2.channel
+    _require_shared_input(ch1, ch2)
+    c1, c2 = rep1.capacity, rep2.capacity
+    if "ratio_condition" in names:
+        _require_positive(c1, c2, "the per-capacity ratio condition")
+    if "divergence_form" in names:
+        for side, rep in (("first", rep1), ("second", rep2)):
+            if not full_support(rep):
+                raise AssumptionNotMetError(
+                    f"the {side} channel's optimizers miss part of the input alphabet; "
+                    "the divergence form does not apply"
+                )
+        _require_positive(c1, c2, "the divergence form")
+    refs = tuple(rep.optimal_output.probs[rep.channel.reachable] for rep in (rep1, rep2))
+    terms = [_check_terms(name, c1, c2) for name in names]
+    return dict(zip(names, _search(ch1, ch2, terms, cfg, refs)))
 
 
 def more_capable_check(ch1: Channel, ch2: Channel, cfg: RunConfig = RunConfig()) -> SearchVerdict:
@@ -293,7 +368,7 @@ def more_capable_check(ch1: Channel, ch2: Channel, cfg: RunConfig = RunConfig())
     ordering and the witness input is returned.
     """
     _require_shared_input(ch1, ch2)
-    return _search(_rate_gap(ch2, ch1), ch1.input, cfg)
+    return _search(ch1, ch2, [_check_terms("more_capable_forward")], cfg)[0]
 
 
 def ratio_condition_check(
@@ -309,9 +384,8 @@ def ratio_condition_check(
     (information rates normalized by the respective capacities).
     """
     _require_shared_input(ch1, ch2)
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("the per-capacity ratio condition needs positive capacities")
-    return _search(_rate_gap(ch1, ch2, c1, c2), ch1.input, cfg)
+    _require_positive(c1, c2, "the per-capacity ratio condition")
+    return _search(ch1, ch2, [_check_terms("ratio_condition", c1, c2)], cfg)[0]
 
 
 def divergence_form_check(
@@ -325,16 +399,7 @@ def divergence_form_check(
     channel (full support union), which is exactly when the two objectives
     coincide pointwise with the ratio form.
     """
-    _require_shared_input(rep1.channel, rep2.channel)
-    for name, rep in (("first", rep1), ("second", rep2)):
-        if not full_support(rep):
-            raise AssumptionNotMetError(
-                f"the {name} channel's optimizers miss part of the input alphabet; "
-                "the divergence form does not apply"
-            )
-    if rep1.capacity <= 0.0 or rep2.capacity <= 0.0:
-        raise ValueError("the divergence form needs positive capacities")
-    return _search(_divergence_gap(rep1, rep2), rep1.channel.input, cfg)
+    return pair_checks(rep1, rep2, ("divergence_form",), cfg)["divergence_form"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,8 @@ from .comparison import (
     HOLDS_UP_TO_SEARCH,
     VIOLATED,
     SearchVerdict,
-    more_capable_check,
+    more_capable_check,  # noqa: F401 (a name here for tdbench's layer sites)
+    pair_checks,
     ratio_condition_check,
 )
 from .config import RunConfig
@@ -150,10 +151,7 @@ def decide_td_optimality(pair: BroadcastPair, cfg: RunConfig = RunConfig()) -> T
             )
         }
     else:
-        checks = {
-            "more_capable_forward": more_capable_check(strong.channel, weak.channel, cfg),
-            "more_capable_backward": more_capable_check(weak.channel, strong.channel, cfg),
-        }
+        checks = pair_checks(strong, weak, ("more_capable_forward", "more_capable_backward"), cfg)
     # on either branch, time division is refuted only when every check is violated
     status = TD_NOT_OPTIMAL if all(c.status == VIOLATED for c in checks.values()) else TD_OPTIMAL
 

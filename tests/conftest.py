@@ -22,6 +22,18 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def at_check_0(f):
+    """`comparison._pair_gaps`'s objective or gradient `f` of its first
+    check, as a function of one point or a batch of points alone."""
+
+    def f0(p):
+        batch = np.atleast_2d(p)
+        value = f(batch, np.zeros(len(batch), dtype=int))
+        return value.reshape(np.shape(p)[:-1] + value.shape[1:])
+
+    return f0
+
+
 def stochastic(n_rows: int, n_cols: int):
     """Row-stochastic matrices from small integer weights, so zero entries are
     common: points on simplex faces and channels that miss outputs."""

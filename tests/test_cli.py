@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -659,6 +660,15 @@ class TestAnalyzeCommand:
         assert "ratio_condition:" in out
         assert "vertex screen" in out
         assert "more_capable first>=second: HOLDS" in out
+
+    def test_zero_capacity_rejected_before_any_search(self, tmp_path, capsys):
+        b1 = write_bsc(tmp_path / "b1.json", 0.1)
+        b2 = write_bsc(tmp_path / "b2.json", 0.5)  # identical rows: zero capacity
+        with patch("tdopt.comparison.dc_minimize", side_effect=AssertionError("searched")):
+            code, _ = run(["analyze", b1, b2])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: the per-capacity ratio condition needs positive capacities\n"
 
     def test_divergence_form_skipped_without_full_support(self, tmp_path):
         pair = make_partition_pair(4, 2)

@@ -3,12 +3,15 @@ and the small-mixture expansion."""
 
 import math
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tdopt.bounds import sample_marton, sample_uv
-from tdopt.capacity import analyze_channel
+from tdopt.capacity import analyze_channel, full_support
 from tdopt.comparison import (
     HOLDS_UP_TO_SEARCH,
     VIOLATED,
@@ -17,6 +20,7 @@ from tdopt.comparison import (
     dc_minimize,
     divergence_form_check,
     more_capable_check,
+    pair_checks,
     perturbation_feasibility_bound,
     perturbation_identity_check,
     project_to_simplex,
@@ -25,15 +29,16 @@ from tdopt.comparison import (
 )
 from tdopt.comparison import (
     _AUTO_SUBDIVISIONS,
-    _divergence_gap,
+    _check_terms,
     _grid_size,
-    _rate_gap,
+    _pair_gaps,
     _simplex_grid,
 )
 from tdopt.config import RunConfig
 from tdopt.core import (
     Alphabet,
     AlphabetMismatchError,
+    BroadcastPair,
     Channel,
     Distribution,
     kl_divergence,
@@ -41,8 +46,9 @@ from tdopt.core import (
     push_forward,
 )
 from tdopt.families import make_bec, make_bsc, make_partition_pair
+from tdopt.verdict import EQUAL_CAPACITY_MORE_CAPABLE, decide_td_optimality
 
-from conftest import same_bits
+from conftest import at_check_0, same_bits, stochastic
 
 
 def bern_grid(step=1e-4):
@@ -153,11 +159,11 @@ class TestMinimizer:
         # checks: the value reported is the single-point value at the argmin,
         # never a grid value that the batch arithmetic rounded differently
         rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
-        for objective, gradient in (
-            _rate_gap(ch2, ch1),
-            _rate_gap(ch1, ch2, rep1.capacity, rep2.capacity),
-            _divergence_gap(rep1, rep2),
-        ):
+        refs = tuple(rep.optimal_output.probs[rep.channel.reachable] for rep in (rep1, rep2))
+        for name in ("more_capable_forward", "ratio_condition", "divergence_form"):
+            terms = _check_terms(name, rep1.capacity, rep2.capacity)
+            objective, gradient, _ = _pair_gaps(ch1, ch2, [terms], refs)
+            objective, gradient = at_check_0(objective), at_check_0(gradient)
             res = dc_minimize(objective, gradient, len(ch1.input))
             assert res.value == objective(res.argmin)
 
@@ -290,6 +296,82 @@ class TestRatioCondition:
         ch = make_bsc(0.1)
         with pytest.raises(ValueError, match="positive"):
             ratio_condition_check(ch, ch, 0.0, 1.0)
+
+
+@st.composite
+def check_pairs(draw):
+    """Two channels on one input alphabet, |X| from 2 to 5 and |Y|, |Z| from
+    2 to 6: Dirichlet(1) rows, whose support unions are mostly full, or rows
+    of small integer weights with zero cells common, whose unions are mostly
+    not; or, for equal capacities, the second relabels the first's inputs
+    and outputs."""
+    nx, sparse = draw(st.integers(2, 5)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows():
+        ny = draw(st.integers(2, 6))
+        return draw(stochastic(nx, ny)) if sparse else rng.dirichlet(np.ones(ny), nx)
+
+    rows1 = rows()
+    if draw(st.booleans()):
+        rows2 = rows()
+    else:
+        rows2 = rows1[draw(st.permutations(range(nx)))][:, draw(st.permutations(range(rows1.shape[1])))]
+    return tuple(Channel(Alphabet.of_size(nx), Alphabet.of_size(r.shape[1], "y"), r) for r in (rows1, rows2))
+
+
+def assert_same_verdict(a, b):
+    assert (a.status, a.starts, a.evaluations) == (b.status, b.starts, b.evaluations)
+    assert same_bits(np.float64(a.gap), np.float64(b.gap))
+    assert (a.witness is None) == (b.witness is None)
+    if a.witness is not None:
+        assert same_bits(a.witness.probs, b.witness.probs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(check_pairs(), st.integers(0, 3), st.sampled_from([0, 3, 10]))
+def test_one_descent_equals_the_lone_checks(pair, seed, starts):
+    # analyze's checks and the equal branch's two checks in one descent:
+    # every verdict is its lone check's, bit for bit
+    ch1, ch2 = pair
+    cfg = RunConfig(seed=seed, starts=starts)
+    rep1, rep2 = analyze_channel(ch1, cfg), analyze_channel(ch2, cfg)
+    assume(min(rep1.capacity, rep2.capacity) > 0.0)
+    lone = {
+        "more_capable_forward": more_capable_check(ch1, ch2, cfg),
+        "more_capable_backward": more_capable_check(ch2, ch1, cfg),
+        "ratio_condition": ratio_condition_check(ch1, ch2, rep1.capacity, rep2.capacity, cfg),
+    }
+    if full_support(rep1) and full_support(rep2):
+        lone["divergence_form"] = divergence_form_check(rep1, rep2, cfg)
+    joint = pair_checks(rep1, rep2, list(lone), cfg)
+    assert list(joint) == list(lone)
+    for name, verdict in lone.items():
+        assert_same_verdict(joint[name], verdict)
+
+    if "divergence_form" not in lone:
+        return  # the verdict samples the bounds and runs no check
+    verdict = decide_td_optimality(BroadcastPair(ch1, ch2), cfg)
+    if verdict.branch == EQUAL_CAPACITY_MORE_CAPABLE:
+        # the verdict's forward check runs from the stronger channel, which is
+        # the second when the verdict swapped the pair
+        forward, backward = "more_capable_forward", "more_capable_backward"
+        if verdict.swapped:
+            forward, backward = backward, forward
+        assert_same_verdict(verdict.checks["more_capable_forward"], lone[forward])
+        assert_same_verdict(verdict.checks["more_capable_backward"], lone[backward])
+
+
+def test_pair_checks_judge_every_assumption_before_searching():
+    rep = analyze_channel(make_bsc(0.1))
+    zero = analyze_channel(make_bsc(0.5))
+    pair = make_partition_pair(4, 2)
+    partition = analyze_channel(pair.first), analyze_channel(pair.second)
+    with patch("tdopt.comparison.dc_minimize", side_effect=AssertionError("searched")):
+        with pytest.raises(ValueError, match="the per-capacity ratio condition needs positive"):
+            pair_checks(rep, zero, ["more_capable_forward", "ratio_condition"])
+        with pytest.raises(AssumptionNotMetError, match="the first channel's optimizers miss"):
+            pair_checks(*partition, ["more_capable_forward", "divergence_form"])
 
 
 class TestSearchGolden:

@@ -2,11 +2,12 @@
 on it (the search objectives and their batched descent, the region bounds): a
 batch evaluates as each of its rows alone.
 
-The kernel functions, the three checks' objectives and gradients, the
-row-wise simplex projection and the batched descent agree bit for bit: each
-row takes the elementwise arithmetic and the BLAS call a lone point takes,
-and the descent does so whatever number of backtracking trials one of its
-passes makes per start.
+The kernel functions, the checks' objectives and gradients, the row-wise
+simplex projection and the batched descent agree bit for bit: each row takes
+the elementwise arithmetic and the BLAS call a lone point takes, and the
+descent does so whatever number of backtracking trials one of its passes
+makes per start, also when the starts of several checks share one batch and
+each row carries its check's index.
 The one exception is the search grid's path (`one_product`), where the whole
 batch goes through one `p @ rows`: BLAS sums a matrix product in another order
 than a vector product, so rows may differ in the last bits, and the bound is
@@ -23,7 +24,6 @@ zero cells.
 
 import itertools
 import math
-from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -43,9 +43,9 @@ from tdopt.bounds import (
 from tdopt.capacity import analyze_channel
 from tdopt.comparison import (
     _MAX_ITERS,
+    _check_terms,
     _descend,
-    _divergence_gap,
-    _rate_gap,
+    _pair_gaps,
     project_to_simplex,
 )
 from tdopt.config import RunConfig
@@ -70,7 +70,7 @@ from tdopt.core import (
 )
 from tdopt.families import make_partition_pair
 
-from conftest import same_bits, stochastic
+from conftest import at_check_0, same_bits, stochastic
 
 _TOL = 4096 * np.finfo(float).eps
 
@@ -93,6 +93,19 @@ def channel_pair_and_points(draw):
 
 def channel(rows: np.ndarray) -> Channel:
     return Channel(Alphabet.of_size(rows.shape[0]), Alphabet.of_size(rows.shape[1], "y"), rows)
+
+
+def optimal_outputs(rep1, rep2):
+    """The divergence form's references: each report's optimal output on
+    its channel's reachable outputs."""
+    return tuple(rep.optimal_output.probs[rep.channel.reachable] for rep in (rep1, rep2))
+
+
+def lone_gap(name, ch1, ch2, c1=1.0, c2=1.0, refs=(None, None)):
+    """The objective, gradient and grid objective of check `name` alone, as
+    functions of the points alone."""
+    objective, gradient, grid_objective = _pair_gaps(ch1, ch2, [_check_terms(name, c1, c2)], refs)
+    return at_check_0(objective), at_check_0(gradient), lambda p: next(grid_objective(p))
 
 
 def assert_rows_exact(fn, points):
@@ -145,13 +158,13 @@ def test_information_rows_match(data):
 def test_rate_gap_objective_and_gradient_rows_match(data, c1, c2):
     rows1, rows2, pts = data
     ch1, ch2 = channel(rows1), channel(rows2)
-    for (objective, gradient), c_min in (
-        (_rate_gap(ch2, ch1), 1.0),                   # the more-capable check
-        (_rate_gap(ch1, ch2, c1, c2), min(c1, c2)),   # the ratio condition
+    for (objective, gradient, grid_objective), c_min in (
+        (lone_gap("more_capable_forward", ch1, ch2), 1.0),
+        (lone_gap("more_capable_backward", ch1, ch2), 1.0),
+        (lone_gap("ratio_condition", ch1, ch2, c1, c2), min(c1, c2)),
     ):
         assert_rows_exact(objective, pts)
         assert_rows_exact(gradient, pts)
-        grid_objective = partial(objective, one_product=True)
         assert_rows_close(grid_objective, pts, lambda p: 10.0 / c_min)
 
 
@@ -162,12 +175,13 @@ def test_divergence_gap_objective_and_gradient_rows_match(data):
     rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
     c_min = min(rep1.capacity, rep2.capacity)
     assume(c_min > 0.01)
-    objective, gradient = _divergence_gap(rep1, rep2)
+    objective, gradient, grid_objective = lone_gap(
+        "divergence_form", ch1, ch2, rep1.capacity, rep2.capacity, optimal_outputs(rep1, rep2)
+    )
     assert_rows_exact(objective, pts)
     assert_rows_exact(gradient, pts)
     refs = np.concatenate([rep.optimal_output.probs for rep in (rep1, rep2)])
     log_ref = -math.log(refs[refs > 0.0].min())
-    grid_objective = partial(objective, one_product=True)
     assert_rows_close(grid_objective, pts, lambda p: (log_ref + 10.0) / (LN2 * c_min))
 
 
@@ -577,31 +591,80 @@ def pair_and_starts(draw):
     return draw(stochastic(nx, ny)), draw(stochastic(nx, ny)), starts
 
 
+def gap_checks(data, c1, c2):
+    """(ch1, ch2, checks, refs, starts): the more-capable check, the ratio
+    condition at c1 and c2 and, when both capacities are clearly positive,
+    the divergence form, each as (name, c1, c2)."""
+    rows1, rows2, starts = data
+    ch1, ch2 = channel(rows1), channel(rows2)
+    checks = [("more_capable_forward", 1.0, 1.0), ("ratio_condition", c1, c2)]
+    rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+    if min(rep1.capacity, rep2.capacity) > 0.01:
+        checks.append(("divergence_form", rep1.capacity, rep2.capacity))
+    return ch1, ch2, checks, optimal_outputs(rep1, rep2), starts
+
+
+def labelled_batch(ch1, ch2, checks, refs, starts):
+    """(objective, gradient, starts, labels): every check's starts in one
+    batch, check after check, each row labelled with its check."""
+    objective, gradient, _ = _pair_gaps(ch1, ch2, [_check_terms(*check) for check in checks], refs)
+    labels = np.repeat(np.arange(len(checks)), len(starts))
+    return objective, gradient, np.tile(starts, (len(checks), 1)), labels
+
+
 @settings(max_examples=30)
 @given(pair_and_starts(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
 def test_batched_descent_rows_equal_serial(data, c1, c2):
-    rows1, rows2, starts = data
-    ch1, ch2 = channel(rows1), channel(rows2)
-    gaps = [_rate_gap(ch2, ch1), _rate_gap(ch1, ch2, c1, c2)]
-    rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
-    if min(rep1.capacity, rep2.capacity) > 0.01:
-        gaps.append(_divergence_gap(rep1, rep2))
-    for objective, gradient in gaps:
-        x, fx, evals = _descend(objective, gradient, starts)
+    ch1, ch2, checks, refs, starts = gap_checks(data, c1, c2)
+    serial = []
+    for name, a, b in checks:
+        objective, gradient, _ = lone_gap(name, ch1, ch2, a, b, refs)
+        x, fx, evals = descend(objective, gradient, starts)
         for i, x0 in enumerate(starts):
             one_x, one_fx, one_evals = serial_descent(objective, gradient, x0)
             assert np.array_equal(x[i], one_x)
             assert fx[i] == one_fx
             assert evals[i] == one_evals
+            serial.append((one_x, one_fx, one_evals))
+    x, fx, evals = descend(*labelled_batch(ch1, ch2, checks, refs, starts))
+    for i, (one_x, one_fx, one_evals) in enumerate(serial):
+        assert np.array_equal(x[i], one_x)
+        assert fx[i] == one_fx
+        assert evals[i] == one_evals
 
 
-def assert_any_trials_per_pass_equal_serial(objective, gradient, starts):
+@settings(max_examples=5)
+@given(pair_and_starts(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+def test_mixed_batch_rows_equal_serial_at_any_trials_per_pass(data, c1, c2):
+    ch1, ch2, checks, refs, starts = gap_checks(data, c1, c2)
+    serial = [
+        serial_descent(*lone_gap(name, ch1, ch2, a, b, refs)[:2], x0)
+        for name, a, b in checks
+        for x0 in starts
+    ]
+    objective, gradient, batch, labels = labelled_batch(ch1, ch2, checks, refs, starts)
+    assert_any_trials_per_pass_equal_serial(objective, gradient, batch, serial, labels)
+
+
+def descend(objective, gradient, starts, checks=None):
+    """`_descend` from `starts`: of functions of the points alone with every
+    start labelled 0, or, given the labels `checks`, of points and labels."""
+    if checks is None:
+        f, g, checks = objective, gradient, np.zeros(len(starts), dtype=int)
+        objective, gradient = (lambda p, k: f(p)), (lambda p, k: g(p))
+    return _descend(objective, gradient, starts, checks)
+
+
+def assert_any_trials_per_pass_equal_serial(objective, gradient, starts, serial=None, checks=None):
     """Descend from `starts` with 1 to 4 backtracking trials per pass, and
-    compare every row with its lone descent; returns the lone evaluations."""
-    serial = [serial_descent(objective, gradient, x0) for x0 in starts]
+    compare every row with its lone descent, `serial` (by default, each
+    start's from `objective` and `gradient`); `checks` labels the rows for
+    `_descend`. Returns the lone evaluations."""
+    if serial is None:
+        serial = [serial_descent(objective, gradient, x0) for x0 in starts]
     for trials in (1, 2, 3, 4):
         with patch("tdopt.comparison._TRIALS", trials):
-            x, fx, evals = _descend(objective, gradient, starts)
+            x, fx, evals = descend(objective, gradient, starts, checks)
         for i, (one_x, one_fx, one_evals) in enumerate(serial):
             assert np.array_equal(x[i], one_x)
             assert fx[i] == one_fx
@@ -651,7 +714,7 @@ def test_non_finite_gradient_entries(data, c1, c2):
     # NaN, +inf and -inf entries chosen by the point's own coordinates, so a
     # lone point and a batch row get the same ones
     rows1, rows2, starts = data
-    objective, gradient = _rate_gap(channel(rows1), channel(rows2), c1, c2)
+    objective, gradient, _ = lone_gap("ratio_condition", channel(rows1), channel(rows2), c1, c2)
 
     def non_finite(p):
         g = gradient(p)

@@ -6,9 +6,10 @@ change.
 Runs every command of tdbench's search, region and capacity corpora at seeds
 0 and 1 in-process through tdopt.cli.main, then `--help` of tdopt and of each
 command, three `example-gen` runs, `verdict` and `analyze` of one
-capacity-gap pair with `--units nats` (the corpora run in bits), `verdict` and
-`region` of the `sec4 3 2` partition pair at `--samples 0` (no probes and no
-draws), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
+capacity-gap pair with `--units nats` (the corpora run in bits), `verdict`,
+`region` and `analyze` of the `sec4 3 2` partition pair at `--samples 0` (no
+probes and no draws; its support union is not full, so `analyze` runs three
+checks and skips the divergence form), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
 the most any output here sums over X, and 8 cells are where numpy's
 contiguous sums turn pairwise), `capacity --json` of two channels whose
 capacity optimizer is not unique (so their achieving inputs come from the
@@ -50,7 +51,7 @@ NATS_PAIR = (["bsc", "0.1"], ["bsc", "0.3"])
 # example-gen arguments of partition pairs, each with its sample count and
 # the commands run on it, with the flag that names each command's output file
 SAMPLED_PAIRS = (
-    (["sec4", "3", "2"], "0", (("verdict", "--json"), ("region", "--out"))),
+    (["sec4", "3", "2"], "0", (("verdict", "--json"), ("region", "--out"), ("analyze", "--json"))),
     (["sec4", "5", "3"], "500", (("region", "--out"),)),
 )
 # rows of channels with more than one capacity-achieving input: the simplex
