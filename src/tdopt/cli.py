@@ -153,12 +153,12 @@ def evidence_to_dict(ev: EvidenceReport, cfg: RunConfig) -> dict:
 def region_csv(samples, scale: float = 1.0) -> str:
     """CSV of the rate points of `samples`, one header line, rates multiplied
     by `scale` (1.0 for bits) and written to 12 significant digits in the
-    `_fmt` form, spelled inline since it runs twice per point."""
+    `_fmt` form, spelled as one %-format per sample since it runs twice per
+    point ('%.12g' and '{:.12g}' format a float alike)."""
     lines = ["source,R1,R2"]
     for sample in samples:
-        lines.extend(
-            f"{sample.source},{r1:.12g},{r2:.12g}" for r1, r2 in (sample.points * scale).tolist()
-        )
+        row = sample.source.replace("%", "%%") + ",%.12g,%.12g"
+        lines.extend(row % (r1, r2) for r1, r2 in (sample.points * scale).tolist())
     return "\n".join(lines) + "\n"
 
 

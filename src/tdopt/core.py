@@ -360,12 +360,27 @@ def mutual_information_pair(
 # The fast paths below keep numpy's order of addition, which follows memory:
 # a reduction over a middle axis (one with more cells after it) adds its
 # slices one at a time in memory order, so adding them in a Python loop
-# gives the same bits; a sum over a contiguous last axis of 8 or more cells
-# is pairwise, so those sums stay numpy's. A batch whose cells are all
-# positive skips the structural-zero mask, which would mask nothing.
+# gives the same bits. A sum over a contiguous last axis adds its cells one
+# by one from +0.0 below 8 cells, so ordered slice adds give its bits too;
+# from 8 cells it is pairwise, so those sums stay numpy's. A batch whose
+# cells are all positive skips the structural-zero mask, which would mask
+# nothing.
 
 
 _SHORT_LOOP = 32  # an inner loop over fewer cells costs numpy more to start than to run
+_PAIRWISE = 8  # numpy sums a contiguous last axis pairwise from this many cells
+
+
+def _last_sum(cells: np.ndarray) -> np.ndarray:
+    """cells.sum(axis=-1) for a C-contiguous `cells`, with its bits: below
+    _PAIRWISE cells numpy adds them one by one from +0.0 (so an all -0.0 row
+    sums to +0.0), and so do the whole-slice adds here."""
+    if cells.shape[-1] >= _PAIRWISE:
+        return cells.sum(axis=-1)
+    acc = cells[..., 0] + 0.0
+    for k in range(1, cells.shape[-1]):
+        acc = acc + cells[..., k]
+    return acc
 
 
 def _marginal_batch(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -376,15 +391,17 @@ def _marginal_batch(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     C-contiguous batch, numpy's reduction adds their slices in memory order,
     running one inner loop over the `tail` cells after them per slice row.
     When those loops are short and a slice has many rows, as in a batch of
-    draws, the slices are added whole instead, in the same order."""
+    draws, the slices are added whole instead, in the same order. So are
+    fewer than 8 dropped cells with no cells after them: numpy adds such a
+    contiguous last axis one cell at a time too."""
     drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
     shape = probs.shape
     first, last = (drop[0], drop[-1] + 1) if drop else (0, 0)
     sizes = (math.prod(shape[:first]), math.prod(shape[first:last]), math.prod(shape[last:]))
-    if (drop and last - first == len(drop) and 1 < sizes[2] < _SHORT_LOOP < sizes[0]
-            and probs.flags.c_contiguous):
+    if (drop and last - first == len(drop) and sizes[2] < _SHORT_LOOP < sizes[0]
+            and probs.flags.c_contiguous and (sizes[2] > 1 or sizes[1] < _PAIRWISE)):
         cells = probs.reshape(sizes)
-        reduced = cells[:, 0]
+        reduced = cells[:, 0] + 0.0  # numpy's sums start from +0.0
         for k in range(1, sizes[1]):
             reduced = reduced + cells[:, k]
         reduced = reduced.reshape(shape[:first] + shape[last:])
@@ -472,19 +489,20 @@ def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
     if not live.any():
         return np.zeros(n)
 
-    # numpy orders a reduction's loops by memory layout, so summing the whole
-    # cube at once could add a slice's cells in another order than a lone
-    # joint's slice. The marginals and masses are therefore summed one slice
-    # at a time, each an (S, |A|, |B|) batch laid out as the lone slices are.
-    # Slices dead in every joint keep ones; their terms are discarded.
-    pa = np.ones((n, nc, na, 1))
-    pb = np.ones((n, nc, 1, nb))
-    s = np.ones((n, nc, 1, 1))
-    for ic in np.flatnonzero(live.any(axis=0)):
-        m = cube[:, ic]
-        pa[:, ic] = m.sum(axis=2, keepdims=True)
-        pb[:, ic] = m.sum(axis=1, keepdims=True)
-        s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
+    # numpy orders a reduction's loops by memory layout. When B has unit
+    # stride, every lone slice's sums are numpy's sums of that slice laid out
+    # C-contiguously: pa over B, pb over A and s over the flattened A x B
+    # cells. So one C-contiguous copy of the cube is summed whole, and each
+    # slice gets the bits it would get alone; pb is the marginal of the
+    # cubes as (|C|, |A|, |B|) joints, so short B rows add whole A slices. A
+    # strided B keeps the sums one slice at a time (`_slice_sums`).
+    if cube.strides[3] == cube.itemsize:
+        cube = np.ascontiguousarray(cube)
+        pa = _last_sum(cube)[..., None]
+        pb = _marginal_batch(cube, (0, 2))[:, :, None]
+        s = _last_sum(cube.reshape(n, nc, na * nb))[..., None, None]
+    else:
+        pa, pb, s = _slice_sums(cube, live)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (cube * s) / (pa * pb)
@@ -498,6 +516,23 @@ def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
         slice_nats = np.where(live, slice_nats, 0.0)
     # accumulate adds strictly left to right; sum would pair slices
     return np.add.accumulate(slice_nats, axis=1)[:, -1] / LN2
+
+
+def _slice_sums(cube: np.ndarray, live: np.ndarray):
+    """The marginals pa and pb and the mass s of every slice of a batch of
+    (S, |C|, |A|, |B|) cubes, summed one slice at a time, each an
+    (S, |A|, |B|) batch laid out as the lone slices are. Slices dead in
+    every joint keep ones; their terms are discarded."""
+    n, nc, na, nb = cube.shape
+    pa = np.ones((n, nc, na, 1))
+    pb = np.ones((n, nc, 1, nb))
+    s = np.ones((n, nc, 1, 1))
+    for ic in np.flatnonzero(live.any(axis=0)):
+        m = cube[:, ic]
+        pa[:, ic] = m.sum(axis=2, keepdims=True)
+        pb[:, ic] = m.sum(axis=1, keepdims=True)
+        s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
+    return pa, pb, s
 
 
 def _sum_nonzero(terms: np.ndarray, nz: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 construction identities, and seeded sampling."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -495,6 +496,17 @@ class TestSerialization:
             f"MARTON,{math.log(2.0):.12g},{0.5 * math.log(2.0):.12g}",
             f"TD,{0.25 * math.log(2.0):.12g},{2.0 * math.log(2.0):.12g}",
         ]
+
+    def test_csv_rows_read_as_the_f_string_form(self):
+        # the last four are 12-digit rounding ties that a double holds exactly,
+        # rounded down and up by the half-even rule
+        values = [0.0, -0.0, 1e-17, 1e16, 1.0 / 3.0,
+                  1234567890.125, 1234567890.375, 1000000000005.0, 1000000000015.0]
+        points = np.array(list(itertools.product(values, repeat=2)))
+        for scale in (1.0, math.log(2.0)):
+            lines = region_csv((RegionSample(points, "MARTON%s"),), scale).splitlines()
+            assert lines[1:] == [f"MARTON%s,{r1:.12g},{r2:.12g}"
+                                 for r1, r2 in (points * scale).tolist()]
 
     def test_td_boundary_endpoints_and_midpoint(self):
         sample = td_boundary_sample(2.0, 1.0, 101)

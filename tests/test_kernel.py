@@ -18,8 +18,10 @@ time-sharing probes with the lone constructions. The channel marginal agrees
 with the marginal of the full extension within 1e-14. The joint kernel's
 fast paths give the bits, in the memory layout, of the formulas they
 replaced, which are kept here as references: on every drop pattern and axis
-subset, and on batches that mix all-positive joints with joints that have
-zero cells.
+subset, on batches that mix all-positive joints with joints that have zero
+cells, and at the cell counts where numpy's sums change their order, with
++0.0 and -0.0 zeros. Of the cubes the rate bounds pass, only the U;V|W
+term's is summed one slice at a time.
 """
 
 import itertools
@@ -31,7 +33,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdopt.bounds import (
+    _draws,
     _marton,
+    _single_user_probes,
     _timeshare_probes,
     _uv,
     marton_rates,
@@ -55,7 +59,9 @@ from tdopt.core import (
     Channel,
     JointDistribution,
     _clean_probs,
+    _last_sum,
     _marginal_batch,
+    _slice_sums,
     _sum_nonzero,
     conditional_information,
     cube_information,
@@ -68,7 +74,7 @@ from tdopt.core import (
     row_log_ratios,
     xlogx,
 )
-from tdopt.families import make_partition_pair
+from tdopt.families import make_bsc, make_partition_pair
 
 from conftest import at_check_0, same_bits, stochastic
 
@@ -468,6 +474,107 @@ def test_empty_batch_equals_reference():
         assert same_bits(extended_marginal(probs, axes, rows),
                          reference_extended_marginal(probs, axes, rows))
     assert same_bits(cube_information(probs, 1, 1), reference_cube_information(probs, 1, 1))
+
+
+def boundary_batch(rng, shape, cells):
+    """40 joints of `shape`: all positive, with structural zeros, or with
+    -0.0 cells, where the zeros cover a row of the last axis and, on more
+    than one leading cell, everything under the first of them, so some sums
+    add only zeros."""
+    probs = rng.dirichlet(np.ones(math.prod(shape)), 40).reshape((40,) + shape)
+    if cells == "positive":
+        return probs
+    zero = rng.random(probs.shape) < 0.3
+    zero[(slice(None),) + (0,) * (len(shape) - 1)] = True
+    if shape[0] > 1:
+        zero[:, 0] = True
+    zero[(slice(None),) + (-1,) * len(shape)] = False  # every joint keeps some mass
+    probs[zero] = 0.0
+    probs /= probs.sum(axis=tuple(range(1, probs.ndim)), keepdims=True)
+    if cells == "-0.0":
+        probs[zero] = -0.0
+    return probs
+
+
+def laid_out(probs, order):
+    """`probs` with its joint axes stored in `order`, first to last."""
+    layout = (0,) + tuple(a + 1 for a in order)
+    return np.ascontiguousarray(probs.transpose(layout)).transpose(np.argsort(layout))
+
+
+# (|A|, |B|): |B| of 1, 2, 7, 8 and 9 cells, then |A x B| of 7, 8, 9, 128,
+# 129, 256 and 257 cells, where numpy's last-axis sums turn pairwise and
+# where its pairwise sums split a block of 128
+_CUBE_SIDES = ((3, 1), (3, 2), (3, 7), (3, 8), (3, 9),
+               (7, 1), (1, 7), (4, 2), (2, 4), (3, 3), (16, 8), (2, 64), (43, 3), (3, 43),
+               (16, 16), (32, 8), (257, 1), (1, 257))
+
+
+def test_cube_sums_at_the_ordered_sum_boundaries():
+    rng = np.random.default_rng(23)
+    # C, A, B stored in order: B has unit stride in the first two, not in the last
+    layouts = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    for (na, nb), nc, cells in itertools.product(_CUBE_SIDES, (1, 3),
+                                                 ("positive", "zeros", "-0.0")):
+        probs = boundary_batch(rng, (nc, na, nb), cells)
+        for order in layouts:
+            cube = laid_out(probs, order)
+            assert same_bits(cube_information(cube, 1, 1),
+                             reference_cube_information(cube, 1, 1))
+
+
+def test_short_last_axis_sums_and_marginal_batch_drops():
+    rng = np.random.default_rng(23)
+    for k, cells in itertools.product(range(1, 10), ("positive", "zeros", "-0.0")):
+        for shape in ((3, k), (3, 2, k)):
+            probs = boundary_batch(rng, shape, cells)
+            assert same_bits(_last_sum(probs), probs.sum(axis=-1))
+            # C-contiguous, stored last axis first, and a strided view
+            for batch in (probs, laid_out(probs, range(len(shape))[::-1]), probs[::2]):
+                for axes in subsets(len(shape)):
+                    assert same_layout(_marginal_batch(batch, axes),
+                                       reference_marginal_batch(batch, axes))
+
+
+def fallback_calls(rates, probs, rows1, rows2):
+    """One entry per cube of `rates` on `probs` that is summed one slice at
+    a time: True when it is the U;V|W term's, whose B axis (V) is strided."""
+    calls, in_term = [], [False]
+
+    def term(*args):
+        in_term[0] = True
+        try:
+            return conditional_information(*args)
+        finally:
+            in_term[0] = False
+
+    def slice_sums(*args):
+        calls.append(in_term[0])
+        return _slice_sums(*args)
+
+    with patch("tdopt.bounds.conditional_information", term), \
+            patch("tdopt.core._slice_sums", slice_sums):
+        rates(probs, rows1, rows2)
+    return calls
+
+
+def test_only_the_uv_given_w_term_sums_slice_by_slice():
+    partition = make_partition_pair(4, 3)
+    for ch1, ch2, cfg in ((partition.first, partition.second, RunConfig()),
+                          (make_bsc(0.1), make_bsc(0.3), RunConfig(cardinalities=(3, 3, 2)))):
+        rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+        nx = len(ch1.input)
+        for rates, probes, arity in ((_marton, _timeshare_probes, 3), (_uv, _single_user_probes, 2)):
+            cells = math.prod(cfg.cardinalities[:arity]) * nx
+            (draws, _), = _draws(RunConfig(samples=512, cardinalities=cfg.cardinalities),
+                                 arity, ch1.input, cells)
+            calls = [fallback_calls(rates, _clean_probs(probs, "joint distribution", batch=True),
+                                    ch1.rows, ch2.rows)
+                     for probs in [draws] + [probs for probs, _ in probes(rep1, rep2)]]
+            term = [True] if rates is _marton else []
+            # the draws reach the U;V|W term's live slices; a probe may have none there
+            assert calls[0] == term
+            assert all(c in ([], term) for c in calls[1:])
 
 
 def copy_plan(rep):

@@ -5,8 +5,9 @@ change.
 
 Runs every command of tdbench's search, region and capacity corpora at seeds
 0 and 1 in-process through tdopt.cli.main, then `--help` of tdopt and of each
-command, three `example-gen` runs, `verdict` and `analyze` of one
-capacity-gap pair with `--units nats` (the corpora run in bits), `verdict`,
+command, three `example-gen` runs, `verdict`, `analyze` and `region --out` of
+one capacity-gap pair with `--units nats` (the corpora run in bits, so this
+is the one region CSV written with scaled rates), `verdict`,
 `region` and `analyze` of the `sec4 3 2` partition pair at `--samples 0` (no
 probes and no draws; its support union is not full, so `analyze` runs three
 checks and skips the divergence form), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
@@ -111,9 +112,9 @@ def main():
     pair = [os.path.join(WORKDIR, f"{'-'.join(args)}.json") for args in NATS_PAIR]
     for args, path in zip(NATS_PAIR, pair):
         run_cli(tdopt_main, ["example-gen", *args, "--out", path])
-    for command in ("verdict", "analyze"):
-        dest = os.path.join(WORKDIR, f"{command}.json")
-        outputs = run_cli(tdopt_main, [command, *pair, "--units", "nats", "--json", dest])
+    for command, dest_flag in (("verdict", "--json"), ("analyze", "--json"), ("region", "--out")):
+        dest = os.path.join(WORKDIR, f"{command}.{dest_flag[2:]}")  # verdict.json, region.out
+        outputs = run_cli(tdopt_main, [command, *pair, "--units", "nats", dest_flag, dest])
         print(digest(*outputs, read(dest)), f"nats {command} {' '.join(os.path.basename(p) for p in pair)}")
     for args, samples, commands in SAMPLED_PAIRS:
         shutil.rmtree(WORKDIR, ignore_errors=True)
