@@ -37,7 +37,10 @@ V_STAR = "__v_star"
 
 _CELL_LIMIT = 1_000_000
 _SAMPLE_LIMIT = 1_000_000  # Dirichlet joints per bound; every joint's corners are kept
-_BATCH = 512  # Dirichlet draws per seeded generator, evaluated at once
+_BATCH = 512  # Dirichlet draws per seeded generator
+# Dirichlet draws per kernel call, whole _BATCH batches joined: per joint,
+# 1024 ran faster than 512 and 256, and 2048 no faster
+_EVAL = 1024
 
 
 def td_region_contains(
@@ -172,7 +175,9 @@ class TimeshareConstruction:
     joint: JointDistribution        # (Q, W, U', V', X)
 
     def marton_joint(self) -> JointDistribution:
-        """The same joint in the (U, V, W, X) arity, with W = (Q, W) merged."""
+        """The same joint in the (U, V, W, X) arity, with W = (Q, W) merged
+        over the n1 + n2 pairs that carry mass: the first plan's auxiliary
+        under Q = 0, then the second's under Q = 1."""
         plans = [(p.alphabets, p.probs) for p in (self.first_plan, self.second_plan)]
         probs, alphabets, _ = _timeshare_joints(np.array([self.first_fraction]), *plans)
         return JointDistribution(alphabets, probs[0])
@@ -184,9 +189,10 @@ def _timeshare_joints(lams: np.ndarray, first, second):
     (U', V', W, X) layout of `TimeshareConstruction.marton_joint`.
 
     Each plan is an ((X, auxiliary) alphabets, (|X|, n) probs) pair. Returns
-    the (len(lams), |X|+1, |X|+1, 2(n1+n2), |X|) batch, its alphabets
-    (U', V', W, X), whose merged W labels read "q:w", and the alphabets
-    (Q, W) before the merge.
+    the (len(lams), |X|+1, |X|+1, n1+n2, |X|) batch, its alphabets
+    (U', V', W, X), and the alphabets (Q, W) before the merge. The merged W
+    keeps only the (Q, W) pairs that carry mass, labelled "q:w": "0:u:a"
+    for the first plan's auxiliary a, then "1:v:b" for the second's b.
     """
     ((x_alpha, aux1), probs1), ((_, aux2), probs2) = first, second
     if U_STAR in x_alpha.symbols or V_STAR in x_alpha.symbols:
@@ -194,15 +200,15 @@ def _timeshare_joints(lams: np.ndarray, first, second):
     nx, n1, n2 = len(x_alpha), len(aux1), len(aux2)
     q_alpha = Alphabet(("0", "1"))
     w_alpha = Alphabet(tuple(f"u:{s}" for s in aux1) + tuple(f"v:{s}" for s in aux2))
-    merged = Alphabet(tuple(f"{q}:{w}" for q in q_alpha for w in w_alpha))
+    merged = Alphabet(tuple(f"{q}:{w}" for q, w in zip("0" * n1 + "1" * n2, w_alpha)))
     u_alpha, v_alpha = (Alphabet(x_alpha.symbols + (star,)) for star in (U_STAR, V_STAR))
-    probs = np.zeros((len(lams), nx + 1, nx + 1, len(merged), nx))
+    probs = np.zeros((len(lams), nx + 1, nx + 1, n1 + n2, nx))
     xs = np.arange(nx)[:, None]
     # Q = 0: W is the first plan's auxiliary a, U' copies X, V' is reserved;
-    # Q = 1: W is the second's b, at merged index 2 n1 + n2 + b, and the
-    # roles of U' and V' swap
+    # Q = 1: W is the second's b, at merged index n1 + b, and the roles of U'
+    # and V' swap
     probs[:, xs, nx, np.arange(n1), xs] = lams[:, None, None] * probs1
-    probs[:, nx, xs, 2 * n1 + n2 + np.arange(n2), xs] = (1.0 - lams)[:, None, None] * probs2
+    probs[:, nx, xs, n1 + np.arange(n2), xs] = (1.0 - lams)[:, None, None] * probs2
     return probs, (u_alpha, v_alpha, merged, x_alpha), (q_alpha, w_alpha)
 
 
@@ -225,11 +231,12 @@ def timeshare_construction(
     lam = float(first_fraction)
     plans = [(p.alphabets, p.probs) for p in (first_plan, second_plan)]
     probs, (u_alpha, v_alpha, _, _), (q_alpha, w_alpha) = _timeshare_joints(np.array([lam]), *plans)
-    # split the merged W back into (Q, W) and move both to the front, in C
+    # put each merged W label back under its Q, with (Q, W) in front, in C
     # order: the kernel's sums follow the memory order of the joint
-    nx = len(x_alpha)
-    arr = probs[0].reshape(nx + 1, nx + 1, 2, len(w_alpha), nx).transpose(2, 3, 0, 1, 4)
-    arr = np.ascontiguousarray(arr)
+    nx, n1 = len(x_alpha), len(first_plan.alphabets[1])
+    arr = np.zeros((2, len(w_alpha), nx + 1, nx + 1, nx))
+    merged = probs[0].transpose(2, 0, 1, 3)  # (W, U', V', X)
+    arr[0, :n1], arr[1, n1:] = merged[:n1], merged[n1:]
     joint = JointDistribution((q_alpha, w_alpha, u_alpha, v_alpha, x_alpha), arr)
     return TimeshareConstruction(lam, first_plan, second_plan, joint)
 
@@ -335,16 +342,21 @@ def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
 
 def _draws(cfg: RunConfig, arity: int, x_alpha: Alphabet, cells: int):
     """`cfg.samples` Dirichlet joints over the first `arity` auxiliaries at
-    `cfg.cardinalities` and X, as (probs, alphabets) batches of up to _BATCH
-    joints, each drawn by a generator seeded by [cfg.seed, batch index]."""
+    `cfg.cardinalities` and X, drawn in batches of up to _BATCH joints, each
+    by a generator seeded by [cfg.seed, batch index]. They are yielded as
+    (probs, alphabets) batches of up to _EVAL joints, consecutive draw
+    batches joined, so a draw does not depend on _EVAL."""
     cards = cfg.cardinalities[:arity]
     alphabets = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards, "uvw")) + (x_alpha,)
     shape = (-1,) + cards + (len(x_alpha),)
-    for batch_index, done in enumerate(range(0, cfg.samples, _BATCH)):
-        rng = np.random.default_rng([cfg.seed, batch_index])
-        size = min(_BATCH, cfg.samples - done)
+    for start in range(0, cfg.samples, _EVAL):
+        stop = min(start + _EVAL, cfg.samples)
         # no local keeps the raw draws, so they are freed once validated
-        yield rng.dirichlet(np.ones(cells), size=size).reshape(shape), alphabets
+        yield np.concatenate([
+            np.random.default_rng([cfg.seed, done // _BATCH]).dirichlet(
+                np.ones(cells), size=min(_BATCH, stop - done))
+            for done in range(start, stop, _BATCH)
+        ]).reshape(shape), alphabets
 
 
 def _sample(rep1, rep2, cfg, arity, rates, probes, source):

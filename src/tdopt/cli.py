@@ -153,13 +153,14 @@ def evidence_to_dict(ev: EvidenceReport, cfg: RunConfig) -> dict:
 def region_csv(samples, scale: float = 1.0) -> str:
     """CSV of the rate points of `samples`, one header line, rates multiplied
     by `scale` (1.0 for bits) and written to 12 significant digits in the
-    `_fmt` form, spelled as one %-format per sample since it runs twice per
-    point ('%.12g' and '{:.12g}' format a float alike)."""
-    lines = ["source,R1,R2"]
+    `_fmt` form ('%.12g' and '{:.12g}' format a float alike). It runs twice
+    per point, so each sample is one %-operation over its row format
+    repeated once per point."""
+    parts = ["source,R1,R2\n"]
     for sample in samples:
-        row = sample.source.replace("%", "%%") + ",%.12g,%.12g"
-        lines.extend(row % (r1, r2) for r1, r2 in (sample.points * scale).tolist())
-    return "\n".join(lines) + "\n"
+        row = sample.source.replace("%", "%%") + ",%.12g,%.12g\n"
+        parts.append(row * len(sample.points) % tuple((sample.points * scale).ravel().tolist()))
+    return "".join(parts)
 
 
 def channel_to_dict(ch: Channel) -> dict:

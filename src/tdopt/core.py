@@ -362,9 +362,10 @@ def mutual_information_pair(
 # slices one at a time in memory order, so adding them in a Python loop
 # gives the same bits. A sum over a contiguous last axis adds its cells one
 # by one from +0.0 below 8 cells, so ordered slice adds give its bits too;
-# from 8 cells it is pairwise, so those sums stay numpy's. A batch whose
-# cells are all positive skips the structural-zero mask, which would mask
-# nothing.
+# from 8 cells it is pairwise, so those sums stay numpy's. A cube whose
+# slices are C-ordered blocks, each one stride from cell to cell, is summed
+# whole on a C-contiguous copy with those bits. A batch whose cells are all
+# positive skips the structural-zero mask, which would mask nothing.
 
 
 _SHORT_LOOP = 32  # an inner loop over fewer cells costs numpy more to start than to run
@@ -490,13 +491,17 @@ def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
         return np.zeros(n)
 
     # numpy orders a reduction's loops by memory layout. When B has unit
-    # stride, every lone slice's sums are numpy's sums of that slice laid out
+    # stride, or each slice is a C-ordered (A, B) block whose cells are one
+    # stride apart (as in the U;V|W term's cube, whose C axis is innermost),
+    # every lone slice's sums are numpy's sums of that slice laid out
     # C-contiguously: pa over B, pb over A and s over the flattened A x B
     # cells. So one C-contiguous copy of the cube is summed whole, and each
     # slice gets the bits it would get alone; pb is the marginal of the
-    # cubes as (|C|, |A|, |B|) joints, so short B rows add whole A slices. A
-    # strided B keeps the sums one slice at a time (`_slice_sums`).
-    if cube.strides[3] == cube.itemsize:
+    # cubes as (|C|, |A|, |B|) joints, so short B rows add whole A slices.
+    # Any other strided layout keeps the sums one slice at a time
+    # (`_slice_sums`).
+    step = cube.strides[3]
+    if step == cube.itemsize or cube.strides[2] == nb * step > 0:
         cube = np.ascontiguousarray(cube)
         pa = _last_sum(cube)[..., None]
         pb = _marginal_batch(cube, (0, 2))[:, :, None]

@@ -4,12 +4,15 @@ construction identities, and seeded sampling."""
 import hashlib
 import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from conftest import make_identity, oracle_mi_grouped, random_joint
 from tdopt.bounds import (
+    _BATCH,
+    _SAMPLE_LIMIT,
     MARTON,
     TD,
     UV,
@@ -17,6 +20,13 @@ from tdopt.bounds import (
     V_STAR,
     RateConstraints,
     RegionSample,
+    _corners,
+    _marton,
+    _sample,
+    _single_user_probes,
+    _td_slack,
+    _timeshare_probes,
+    _uv,
     marton_rates,
     sample_marton,
     sample_uv,
@@ -35,6 +45,7 @@ from tdopt.core import (
     Channel,
     Distribution,
     JointDistribution,
+    _clean_probs,
     mutual_information,
 )
 from tdopt.families import make_bsc, make_partition_pair
@@ -422,8 +433,9 @@ class TestSampling:
 
 
 def merged_labels(inputs: str) -> str:
-    """The merged W labels of the time-sharing probes on these inputs."""
-    return " ".join(f"{q}:{role}:{x}" for q in "01" for role in "uv" for x in inputs.split())
+    """The merged W labels of the time-sharing probes on these inputs: the
+    first copy plan's under Q = 0, then the second's under Q = 1."""
+    return " ".join(f"{q}:{role}:{x}" for q, role in ("0u", "1v") for x in inputs.split())
 
 
 PARTITION_43 = make_partition_pair(4, 3)
@@ -443,8 +455,8 @@ class TestSamplingBytes:
 
     @pytest.mark.parametrize("pair, sampler, cfg, points_sha, aux_sha, symbols", [
         ((PARTITION_43.first, PARTITION_43.second), sample_marton, dict(samples=500),
-         "3fa400152b1d2b51ce9bd6a26b328425040083e3b8a128a36d143e9a64fc6133",
-         "2fa9cd0e4ad5e74f2d693c86a249b4111d6fa695919415dc60a0828711ba6995",
+         "e9a8b5f986a128e6112c8487ec577a3e86e17fcf444a9f86629b968701a6df84",
+         "8f49f5e278e039ef2943ac37f9035bfdf8b3a9ecb06d80d27115e7c56e2ddd92",
          (f"{PARTITION_43_INPUTS} __u_star", f"{PARTITION_43_INPUTS} __v_star",
           PARTITION_43_MERGED, PARTITION_43_INPUTS)),
         ((PARTITION_43.first, PARTITION_43.second), sample_uv, dict(samples=500),
@@ -453,15 +465,15 @@ class TestSamplingBytes:
          (PARTITION_43_INPUTS, "c0", PARTITION_43_INPUTS)),
         (BSC_PAIR, sample_marton, dict(cardinalities=(3, 3, 2)),
          "35110fb6b49ef518bf4c7d39b6dec0432b494da798eb08469b6698dba53538eb",
-         "8c1aec786ad8ae8f5e3ae38b69e2148948794a3b1c37eeb6c6e02889363af61d",
-         ("0 1 __u_star", "0 1 __v_star", "0:u:0 0:u:1 0:v:0 0:v:1 1:u:0 1:u:1 1:v:0 1:v:1", "0 1")),
+         "6dd13e5ef87f46294f1c9c0108331b502b8f4ae757d83426431c33a0404c78bc",
+         ("0 1 __u_star", "0 1 __v_star", "0:u:0 0:u:1 1:v:0 1:v:1", "0 1")),
         (BSC_PAIR, sample_uv, dict(cardinalities=(3, 3, 2)),
          "acc9e9b7510d3b7380a886762e7ab68afcb54c5989b84242433d6f4682a09053",
          "7e5cfbb2f362088a333aeb03f34eb9f4915fb2c3a25ef7fd6bc7ffd2d85dba90",
          ("c0", "0 1", "0 1")),
         ((PARTITION_53.first, PARTITION_53.second), sample_marton, dict(samples=500),
-         "95e9a2d0e76a8b8cfb1994fe6f4c77417474c4502f8c29d21566edc6cc76ab55",
-         "01a779cc81764a00cd8ce18aa630092532468f03d8813d1115a112edd8ea2637",
+         "1d5fe566e3f4141f95eaa22d1fed5549a68b1f56ec064db3c22fb44f28ba261e",
+         "8c8d4169e84ddd21b4b4c722a6b893146bd2d64b2fe7143a7f3427777271f8b0",
          (f"{PARTITION_53_INPUTS} __u_star", f"{PARTITION_53_INPUTS} __v_star",
           merged_labels(PARTITION_53_INPUTS), PARTITION_53_INPUTS)),
         ((PARTITION_53.first, PARTITION_53.second), sample_uv, dict(samples=500),
@@ -475,6 +487,65 @@ class TestSamplingBytes:
         assert hashlib.sha256(rep.sample.points.tobytes()).hexdigest() == points_sha
         assert hashlib.sha256(rep.worst_aux.probs.tobytes()).hexdigest() == aux_sha
         assert tuple(" ".join(a.symbols) for a in rep.worst_aux.alphabets) == symbols
+
+
+def no_probes(rep1, rep2):
+    return iter(())
+
+
+def batchwise_sample(rep1, rep2, cfg, arity, rates, probes):
+    """The reference for region sampling's draws: the probes, then every
+    seeded batch of up to _BATCH Dirichlet draws, each evaluated alone.
+    Returns the points, the first smallest slack, its point and the joint
+    and alphabets behind it."""
+    ch1, ch2 = rep1.channel, rep2.channel
+    cards, nx = cfg.cardinalities[:arity], len(ch1.input)
+    alphabets = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards, "uvw")) + (ch1.input,)
+    batches = list(probes(rep1, rep2))
+    for index, done in enumerate(range(0, cfg.samples, _BATCH)):
+        draws = np.random.default_rng([cfg.seed, index]).dirichlet(
+            np.ones(math.prod(cards) * nx), size=min(_BATCH, cfg.samples - done))
+        batches.append((draws.reshape((-1,) + cards + (nx,)), alphabets))
+    points, joints = [], []
+    for probs, alphas in batches:
+        probs = _clean_probs(probs, "joint distribution", batch=True)
+        points.append(_corners(*rates(probs, ch1.rows, ch2.rows)).reshape(-1, 2))
+        joints.extend((joint, alphas) for joint in probs)
+    points = np.concatenate(points)
+    slack = _td_slack(points[:, 0], points[:, 1], rep1.capacity, rep2.capacity)
+    row = int(slack.argmin())
+    return points, float(slack[row]), points[row], joints[row // 2]
+
+
+class TestDrawChunks:
+    """Draws are evaluated several seeded batches at a time; a sample is the
+    one its batches give evaluated alone, at every count around the joins."""
+
+    @pytest.mark.parametrize("samples", [1, 511, 512, 513, 1023, 1024, 1025, 2000])
+    def test_joined_batches_equal_lone_batches(self, samples):
+        pair = make_partition_pair(3, 2)
+        rep1, rep2 = analyze_channel(pair.first), analyze_channel(pair.second)
+        cfg = RunConfig(samples=samples, seed=3)
+        for arity, rates, probes, source in ((3, _marton, _timeshare_probes, MARTON),
+                                             (2, _uv, _single_user_probes, UV)):
+            # without probes, the worst joint is a draw
+            for probe in (probes, no_probes):
+                report = _sample(rep1, rep2, cfg, arity, rates, probe, source)
+                points, min_slack, worst_point, (joint, alphas) = batchwise_sample(
+                    rep1, rep2, cfg, arity, rates, probe)
+                assert report.sample.points.tobytes() == points.tobytes()
+                assert report.min_slack == min_slack
+                assert report.worst_point.tobytes() == worst_point.tobytes()
+                assert report.worst_aux.probs.tobytes() == joint.tobytes()
+                assert report.worst_aux.alphabets == alphas
+
+    def test_sample_limit_refuses_before_any_draw(self):
+        rep = analyze_channel(make_bsc(0.11))
+        cfg = RunConfig(samples=_SAMPLE_LIMIT + 1)
+        for sampler in (sample_marton, sample_uv):
+            with patch("numpy.random.default_rng", side_effect=AssertionError("drew")), \
+                    pytest.raises(ValueError, match="exceed the limit"):
+                sampler(rep, rep, cfg)
 
 
 class TestSerialization:
@@ -507,6 +578,13 @@ class TestSerialization:
             lines = region_csv((RegionSample(points, "MARTON%s"),), scale).splitlines()
             assert lines[1:] == [f"MARTON%s,{r1:.12g},{r2:.12g}"
                                  for r1, r2 in (points * scale).tolist()]
+
+    def test_csv_writes_no_row_for_an_empty_sample(self):
+        empty = RegionSample(np.empty((0, 2)), "UV%d%%")
+        full = RegionSample(np.array([[0.5, 0.25], [1.0 / 3.0, 0.0]]), "100%")
+        assert region_csv((empty,)) == "source,R1,R2\n"
+        assert region_csv((empty, full, empty)) == (
+            "source,R1,R2\n100%,0.5,0.25\n100%,0.333333333333,0\n")
 
     def test_td_boundary_endpoints_and_midpoint(self):
         sample = td_boundary_sample(2.0, 1.0, 101)

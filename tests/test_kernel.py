@@ -20,8 +20,8 @@ fast paths give the bits, in the memory layout, of the formulas they
 replaced, which are kept here as references: on every drop pattern and axis
 subset, on batches that mix all-positive joints with joints that have zero
 cells, and at the cell counts where numpy's sums change their order, with
-+0.0 and -0.0 zeros. Of the cubes the rate bounds pass, only the U;V|W
-term's is summed one slice at a time.
++0.0 and -0.0 zeros. None of the cubes the rate bounds pass is summed one
+slice at a time: each slice of theirs is a C-ordered block.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdopt.bounds import (
+    _EVAL,
     _draws,
     _marton,
     _single_user_probes,
@@ -536,29 +537,39 @@ def test_short_last_axis_sums_and_marginal_batch_drops():
                                        reference_marginal_batch(batch, axes))
 
 
-def fallback_calls(rates, probs, rows1, rows2):
-    """One entry per cube of `rates` on `probs` that is summed one slice at
-    a time: True when it is the U;V|W term's, whose B axis (V) is strided."""
-    calls, in_term = [], [False]
+def slice_sum_calls(fn, *args) -> int:
+    """How many cubes `fn(*args)` sums one slice at a time."""
+    calls = []
 
-    def term(*args):
-        in_term[0] = True
-        try:
-            return conditional_information(*args)
-        finally:
-            in_term[0] = False
+    def slice_sums(*sums_args):
+        calls.append(sums_args)
+        return _slice_sums(*sums_args)
 
-    def slice_sums(*args):
-        calls.append(in_term[0])
-        return _slice_sums(*args)
-
-    with patch("tdopt.bounds.conditional_information", term), \
-            patch("tdopt.core._slice_sums", slice_sums):
-        rates(probs, rows1, rows2)
-    return calls
+    with patch("tdopt.core._slice_sums", slice_sums):
+        fn(*args)
+    return len(calls)
 
 
-def test_only_the_uv_given_w_term_sums_slice_by_slice():
+def test_cube_path_follows_the_slice_layout():
+    rng = np.random.default_rng(24)
+    for (na, nb), cells in itertools.product(
+            [(7, 1), (1, 7), (4, 2), (2, 4), (3, 3), (16, 8), (43, 3), (16, 16), (257, 1), (1, 257)],
+            ("positive", "zeros", "-0.0")):
+        probs = boundary_batch(rng, (3, na, nb), cells)
+        wide = np.zeros(probs.shape[:-1] + (2 * nb,))
+        wide[..., ::2] = probs
+        # C innermost, as in the U;V|W term, and every second cell of a
+        # wider cube: C-ordered slices whose cells are one stride apart
+        for cube in (laid_out(probs, (1, 2, 0)), wide[..., ::2]):
+            assert same_bits(cube_information(cube, 1, 1), reference_cube_information(cube, 1, 1))
+            assert slice_sum_calls(cube_information, cube, 1, 1) == 0
+        # A innermost: a slice's B cells are |A| cells apart, its A cells one
+        cube = laid_out(probs, (0, 2, 1))
+        assert same_bits(cube_information(cube, 1, 1), reference_cube_information(cube, 1, 1))
+        assert slice_sum_calls(cube_information, cube, 1, 1) == (na > 1 and nb > 1)
+
+
+def test_no_rate_term_sums_slice_by_slice():
     partition = make_partition_pair(4, 3)
     for ch1, ch2, cfg in ((partition.first, partition.second, RunConfig()),
                           (make_bsc(0.1), make_bsc(0.3), RunConfig(cardinalities=(3, 3, 2)))):
@@ -566,15 +577,11 @@ def test_only_the_uv_given_w_term_sums_slice_by_slice():
         nx = len(ch1.input)
         for rates, probes, arity in ((_marton, _timeshare_probes, 3), (_uv, _single_user_probes, 2)):
             cells = math.prod(cfg.cardinalities[:arity]) * nx
-            (draws, _), = _draws(RunConfig(samples=512, cardinalities=cfg.cardinalities),
+            (draws, _), = _draws(RunConfig(samples=_EVAL, cardinalities=cfg.cardinalities),
                                  arity, ch1.input, cells)
-            calls = [fallback_calls(rates, _clean_probs(probs, "joint distribution", batch=True),
-                                    ch1.rows, ch2.rows)
-                     for probs in [draws] + [probs for probs, _ in probes(rep1, rep2)]]
-            term = [True] if rates is _marton else []
-            # the draws reach the U;V|W term's live slices; a probe may have none there
-            assert calls[0] == term
-            assert all(c in ([], term) for c in calls[1:])
+            for probs in [draws] + [probs for probs, _ in probes(rep1, rep2)]:
+                probs = _clean_probs(probs, "joint distribution", batch=True)
+                assert slice_sum_calls(rates, probs, ch1.rows, ch2.rows) == 0
 
 
 def copy_plan(rep):

@@ -12,7 +12,9 @@ is the one region CSV written with scaled rates), `verdict`,
 probes and no draws; its support union is not full, so `analyze` runs three
 checks and skips the divergence form), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
 the most any output here sums over X, and 8 cells are where numpy's
-contiguous sums turn pairwise), `capacity --json` of two channels whose
+contiguous sums turn pairwise), `verdict --json` of the `sec4 4 3` pair at
+`--samples 1025` (one draw past a whole kernel call of joined draw batches),
+`capacity --json` of two channels whose
 capacity optimizer is not unique (so their achieving inputs come from the
 support-union simplex) and the four demos, all with tdopt imported from
 ROOT/src (default: this checkout).
@@ -54,6 +56,7 @@ NATS_PAIR = (["bsc", "0.1"], ["bsc", "0.3"])
 SAMPLED_PAIRS = (
     (["sec4", "3", "2"], "0", (("verdict", "--json"), ("region", "--out"), ("analyze", "--json"))),
     (["sec4", "5", "3"], "500", (("region", "--out"),)),
+    (["sec4", "4", "3"], "1025", (("verdict", "--json"),)),
 )
 # rows of channels with more than one capacity-achieving input: the simplex
 # runs once per peak symbol to average their optimizers into one witness
