@@ -338,8 +338,8 @@ def extend_with_channel(joint: JointDistribution, axis: int, ch: Channel) -> Joi
     _check_axes(joint.ndim, (axis,))
     if joint.alphabets[axis] != ch.input:
         raise AlphabetMismatchError(f"joint axis {axis} does not match channel input alphabet")
-    ext = extend_batch(joint.probs[None], axis, ch.rows)[0]
-    return JointDistribution(joint.alphabets + (ch.output,), ext)
+    ext = np.moveaxis(joint.probs, axis, -1)[..., :, None] * ch.rows
+    return JointDistribution(joint.alphabets + (ch.output,), np.moveaxis(ext, -2, axis))
 
 
 def mutual_information_pair(
@@ -353,92 +353,21 @@ def mutual_information_pair(
     return float(conditional_information(joint.probs[None], axes_a, axes_b, axes_cond)[0])
 
 
-# The batch-first joint kernel: a batch of joints is an array of shape
-# (S, *joint_shape), and axis arguments index the joint axes. Each joint of a
-# batch gets the bits it would get alone.
-#
-# The fast paths below keep numpy's order of addition, which follows memory:
-# a reduction over a middle axis (one with more cells after it) adds its
-# slices one at a time in memory order, so adding them in a Python loop
-# gives the same bits. A sum over a contiguous last axis adds its cells one
-# by one from +0.0 below 8 cells, so ordered slice adds give its bits too;
-# from 8 cells it is pairwise, so those sums stay numpy's. A cube whose
-# slices are C-ordered blocks, each one stride from cell to cell, is summed
-# whole on a C-contiguous copy with those bits. A batch whose cells are all
-# positive skips the structural-zero mask, which would mask nothing.
-
-
-_SHORT_LOOP = 32  # an inner loop over fewer cells costs numpy more to start than to run
-_PAIRWISE = 8  # numpy sums a contiguous last axis pairwise from this many cells
-
-
-def _last_sum(cells: np.ndarray) -> np.ndarray:
-    """cells.sum(axis=-1) for a C-contiguous `cells`, with its bits: below
-    _PAIRWISE cells numpy adds them one by one from +0.0 (so an all -0.0 row
-    sums to +0.0), and so do the whole-slice adds here."""
-    if cells.shape[-1] >= _PAIRWISE:
-        return cells.sum(axis=-1)
-    acc = cells[..., 0] + 0.0
-    for k in range(1, cells.shape[-1]):
-        acc = acc + cells[..., k]
-    return acc
+# Joints in batches: a batch of joints is an array of shape (S, *joint_shape),
+# and axis arguments index the joint axes. Each joint of a batch gets the bits
+# it would get alone: numpy's sums and elementwise arithmetic treat the batch
+# axis as one more outer loop. The rate bounds (`bounds._marton`, `bounds._uv`)
+# take their informations as sums of entropies of such marginals; the one-joint
+# path below keeps the slice formula, whose structural zeros are exact.
 
 
 def _marginal_batch(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Marginals over joint axes `axes`, kept in the given order, as a view
-    of their sums: its memory layout is the one every later sum follows.
-
-    When the dropped axes are adjacent and some kept cells follow them in a
-    C-contiguous batch, numpy's reduction adds their slices in memory order,
-    running one inner loop over the `tail` cells after them per slice row.
-    When those loops are short and a slice has many rows, as in a batch of
-    draws, the slices are added whole instead, in the same order. So are
-    fewer than 8 dropped cells with no cells after them: numpy adds such a
-    contiguous last axis one cell at a time too."""
+    of their sums: its memory layout is the one every later sum follows."""
     drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
-    shape = probs.shape
-    first, last = (drop[0], drop[-1] + 1) if drop else (0, 0)
-    sizes = (math.prod(shape[:first]), math.prod(shape[first:last]), math.prod(shape[last:]))
-    if (drop and last - first == len(drop) and sizes[2] < _SHORT_LOOP < sizes[0]
-            and probs.flags.c_contiguous and (sizes[2] > 1 or sizes[1] < _PAIRWISE)):
-        cells = probs.reshape(sizes)
-        reduced = cells[:, 0] + 0.0  # numpy's sums start from +0.0
-        for k in range(1, sizes[1]):
-            reduced = reduced + cells[:, k]
-        reduced = reduced.reshape(shape[:first] + shape[last:])
-    else:
-        reduced = probs.sum(axis=drop) if drop else probs
+    reduced = probs.sum(axis=drop) if drop else probs
     order = sorted(axes).index  # reduced axes appear in sorted order
     return np.transpose(reduced, (0,) + tuple(order(a) + 1 for a in axes))
-
-
-def extend_batch(probs: np.ndarray, axis: int, rows: np.ndarray) -> np.ndarray:
-    """Append a channel-output axis to every joint of a batch: the new last
-    axis is the channel matrix `rows` applied to joint axis `axis`."""
-    ext = np.moveaxis(probs, axis + 1, -1)[..., :, None] * rows
-    return np.moveaxis(ext, -2, axis + 1)
-
-
-def extended_marginal(probs: np.ndarray, axes: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """The marginal over joint axes `axes` (in the given order) and a channel
-    output, for every joint of a batch whose last joint axis is the channel
-    input X: the marginal of `extend_batch(probs, X, rows)` over `axes` and
-    its new last axis, without building that extension.
-
-    Each joint is summed over the axes it drops, then multiplied by `rows`
-    one input row at a time and summed over X in input order (no BLAS
-    product), so every joint of a batch gets the bits it would get alone.
-    That is the order of a sum over the middle X axis of the (..., X, Y)
-    product; with one output X is that product's last axis, and the product
-    is summed as such. The output axis comes last."""
-    x_axis = probs.ndim - 2
-    marginal = _marginal_batch(probs, tuple(axes) + (x_axis,))
-    if rows.shape[1] == 1:
-        return (marginal[..., None] * rows).sum(axis=-2)
-    acc = marginal[..., 0, None] * rows[0]
-    for x in range(1, len(rows)):
-        acc = acc + marginal[..., x, None] * rows[x]
-    return acc
 
 
 def conditional_information(
@@ -449,108 +378,30 @@ def conditional_information(
 ) -> np.ndarray:
     """I(A;B|C) in bits between axis groups, for every joint of a batch.
 
-    Each slice of the conditioning product contributes the sum of
-    m*ln(m*s / (pa*pb)) over its nonzero cells m, where pa and pb are the
-    slice's marginals and s its mass; a joint's slices are added in slice
-    order. Slices where either group is almost surely constant contribute
-    exactly 0.0, so independence that holds by structure (not by
-    cancellation) is reported without float noise.
+    The marginal over (C, A, B) is read as |C| slices of |A| x |B| cells.
+    Each slice contributes the sum of m*ln(m*s / (pa*pb)) over its nonzero
+    cells m, where pa and pb are the slice's marginals and s its mass; a
+    joint's slices are added in slice order. Slices where either group is
+    almost surely constant contribute nothing, so independence that holds by
+    structure (not by cancellation) is reported as exactly 0.0.
     """
     axes_a, axes_b, axes_cond = tuple(axes_a), tuple(axes_b), tuple(axes_cond)
-    all_axes = axes_cond + axes_a + axes_b
-    _check_axes(probs.ndim - 1, all_axes)
+    _check_axes(probs.ndim - 1, axes_cond + axes_a + axes_b)
     if not axes_a or not axes_b:
         raise ValueError("both axis groups must be non-empty")
-
-    return cube_information(_marginal_batch(probs, all_axes), len(axes_cond), len(axes_a))
-
-
-def cube_information(marginal: np.ndarray, n_cond: int, n_a: int) -> np.ndarray:
-    """I(A;B|C) in bits, as in `conditional_information`, for a batch of
-    marginals whose joint axes are the `n_cond` axes of C, then the `n_a`
-    axes of A, then those of B; they are read as (S, |C|, |A|, |B|) cubes.
-    When no slice is live in any joint, every row is +0.0 and nothing else
-    is computed."""
-    shape = marginal.shape[1:]
-    n, nc, na, nb = (len(marginal), math.prod(shape[:n_cond]),
-                     math.prod(shape[n_cond:n_cond + n_a]), math.prod(shape[n_cond + n_a:]))
-    cube = marginal.reshape(n, nc, na, nb)
-    # Structural independence: a slice where A or B is constant carries no
-    # information, and saying so exactly avoids spurious 1e-16 residue. When
-    # every cell is positive, as in any batch of Dirichlet draws, no cell is
-    # masked and a slice is live exactly when A and B each take two values.
-    # On a joint with no zero cell the mask keeps every cell, so both paths
-    # give it the same bits.
-    positive = cube.size > 0 and cube.min() > 0.0
-    if positive:
-        live = np.full((n, nc), na > 1 and nb > 1)
-    else:
-        nz = cube > 0.0
-        live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
-    if not live.any():
-        return np.zeros(n)
-
-    # numpy orders a reduction's loops by memory layout. When B has unit
-    # stride, or each slice is a C-ordered (A, B) block whose cells are one
-    # stride apart (as in the U;V|W term's cube, whose C axis is innermost),
-    # every lone slice's sums are numpy's sums of that slice laid out
-    # C-contiguously: pa over B, pb over A and s over the flattened A x B
-    # cells. So one C-contiguous copy of the cube is summed whole, and each
-    # slice gets the bits it would get alone; pb is the marginal of the
-    # cubes as (|C|, |A|, |B|) joints, so short B rows add whole A slices.
-    # Any other strided layout keeps the sums one slice at a time
-    # (`_slice_sums`).
-    step = cube.strides[3]
-    if step == cube.itemsize or cube.strides[2] == nb * step > 0:
-        cube = np.ascontiguousarray(cube)
-        pa = _last_sum(cube)[..., None]
-        pb = _marginal_batch(cube, (0, 2))[:, :, None]
-        s = _last_sum(cube.reshape(n, nc, na * nb))[..., None, None]
-    else:
-        pa, pb, s = _slice_sums(cube, live)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (cube * s) / (pa * pb)
-        if not positive:
-            ratio = np.where(nz, ratio, 1.0)
-    terms = (cube * np.log(ratio)).reshape(n * nc, na * nb)
-    if positive:
-        slice_nats = terms.sum(axis=1).reshape(n, nc)
-    else:
-        slice_nats = _sum_nonzero(terms, nz.reshape(n * nc, na * nb)).reshape(n, nc)
-        slice_nats = np.where(live, slice_nats, 0.0)
-    # accumulate adds strictly left to right; sum would pair slices
-    return np.add.accumulate(slice_nats, axis=1)[:, -1] / LN2
-
-
-def _slice_sums(cube: np.ndarray, live: np.ndarray):
-    """The marginals pa and pb and the mass s of every slice of a batch of
-    (S, |C|, |A|, |B|) cubes, summed one slice at a time, each an
-    (S, |A|, |B|) batch laid out as the lone slices are. Slices dead in
-    every joint keep ones; their terms are discarded."""
-    n, nc, na, nb = cube.shape
-    pa = np.ones((n, nc, na, 1))
-    pb = np.ones((n, nc, 1, nb))
-    s = np.ones((n, nc, 1, 1))
-    for ic in np.flatnonzero(live.any(axis=0)):
-        m = cube[:, ic]
-        pa[:, ic] = m.sum(axis=2, keepdims=True)
-        pb[:, ic] = m.sum(axis=1, keepdims=True)
-        s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
-    return pa, pb, s
-
-
-def _sum_nonzero(terms: np.ndarray, nz: np.ndarray) -> np.ndarray:
-    """Row sums of `terms` over the cells where `nz` holds. numpy sums by
-    position (pairwise, in blocks of eight), so each row's selected cells are
-    packed to the front in order and summed at their own count, exactly as
-    the 1-D array of those cells alone would be."""
-    count = nz.sum(axis=1)
-    if (count == nz.shape[1]).all():
-        return terms.sum(axis=1)
-    packed = np.take_along_axis(terms, np.argsort(~nz, axis=1, kind="stable"), axis=1)
-    sums = np.empty(len(terms))
-    for k in np.flatnonzero(np.bincount(count)):  # the distinct counts
-        pick = count == k
-        sums[pick] = packed[pick][:, :k].sum(axis=1)
-    return sums
+    shape = probs.shape[1:]
+    sizes = tuple(math.prod(shape[a] for a in group) for group in (axes_cond, axes_a, axes_b))
+    marginal = _marginal_batch(probs, axes_cond + axes_a + axes_b)
+    bits = np.zeros(len(probs))
+    # each slice is summed in its memory order, as the lone joint's would be
+    for j, joint in enumerate(marginal.reshape((len(probs),) + sizes)):
+        nats = 0.0
+        for m in joint:
+            nz = m > 0.0
+            if nz.any(axis=1).sum() > 1 and nz.any(axis=0).sum() > 1:
+                cells = m[nz]
+                with np.errstate(divide="ignore", invalid="ignore"):  # marginals may underflow
+                    ratio = (cells * m.sum()) / np.outer(m.sum(axis=1), m.sum(axis=0))[nz]
+                    nats += (cells * np.log(ratio)).sum()
+        bits[j] = nats / LN2
+    return bits

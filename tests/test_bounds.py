@@ -441,8 +441,8 @@ def merged_labels(inputs: str) -> str:
 PARTITION_43 = make_partition_pair(4, 3)
 PARTITION_43_INPUTS = "a0 a1 a2 a3 b0 b1 b2"
 PARTITION_43_MERGED = merged_labels(PARTITION_43_INPUTS)
-# |X| = 8, the fewest inputs whose contiguous sum numpy adds pairwise (as in
-# the marginal that drops X for I(U;V|W)); no corpus pair has that many
+# |X| = 8, more inputs than any corpus pair: the longest X sums and channel
+# products
 PARTITION_53 = make_partition_pair(5, 3)
 PARTITION_53_INPUTS = "a0 a1 a2 a3 a4 b0 b1 b2"
 BSC_PAIR = (make_bsc(0.1), make_bsc(0.3))
@@ -455,29 +455,29 @@ class TestSamplingBytes:
 
     @pytest.mark.parametrize("pair, sampler, cfg, points_sha, aux_sha, symbols", [
         ((PARTITION_43.first, PARTITION_43.second), sample_marton, dict(samples=500),
-         "e9a8b5f986a128e6112c8487ec577a3e86e17fcf444a9f86629b968701a6df84",
-         "8f49f5e278e039ef2943ac37f9035bfdf8b3a9ecb06d80d27115e7c56e2ddd92",
+         "4a285d7d802456e595920708a39f03e5697995b67356b2a5d0e6c1998d79386a",
+         "55190a1c4deee8e5dea8732b032ead459d51ff2cae7ea8c3e994d6cb9590e26d",
          (f"{PARTITION_43_INPUTS} __u_star", f"{PARTITION_43_INPUTS} __v_star",
           PARTITION_43_MERGED, PARTITION_43_INPUTS)),
         ((PARTITION_43.first, PARTITION_43.second), sample_uv, dict(samples=500),
-         "cba34d10106ae0e708d0f95d24b3713b9aa1c5543c52649f6a92915d72e277a2",
+         "c36ea544417cb4f70f10b7edfe1d4ef294716a3ac1672175ac2e9248f7a89116",
          "dc8ebf48b36207ad9da74bb28e11ba5a7314d0167889b344a782fabff44955d2",
          (PARTITION_43_INPUTS, "c0", PARTITION_43_INPUTS)),
         (BSC_PAIR, sample_marton, dict(cardinalities=(3, 3, 2)),
-         "35110fb6b49ef518bf4c7d39b6dec0432b494da798eb08469b6698dba53538eb",
-         "6dd13e5ef87f46294f1c9c0108331b502b8f4ae757d83426431c33a0404c78bc",
+         "afc11693a8c44e81c9c0f24d92795d950b741fdab65cfe314c893f75ff4975cf",
+         "66a54cf9779929b16ea07b27a02eb6b558a00c90c10f247b113294aac4d9a771",
          ("0 1 __u_star", "0 1 __v_star", "0:u:0 0:u:1 1:v:0 1:v:1", "0 1")),
         (BSC_PAIR, sample_uv, dict(cardinalities=(3, 3, 2)),
-         "acc9e9b7510d3b7380a886762e7ab68afcb54c5989b84242433d6f4682a09053",
+         "ca21d0c6a92046c780fe46904ca2707ac8053ad909dec522bf44cf73046bc03b",
          "7e5cfbb2f362088a333aeb03f34eb9f4915fb2c3a25ef7fd6bc7ffd2d85dba90",
          ("c0", "0 1", "0 1")),
         ((PARTITION_53.first, PARTITION_53.second), sample_marton, dict(samples=500),
-         "1d5fe566e3f4141f95eaa22d1fed5549a68b1f56ec064db3c22fb44f28ba261e",
+         "154f33e93f5281b8e7825652acd011efb2fb05866a8996a96383d51e6791be08",
          "8c8d4169e84ddd21b4b4c722a6b893146bd2d64b2fe7143a7f3427777271f8b0",
          (f"{PARTITION_53_INPUTS} __u_star", f"{PARTITION_53_INPUTS} __v_star",
           merged_labels(PARTITION_53_INPUTS), PARTITION_53_INPUTS)),
         ((PARTITION_53.first, PARTITION_53.second), sample_uv, dict(samples=500),
-         "b14f257f48042eb753f4c94beaab2a6ca39e795a986a2fd36f99c834e43a980e",
+         "1cd63e428b4a44293b0541f0f9a081c584634ae8bb5c9ff4e7e1c62e57a91e3c",
          "6c544b0176294019354d7c89f27330a505c5c0e593d9c3d038dc1d0e7510e7e7",
          (PARTITION_53_INPUTS, "c0", PARTITION_53_INPUTS)),
     ], ids=["partition43-marton", "partition43-uv", "bsc-marton", "bsc-uv",

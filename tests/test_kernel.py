@@ -12,16 +12,13 @@ The one exception is the search grid's path (`one_product`), where the whole
 batch goes through one `p @ rows`: BLAS sums a matrix product in another order
 than a vector product, so rows may differ in the last bits, and the bound is
 4096 float64 epsilons of the largest term summed. The joint kernel (I(A;B|C)
-over auxiliary joints, and the channel marginal `extended_marginal`) and the
-Marton and UV bounds built on it agree bit for bit, and so do the batched
-time-sharing probes with the lone constructions. The channel marginal agrees
-with the marginal of the full extension within 1e-14. The joint kernel's
-fast paths give the bits, in the memory layout, of the formulas they
-replaced, which are kept here as references: on every drop pattern and axis
-subset, on batches that mix all-positive joints with joints that have zero
-cells, and at the cell counts where numpy's sums change their order, with
-+0.0 and -0.0 zeros. None of the cubes the rate bounds pass is summed one
-slice at a time: each slice of theirs is a C-ordered block.
+over auxiliary joints, by the slice formula) and the Marton and UV bounds,
+which sum entropies of marginals, agree bit for bit with their joints alone,
+and so do the batched time-sharing probes with the lone constructions. The
+slice formula does so in every memory layout and at the cell counts where
+numpy's sums change their order, with +0.0 and -0.0 zeros. The bounds'
+entropy form equals the slice formula within 1e-12 bits, also with
+structural zeros and a channel with one output.
 """
 
 import itertools
@@ -33,10 +30,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdopt.bounds import (
-    _EVAL,
-    _draws,
     _marton,
-    _single_user_probes,
     _timeshare_probes,
     _uv,
     marton_rates,
@@ -60,14 +54,9 @@ from tdopt.core import (
     Channel,
     JointDistribution,
     _clean_probs,
-    _last_sum,
     _marginal_batch,
-    _slice_sums,
-    _sum_nonzero,
     conditional_information,
-    cube_information,
-    extend_batch,
-    extended_marginal,
+    extend_with_channel,
     information,
     kl,
     neg_entropy,
@@ -75,7 +64,7 @@ from tdopt.core import (
     row_log_ratios,
     xlogx,
 )
-from tdopt.families import make_bsc, make_partition_pair
+from tdopt.families import make_partition_pair
 
 from conftest import at_check_0, same_bits, stochastic
 
@@ -293,30 +282,82 @@ def test_timeshare_cross_information_exactly_zero(nx, n1, n2, seed, fractions):
 
 
 @st.composite
-def joints_and_channel(draw):
-    """(a batch of joints whose last axis is X, kept axes in any order, a
-    channel matrix on X). Outputs run from 1 to 9 symbols."""
-    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
-    nx = draw(st.integers(1, 9))
-    assume(math.prod(shape) * nx <= 2000)
-    kept = draw(st.permutations(range(len(shape))))[:draw(st.integers(0, len(shape)))]
-    return draw_joints(draw, shape + (nx,)), tuple(kept), draw(stochastic(nx, draw(st.integers(1, 9))))
+def bound_batches(draw):
+    """(a batch of (U, V, W, X) joints, a batch of (U, V, X) joints, two
+    channel matrices) at cards (2, 2, 2) or (3, 3, 2). Some batches have
+    structural zeros, and some second channels have a single output."""
+    cards = draw(st.sampled_from([(2, 2, 2), (3, 3, 2)]))
+    nx = draw(st.integers(2, 4))
+    rows1 = draw(stochastic(nx, draw(st.integers(2, 4))))
+    rows2 = np.ones((nx, 1)) if draw(st.booleans()) else draw(stochastic(nx, draw(st.integers(2, 4))))
+    return draw_joints(draw, cards + (nx,)), draw_joints(draw, cards[:2] + (nx,)), rows1, rows2
 
 
-@given(joints_and_channel())
-def test_extended_marginal_rows_equal_lone_rows(data):
-    probs, kept, rows = data
-    batch = extended_marginal(probs, kept, rows)
-    for i in range(len(probs)):
-        assert same_bits(batch[i], extended_marginal(probs[i:i + 1], kept, rows)[0])
+def reference_triples(probs, rows1, rows2):
+    """The Marton triple of every (U, V, W, X) joint of `probs`, or the UV
+    triple of every (U, V, X) joint, each information by the slice formula
+    of `reference_information` on the joint extended by an output."""
+    ch1, ch2 = channel(rows1), channel(rows2)
+    x = probs.ndim - 2
+    alphas = tuple(Alphabet.of_size(n, p) for n, p in zip(probs.shape[1:-1], "uvw")) + (ch1.input,)
+    triples = []
+    for row in probs:
+        joint = JointDistribution(alphas, row)
+        jy, jz = extend_with_channel(joint, x, ch1), extend_with_channel(joint, x, ch2)
+        out = (x + 1,)
+        if x == 3:
+            triples.append((
+                reference_information(jy, (0, 2), out),
+                reference_information(jz, (1, 2), out),
+                min(reference_information(jy, (2,), out), reference_information(jz, (2,), out))
+                + reference_information(jy, (0,), out, (2,))
+                + reference_information(jz, (1,), out, (2,))
+                - reference_information(joint, (0,), (1,), (2,)),
+            ))
+        else:
+            iu_y, iv_z = reference_information(jy, (0,), out), reference_information(jz, (1,), out)
+            triples.append((iu_y, iv_z, min(iu_y + reference_information(jz, (1,), out, (0,)),
+                                            iv_z + reference_information(jy, (0,), out, (1,)))))
+    return np.array(triples).reshape(len(probs), 3)
 
 
-@given(joints_and_channel())
-def test_extended_marginal_matches_marginal_of_extension(data):
-    probs, kept, rows = data
-    x_axis = probs.ndim - 2
-    extended = _marginal_batch(extend_batch(probs, x_axis, rows), kept + (x_axis + 1,))
-    np.testing.assert_allclose(extended_marginal(probs, kept, rows), extended, rtol=0.0, atol=1e-14)
+@settings(max_examples=40)
+@given(bound_batches())
+def test_entropy_form_equals_reference_slice_formula(data):
+    marton_probs, uv_probs, rows1, rows2 = data
+    for rates, probs in ((_marton, marton_probs), (_uv, uv_probs)):
+        got = np.stack(rates(probs, rows1, rows2), axis=1)
+        np.testing.assert_allclose(got, reference_triples(probs, rows1, rows2), rtol=0.0, atol=1e-12)
+
+
+@given(bound_batches())
+def test_entropy_form_batch_rows_equal_lone_rows(data):
+    marton_probs, uv_probs, rows1, rows2 = data
+    for rates, probs in ((_marton, marton_probs), (_uv, uv_probs)):
+        batch = rates(probs, rows1, rows2)
+        for i in range(len(probs)):
+            lone = rates(probs[i:i + 1], rows1, rows2)
+            assert all(same_bits(b[i:i + 1], one) for b, one in zip(batch, lone))
+
+
+def test_negative_zero_channel_entries_give_the_positive_zero_bits():
+    # a channel file may hold -0.0 entries, and validation keeps them
+    rows = np.array([[0.5, 0.5], [1.0, -0.0], [1.0, -0.0]])
+    negative, positive = channel(rows), channel(np.abs(rows))
+    assert np.signbit(negative.rows).any() and not np.signbit(positive.rows).any()
+    other = channel(np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]))
+    rng = np.random.default_rng(26)
+    for arity, rates in ((3, marton_rates), (2, uv_bound_rates)):
+        alphas = tuple(Alphabet.of_size(2, p) for p in "uvw"[:arity]) + (negative.input,)
+        for zero in (0.0, -0.0):
+            probs = rng.dirichlet(np.ones(2**arity * 3)).reshape((2,) * arity + (3,))
+            probs[..., 0] = zero  # the first input carries no mass
+            joint = JointDistribution(alphas, probs / probs.sum())
+            for pair in ((negative, other), (other, negative), (negative, negative)):
+                flipped = tuple(positive if ch is negative else ch for ch in pair)
+                got, want = (np.array([r.max_r1, r.max_r2, r.max_sum])
+                             for r in (rates(joint, *pair), rates(joint, *flipped)))
+                assert same_bits(got, want)
 
 
 @st.composite
@@ -341,53 +382,11 @@ def dead_cubes(draw):
 @given(dead_cubes())
 def test_cube_with_no_live_slice_returns_positive_zero(cube):
     alphas = tuple(Alphabet.of_size(n) for n in cube.shape[1:])
-    with patch("tdopt.core._sum_nonzero", side_effect=AssertionError("not skipped")):
-        batch = cube_information(cube, 1, 1)
+    batch = conditional_information(cube, (1,), (2,), (0,))
     for i, row in enumerate(cube):
         expected = reference_information(JointDistribution(alphas, row), (1,), (2,), (0,))
         assert batch[i] == expected == 0.0
         assert not np.signbit(batch[i]) and math.copysign(1.0, expected) == 1.0
-
-
-# The joint kernel's fast paths against the formulas they replaced, kept here
-# as references: a sum over every dropped axis at once, the (..., X, Y)
-# product summed over X, and the cube with its structural-zero mask always
-# built. Each fast path must return their bits, in their memory layout.
-
-
-def reference_marginal_batch(probs, axes):
-    drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
-    reduced = probs.sum(axis=drop) if drop else probs
-    order = sorted(axes).index
-    return np.transpose(reduced, (0,) + tuple(order(a) + 1 for a in axes))
-
-
-def reference_extended_marginal(probs, axes, rows):
-    marginal = reference_marginal_batch(probs, tuple(axes) + (probs.ndim - 2,))
-    return (marginal[..., None] * rows).sum(axis=-2)
-
-
-def reference_cube_information(marginal, n_cond, n_a):
-    shape = marginal.shape[1:]
-    n, nc, na, nb = (len(marginal), math.prod(shape[:n_cond]),
-                     math.prod(shape[n_cond:n_cond + n_a]), math.prod(shape[n_cond + n_a:]))
-    cube = marginal.reshape(n, nc, na, nb)
-    nz = cube > 0.0
-    live = (nz.any(axis=3).sum(axis=2) > 1) & (nz.any(axis=2).sum(axis=2) > 1)
-    if not live.any():
-        return np.zeros(n)
-    pa, pb, s = np.ones((n, nc, na, 1)), np.ones((n, nc, 1, nb)), np.ones((n, nc, 1, 1))
-    for ic in np.flatnonzero(live.any(axis=0)):
-        m = cube[:, ic]
-        pa[:, ic] = m.sum(axis=2, keepdims=True)
-        pb[:, ic] = m.sum(axis=1, keepdims=True)
-        s[:, ic] = m.sum(axis=(1, 2), keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(nz, (cube * s) / (pa * pb), 1.0)
-    terms = (cube * np.log(ratio)).reshape(n * nc, na * nb)
-    slice_nats = _sum_nonzero(terms, nz.reshape(n * nc, na * nb)).reshape(n, nc)
-    slice_nats = np.where(live, slice_nats, 0.0)
-    return np.add.accumulate(slice_nats, axis=1)[:, -1] / LN2
 
 
 def same_layout(a, b) -> bool:
@@ -419,10 +418,6 @@ def mixed_batch(draw, shape):
     return np.ascontiguousarray(probs.transpose(layout)).transpose(np.argsort(layout))
 
 
-def axis_sizes(draw, min_size, max_size, top=9):
-    return tuple(draw(st.lists(st.integers(1, top), min_size=min_size, max_size=max_size)))
-
-
 def subsets(n):
     """Every subset of range(n), each in increasing and in decreasing order."""
     for k in range(n + 1):
@@ -432,57 +427,30 @@ def subsets(n):
 
 @given(st.data())
 def test_marginal_batch_equals_reference_on_every_drop_pattern(data):
-    shape = axis_sizes(data.draw, 1, 4)
+    # the reference is each joint alone, in the batch's memory layout
+    shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
     probs = data.draw(mixed_batch(shape))
     for axes in subsets(len(shape)):
-        assert same_layout(_marginal_batch(probs, axes), reference_marginal_batch(probs, axes))
-
-
-@settings(max_examples=200)  # one output and 8 or more inputs is a rare draw
-@given(st.data())
-def test_extended_marginal_equals_reference_on_every_axis_subset(data):
-    shape = axis_sizes(data.draw, 0, 3) + (data.draw(st.integers(1, 12)),)
-    assume(math.prod(shape) <= 6000)
-    probs = data.draw(mixed_batch(shape))
-    rows = data.draw(stochastic(shape[-1], data.draw(st.integers(1, 9))))
-    for axes in subsets(len(shape) - 1):
-        assert same_layout(extended_marginal(probs, axes, rows),
-                           reference_extended_marginal(probs, axes, rows))
-
-
-@given(st.data())
-def test_cube_information_equals_reference_and_each_joint_alone(data):
-    shape = axis_sizes(data.draw, 2, 4)
-    assume(math.prod(shape) <= 6000)
-    n_cond = data.draw(st.integers(0, len(shape) - 2))
-    n_a = data.draw(st.integers(1, len(shape) - n_cond - 1))
-    probs = data.draw(mixed_batch(shape))
-    # the rate bounds hand over transposed marginals too
-    perm = data.draw(st.permutations(range(1, len(shape) + 1)))
-    marginal = probs.transpose(0, *perm)
-    batch = cube_information(marginal, n_cond, n_a)
-    assert same_bits(batch, reference_cube_information(marginal, n_cond, n_a))
-    for i in range(len(marginal)):
-        assert same_bits(batch[i:i + 1], cube_information(marginal[i:i + 1], n_cond, n_a))
+        batch = _marginal_batch(probs, axes)
+        for i in range(0, len(probs), max(1, len(probs) // 7)):
+            assert same_layout(batch[i:i + 1], _marginal_batch(probs[i:i + 1], axes))
 
 
 def test_empty_batch_equals_reference():
-    probs = np.empty((0, 2, 3, 4))
     rows = np.full((4, 2), 0.5)
-    for axes in subsets(3):
-        assert same_bits(_marginal_batch(probs, axes), reference_marginal_batch(probs, axes))
-    for axes in subsets(2):
-        assert same_bits(extended_marginal(probs, axes, rows),
-                         reference_extended_marginal(probs, axes, rows))
-    assert same_bits(cube_information(probs, 1, 1), reference_cube_information(probs, 1, 1))
+    for probs in (np.empty((0, 2, 3, 2, 4)), np.empty((0, 2, 3, 4))):
+        rates = _marton if probs.ndim == 5 else _uv
+        assert all(same_bits(v, np.zeros(0)) for v in rates(probs, rows, rows))
+        assert same_bits(reference_triples(probs, rows, rows), np.zeros((0, 3)))
+    assert same_bits(conditional_information(np.empty((0, 2, 3, 4)), (1,), (2,), (0,)), np.zeros(0))
 
 
 def boundary_batch(rng, shape, cells):
-    """40 joints of `shape`: all positive, with structural zeros, or with
+    """6 joints of `shape`: all positive, with structural zeros, or with
     -0.0 cells, where the zeros cover a row of the last axis and, on more
     than one leading cell, everything under the first of them, so some sums
     add only zeros."""
-    probs = rng.dirichlet(np.ones(math.prod(shape)), 40).reshape((40,) + shape)
+    probs = rng.dirichlet(np.ones(math.prod(shape)), 6).reshape((6,) + shape)
     if cells == "positive":
         return probs
     zero = rng.random(probs.shape) < 0.3
@@ -512,76 +480,21 @@ _CUBE_SIDES = ((3, 1), (3, 2), (3, 7), (3, 8), (3, 9),
 
 
 def test_cube_sums_at_the_ordered_sum_boundaries():
+    # the slice formula sums each slice in its memory order: at the cell
+    # counts where numpy's sums change their order, with every axis
+    # innermost, and with +0.0 and -0.0 zeros, each joint of a batch keeps
+    # the bits it gets alone
     rng = np.random.default_rng(23)
-    # C, A, B stored in order: B has unit stride in the first two, not in the last
-    layouts = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     for (na, nb), nc, cells in itertools.product(_CUBE_SIDES, (1, 3),
                                                  ("positive", "zeros", "-0.0")):
         probs = boundary_batch(rng, (nc, na, nb), cells)
-        for order in layouts:
+        alphas = tuple(Alphabet.of_size(n) for n in probs.shape[1:])
+        for order in ((0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0)):
             cube = laid_out(probs, order)
-            assert same_bits(cube_information(cube, 1, 1),
-                             reference_cube_information(cube, 1, 1))
-
-
-def test_short_last_axis_sums_and_marginal_batch_drops():
-    rng = np.random.default_rng(23)
-    for k, cells in itertools.product(range(1, 10), ("positive", "zeros", "-0.0")):
-        for shape in ((3, k), (3, 2, k)):
-            probs = boundary_batch(rng, shape, cells)
-            assert same_bits(_last_sum(probs), probs.sum(axis=-1))
-            # C-contiguous, stored last axis first, and a strided view
-            for batch in (probs, laid_out(probs, range(len(shape))[::-1]), probs[::2]):
-                for axes in subsets(len(shape)):
-                    assert same_layout(_marginal_batch(batch, axes),
-                                       reference_marginal_batch(batch, axes))
-
-
-def slice_sum_calls(fn, *args) -> int:
-    """How many cubes `fn(*args)` sums one slice at a time."""
-    calls = []
-
-    def slice_sums(*sums_args):
-        calls.append(sums_args)
-        return _slice_sums(*sums_args)
-
-    with patch("tdopt.core._slice_sums", slice_sums):
-        fn(*args)
-    return len(calls)
-
-
-def test_cube_path_follows_the_slice_layout():
-    rng = np.random.default_rng(24)
-    for (na, nb), cells in itertools.product(
-            [(7, 1), (1, 7), (4, 2), (2, 4), (3, 3), (16, 8), (43, 3), (16, 16), (257, 1), (1, 257)],
-            ("positive", "zeros", "-0.0")):
-        probs = boundary_batch(rng, (3, na, nb), cells)
-        wide = np.zeros(probs.shape[:-1] + (2 * nb,))
-        wide[..., ::2] = probs
-        # C innermost, as in the U;V|W term, and every second cell of a
-        # wider cube: C-ordered slices whose cells are one stride apart
-        for cube in (laid_out(probs, (1, 2, 0)), wide[..., ::2]):
-            assert same_bits(cube_information(cube, 1, 1), reference_cube_information(cube, 1, 1))
-            assert slice_sum_calls(cube_information, cube, 1, 1) == 0
-        # A innermost: a slice's B cells are |A| cells apart, its A cells one
-        cube = laid_out(probs, (0, 2, 1))
-        assert same_bits(cube_information(cube, 1, 1), reference_cube_information(cube, 1, 1))
-        assert slice_sum_calls(cube_information, cube, 1, 1) == (na > 1 and nb > 1)
-
-
-def test_no_rate_term_sums_slice_by_slice():
-    partition = make_partition_pair(4, 3)
-    for ch1, ch2, cfg in ((partition.first, partition.second, RunConfig()),
-                          (make_bsc(0.1), make_bsc(0.3), RunConfig(cardinalities=(3, 3, 2)))):
-        rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
-        nx = len(ch1.input)
-        for rates, probes, arity in ((_marton, _timeshare_probes, 3), (_uv, _single_user_probes, 2)):
-            cells = math.prod(cfg.cardinalities[:arity]) * nx
-            (draws, _), = _draws(RunConfig(samples=_EVAL, cardinalities=cfg.cardinalities),
-                                 arity, ch1.input, cells)
-            for probs in [draws] + [probs for probs, _ in probes(rep1, rep2)]:
-                probs = _clean_probs(probs, "joint distribution", batch=True)
-                assert slice_sum_calls(rates, probs, ch1.rows, ch2.rows) == 0
+            batch = conditional_information(cube, (1,), (2,), (0,))
+            for i, row in enumerate(cube):
+                lone = reference_information(JointDistribution(alphas, row), (1,), (2,), (0,))
+                assert same_bits(batch[i:i + 1], np.array([lone]))
 
 
 def copy_plan(rep):

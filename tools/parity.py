@@ -11,8 +11,8 @@ is the one region CSV written with scaled rates), `verdict`,
 `region` and `analyze` of the `sec4 3 2` partition pair at `--samples 0` (no
 probes and no draws; its support union is not full, so `analyze` runs three
 checks and skips the divergence form), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
-the most any output here sums over X, and 8 cells are where numpy's
-contiguous sums turn pairwise), `verdict --json` of the `sec4 4 3` pair at
+the most of any pair here, so its marginals add the most X slices and its
+channel products are the longest), `verdict --json` of the `sec4 4 3` pair at
 `--samples 1025` (one draw past a whole kernel call of joined draw batches),
 `capacity --json` of two channels whose
 capacity optimizer is not unique (so their achieving inputs come from the
