@@ -155,24 +155,28 @@ def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
     """Active-set Newton solve of the stationarity system, started from the
     alternating-maximization iterate `p_ba` and its divergences `d`.
 
-    The support starts as the inputs within max(1e-5, 10 * gap) nats of the
-    largest divergence. Each move solves on the support, drops the input with
-    the most negative mass if there is one, and otherwise adds the input of
-    largest divergence unless the full-channel bracket certifies. Returns the
+    The support is a mask over the inputs, `member`, and starts as the inputs
+    within max(1e-5, 10 * gap) nats of the largest divergence. Each move
+    solves on the support and is a set move: it drops every input whose mass
+    comes out below -1e-12, and if there is none and the full-channel bracket
+    does not certify, it adds every input whose divergence exceeds the lower
+    bound by more than the certifying width min(tol_nats, gap). Returns the
     certified (p, q, lower, upper) and the divergences at p, or None once a
     support repeats or 2|X| moves are spent."""
     gap = float(d.max() - p_ba @ d)
-    support = np.flatnonzero(d >= d.max() - max(1e-5, 10.0 * gap))
+    width = min(tol_nats, gap)
+    member = d >= d.max() - max(1e-5, 10.0 * gap)
     tried = set()
     for _ in range(2 * len(rows)):
-        if support.size == 0 or support.tobytes() in tried:
+        if not member.any() or member.tobytes() in tried:
             return None
-        tried.add(support.tobytes())
+        tried.add(member.tobytes())
+        support = np.flatnonzero(member)
         refined = _newton_refine(rows, row_neg_ent, p_ba, d, support)
         if refined is None:
             return None
         if refined.min() < -1e-12:
-            support = np.delete(support, refined.argmin())
+            member[support[refined < -1e-12]] = False
             continue
         p = np.zeros(len(rows))
         p[support] = np.maximum(refined, 0.0)
@@ -180,9 +184,9 @@ def _polish(rows, row_neg_ent, p_ba, d, tol_nats):
         q = p @ rows
         d2 = row_divergences(rows, row_neg_ent, q)
         upper, lower = float(d2.max()), float(p @ d2)
-        if 0.0 <= upper - lower <= min(tol_nats, gap):
+        if 0.0 <= upper - lower <= width:
             return p, q, lower, upper, d2
-        support = np.union1d(support, [d2.argmax()])
+        member |= d2 - lower > width
     return None
 
 
@@ -194,13 +198,14 @@ def compute_capacity(ch: Channel, cfg: RunConfig = RunConfig()) -> CapacityBrack
     rate) and an upper bound (the worst-case divergence to the current output
     iterate). At iterations 4, 8, 16, ... and at the iteration whose bracket
     is first narrower than `cfg.tol` bits, an active-set Newton polish solves
-    the stationarity system from the current iterate; its result replaces the
-    iterate only when its own full-channel bracket is no wider than `cfg.tol`
-    bits and than the current bracket. Iteration stops at the first such
-    certificate, or once the plain bracket is narrower than `cfg.tol`, and
-    returns the bracket with its iterate and the divergences there. Raises
-    ConvergenceError if `_MAX_ITER` passes are not enough, and ValueError if
-    the optimal output misses a reachable output.
+    the stationarity system from the current iterate, changing its support,
+    a mask over the inputs, by whole sets with one Newton solve per change;
+    its result replaces the iterate only when its own full-channel bracket
+    is no wider than `cfg.tol` bits and than the current bracket. Iteration
+    stops at the first such certificate, or once the plain bracket is
+    narrower than `cfg.tol`, and returns the bracket with its iterate and the
+    divergences there. Raises ConvergenceError if `_MAX_ITER` passes are not
+    enough, and ValueError if the optimal output misses a reachable output.
     """
     rows, row_neg_ent = ch.reduced_rows, ch.reduced_neg_ent
     n_x = rows.shape[0]

@@ -48,6 +48,10 @@ TDBENCH = pathlib.Path(__file__).resolve().parents[1] / "tdbench"
 _ORACLES_SPEC = importlib.util.spec_from_file_location("oracles", TDBENCH / "oracles.py")
 oracles = importlib.util.module_from_spec(_ORACLES_SPEC)
 _ORACLES_SPEC.loader.exec_module(oracles)
+# the seeded random channels of the capacity sweep tool
+_CAPSWEEP_SPEC = importlib.util.spec_from_file_location("capsweep", TDBENCH.parent / "tools" / "capsweep.py")
+capsweep = importlib.util.module_from_spec(_CAPSWEEP_SPEC)
+_CAPSWEEP_SPEC.loader.exec_module(capsweep)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -541,3 +545,100 @@ class TestCertificateProperties:
         bracket = compute_capacity(channel(rows))
         assert bracket.iterations <= 128
         assert bracket.upper - bracket.lower <= RunConfig.tol * LN2
+
+
+# The benchmark's capacity corpus (tdbench/corpus.py), rebuilt here without
+# importing it: two copies of nine shapes, rows from one shared generator.
+CORPUS_SEED = 1605
+CORPUS_SHAPES = ((16, 16), (24, 24), (32, 32), (48, 48), (64, 64),
+                 (16, 48), (48, 16), (32, 64), (64, 32))
+CORPUS_ITERATIONS = [32, 32, 32, 32, 64, 4, 64, 32, 64, 32, 32, 32, 32, 64, 64, 64, 32, 64]
+
+
+def reference_polish(rows, row_neg_ent, p_ba, d, tol_nats):
+    """The polish with one input per move, one Newton solve each: drop the
+    input of most negative mass, or else add the input of largest divergence
+    unless the bracket certifies."""
+    gap = float(d.max() - p_ba @ d)
+    support = np.flatnonzero(d >= d.max() - max(1e-5, 10.0 * gap))
+    tried = set()
+    for _ in range(2 * len(rows)):
+        if support.size == 0 or support.tobytes() in tried:
+            return None
+        tried.add(support.tobytes())
+        refined = capacity._newton_refine(rows, row_neg_ent, p_ba, d, support)
+        if refined is None:
+            return None
+        if refined.min() < -1e-12:
+            support = np.delete(support, refined.argmin())
+            continue
+        p = np.zeros(len(rows))
+        p[support] = np.maximum(refined, 0.0)
+        p /= p.sum()
+        q = p @ rows
+        d2 = row_divergences(rows, row_neg_ent, q)
+        upper, lower = float(d2.max()), float(p @ d2)
+        if 0.0 <= upper - lower <= min(tol_nats, gap):
+            return p, q, lower, upper, d2
+        support = np.union1d(support, [d2.argmax()])
+    return None
+
+
+@st.composite
+def duplicated_channels(draw):
+    """Seeded Dirichlet channels with 8-40 inputs and 4-40 outputs, a few of
+    whose rows are copied over others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_x, n_y = draw(st.integers(8, 40)), draw(st.integers(4, 40))
+    rows = rng.dirichlet(np.full(n_y, draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))), size=n_x)
+    for _ in range(draw(st.integers(1, n_x // 4))):
+        src, dst = rng.integers(0, n_x, size=2)
+        rows[dst] = rows[src]
+    return channel(rows)
+
+
+class TestSetMovePolish:
+    def test_capacity_corpus_takes_fewer_solves_at_the_same_iterations(self, monkeypatch):
+        # one Newton solve per support change: the one-input moves took 190
+        solves = 0
+        solve = capacity._newton_solve
+
+        def counting(*args):
+            nonlocal solves
+            solves += 1
+            return solve(*args)
+
+        monkeypatch.setattr(capacity, "_newton_solve", counting)
+        rng = np.random.default_rng(CORPUS_SEED)
+        iterations = [analyze_channel(channel(rng.dirichlet(np.full(n_y, 0.5), size=n_x))).iterations
+                      for _ in range(2) for n_x, n_y in CORPUS_SHAPES]
+        assert iterations == CORPUS_ITERATIONS
+        assert solves <= 118
+
+    @staticmethod
+    def assert_certificates_agree(ch):
+        rep = analyze_channel(ch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(capacity, "_polish", reference_polish)
+            ref = analyze_channel(ch)
+        assert 0.0 <= rep.gap <= RunConfig.tol and 0.0 <= ref.gap <= RunConfig.tol
+        assert rep.peak_set == ref.peak_set
+        assert rep.support_union == ref.support_union
+        assert abs(rep.capacity - ref.capacity) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_channels())
+    @example(channel(TWO_CYCLE_ROWS))
+    @example(channel(IDENTICAL_ROWS))
+    @example(channel(DEAD_COLUMN_ROWS))
+    @example(channel(near_duplicate(NEAR_DUPLICATE_ROWS, 1e-6)))
+    def test_small_channels_agree_with_one_input_moves(self, ch):
+        self.assert_certificates_agree(ch)
+
+    @settings(max_examples=15, deadline=None)
+    @given(duplicated_channels())
+    # sweep channel 712 of seed 0 (15x6, duplicated rows): the set move
+    # certifies at iteration 16, one doubling after the one-input move
+    @example(channel(capsweep.sweep_rows(0, 712)[0]))
+    def test_duplicated_rows_agree_with_one_input_moves(self, ch):
+        self.assert_certificates_agree(ch)
