@@ -56,7 +56,7 @@ def show(label, pair, cfg):
             f"replays to I1={zeroed(replay1):.6f}, I2={zeroed(replay2):.6f}"
         )
     if v.evidence is not None:
-        slack = zeroed(v.evidence.min_marton_slack)
+        slack = zeroed(v.evidence.marton.min_slack)
         print(f"  sampled evidence: min inner-bound TD slack {slack:+.6f}")
     print()
 

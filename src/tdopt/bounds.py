@@ -23,7 +23,6 @@ from .core import (
     AlphabetMismatchError,
     Channel,
     JointDistribution,
-    _clean_probs,
     extend_with_channel,
     mutual_information_pair,
     neg_entropy,
@@ -38,12 +37,7 @@ V_STAR = "__v_star"
 
 _CELL_LIMIT = 1_000_000
 _SAMPLE_LIMIT = 1_000_000  # Dirichlet joints per bound; every joint's corners are kept
-_BATCH = 512  # Dirichlet draws per seeded generator
-# Dirichlet draws per rate evaluation, whole _BATCH batches joined. Over
-# alternating 8 s region runs at seed 0, 512 won 6 of 9 pairs against 1024
-# (medians 69.7 and 67.5 commands/s), inside the host's drift; 2048 and 4096
-# ran no faster and read about 2 MB more peak RSS
-_EVAL = 1024
+_BATCH = 512  # Dirichlet draws per seeded generator, evaluated together
 
 
 def td_region_contains(
@@ -356,7 +350,6 @@ def _timeshare_probes(rep1: CapacityReport, rep2: CapacityReport):
     (probs, alphabets) batch in the layout of `TimeshareConstruction.marton_joint`."""
     plans = [((p.alphabet, p.alphabet), np.diag(p.probs))
              for p in (rep1.achieving_input, rep2.achieving_input)]
-    # yielded from no local, so the raw batch is freed once validated
     yield _timeshare_joints(np.linspace(0.0, 1.0, 11), *plans)[:2]
 
 
@@ -372,32 +365,26 @@ def _single_user_probes(rep1: CapacityReport, rep2: CapacityReport):
 def _draws(cfg: RunConfig, arity: int, x_alpha: Alphabet, cells: int):
     """`cfg.samples` Dirichlet joints over the first `arity` auxiliaries at
     `cfg.cardinalities` and X, drawn in batches of up to _BATCH joints, each
-    by a generator seeded by [cfg.seed, batch index]. They are yielded as
-    (probs, alphabets) batches of up to _EVAL joints, consecutive draw
-    batches joined, so a draw does not depend on _EVAL."""
+    by a generator seeded by [cfg.seed, batch index], and each yielded as
+    one (probs, alphabets) batch."""
     cards = cfg.cardinalities[:arity]
     alphabets = tuple(Alphabet.of_size(c, prefix) for c, prefix in zip(cards, "uvw")) + (x_alpha,)
     shape = (-1,) + cards + (len(x_alpha),)
-    for start in range(0, cfg.samples, _EVAL):
-        stop = min(start + _EVAL, cfg.samples)
-        # no local keeps the raw draws, so they are freed once validated
-        yield np.concatenate([
-            np.random.default_rng([cfg.seed, done // _BATCH]).dirichlet(
-                np.ones(cells), size=min(_BATCH, stop - done))
-            for done in range(start, stop, _BATCH)
-        ]).reshape(shape), alphabets
+    for done in range(0, cfg.samples, _BATCH):
+        yield np.random.default_rng([cfg.seed, done // _BATCH]).dirichlet(
+            np.ones(cells), size=min(_BATCH, cfg.samples - done)).reshape(shape), alphabets
 
 
 def _sample(rep1, rep2, cfg, arity, rates, probes, source):
     """The sampling loop both bounds share, over the channels of the reports
     `rep1` and `rep2`. It walks one list of (probs, alphabets) batches: the
     structured `probes`, then the seeded Dirichlet draws of `_draws`, none of
-    them when `cfg.samples` is 0. Each batch is validated once and evaluated
-    at once by the array formulas `rates`. Every joint's two corners become
-    points, in order, and the first point with the smallest time-division
-    slack is kept. A JointDistribution is built, from its batch's row and
-    alphabets, only for a joint that lowers that slack, so no batch outlives
-    its own evaluation."""
+    them when `cfg.samples` is 0. Each batch is evaluated at once by the
+    array formulas `rates`. Every joint's two corners become points, in
+    order, and the first point with the smallest time-division slack is
+    kept. A JointDistribution is built, from its batch's row and alphabets,
+    only for a joint that lowers that slack, so no batch outlives its own
+    evaluation."""
     ch1, ch2 = rep1.channel, rep2.channel
     if ch1.input != ch2.input:
         raise AlphabetMismatchError("channels must share the input alphabet")
@@ -415,7 +402,6 @@ def _sample(rep1, rep2, cfg, arity, rates, probes, source):
     corners: list[np.ndarray] = []  # each batch's corners, (2 * joints, 2)
     min_slack, worst_row, worst_aux = 1.0, None, None
     for probs, alphabets in itertools.chain(*sources):
-        probs = _clean_probs(probs, "joint distribution", batch=True)
         batch = _corners(*rates(probs, ch1.rows, ch2.rows)).reshape(-1, 2)
         slack = _td_slack(batch[:, 0], batch[:, 1], c1, c2)
         row = int(slack.argmin())

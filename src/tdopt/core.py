@@ -215,7 +215,7 @@ class JointDistribution:
         """Marginal joint over `axes`, kept in the given order."""
         axes = tuple(axes)
         _check_axes(self.ndim, axes)
-        reduced = _marginal_batch(self.probs[None], axes)[0]
+        reduced = _marginal(self.probs, axes)
         return JointDistribution(tuple(self.alphabets[a] for a in axes), reduced)
 
     def marginal_distribution(self, axis: int) -> Distribution:
@@ -348,60 +348,37 @@ def mutual_information_pair(
     axes_b: tuple[int, ...],
     axes_cond: tuple[int, ...] = (),
 ) -> float:
-    """Mutual information I(A;B|C) in bits between axis groups of a joint;
-    see `conditional_information`."""
-    return float(conditional_information(joint.probs[None], axes_a, axes_b, axes_cond)[0])
-
-
-# Joints in batches: a batch of joints is an array of shape (S, *joint_shape),
-# and axis arguments index the joint axes. Each joint of a batch gets the bits
-# it would get alone: numpy's sums and elementwise arithmetic treat the batch
-# axis as one more outer loop. The rate bounds (`bounds._marton`, `bounds._uv`)
-# take their informations as sums of entropies of such marginals; the one-joint
-# path below keeps the slice formula, whose structural zeros are exact.
-
-
-def _marginal_batch(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Marginals over joint axes `axes`, kept in the given order, as a view
-    of their sums: its memory layout is the one every later sum follows."""
-    drop = tuple(i + 1 for i in range(probs.ndim - 1) if i not in axes)
-    reduced = probs.sum(axis=drop) if drop else probs
-    order = sorted(axes).index  # reduced axes appear in sorted order
-    return np.transpose(reduced, (0,) + tuple(order(a) + 1 for a in axes))
-
-
-def conditional_information(
-    probs: np.ndarray,
-    axes_a: tuple[int, ...],
-    axes_b: tuple[int, ...],
-    axes_cond: tuple[int, ...] = (),
-) -> np.ndarray:
-    """I(A;B|C) in bits between axis groups, for every joint of a batch.
+    """Mutual information I(A;B|C) in bits between axis groups of a joint.
 
     The marginal over (C, A, B) is read as |C| slices of |A| x |B| cells.
     Each slice contributes the sum of m*ln(m*s / (pa*pb)) over its nonzero
-    cells m, where pa and pb are the slice's marginals and s its mass; a
-    joint's slices are added in slice order. Slices where either group is
-    almost surely constant contribute nothing, so independence that holds by
+    cells m, where pa and pb are the slice's marginals and s its mass; the
+    slices are added in slice order. Slices where either group is almost
+    surely constant contribute nothing, so independence that holds by
     structure (not by cancellation) is reported as exactly 0.0.
     """
     axes_a, axes_b, axes_cond = tuple(axes_a), tuple(axes_b), tuple(axes_cond)
-    _check_axes(probs.ndim - 1, axes_cond + axes_a + axes_b)
+    _check_axes(joint.ndim, axes_cond + axes_a + axes_b)
     if not axes_a or not axes_b:
         raise ValueError("both axis groups must be non-empty")
-    shape = probs.shape[1:]
+    shape = joint.probs.shape
     sizes = tuple(math.prod(shape[a] for a in group) for group in (axes_cond, axes_a, axes_b))
-    marginal = _marginal_batch(probs, axes_cond + axes_a + axes_b)
-    bits = np.zeros(len(probs))
-    # each slice is summed in its memory order, as the lone joint's would be
-    for j, joint in enumerate(marginal.reshape((len(probs),) + sizes)):
-        nats = 0.0
-        for m in joint:
-            nz = m > 0.0
-            if nz.any(axis=1).sum() > 1 and nz.any(axis=0).sum() > 1:
-                cells = m[nz]
-                with np.errstate(divide="ignore", invalid="ignore"):  # marginals may underflow
-                    ratio = (cells * m.sum()) / np.outer(m.sum(axis=1), m.sum(axis=0))[nz]
-                    nats += (cells * np.log(ratio)).sum()
-        bits[j] = nats / LN2
-    return bits
+    nats = 0.0
+    for m in _marginal(joint.probs, axes_cond + axes_a + axes_b).reshape(sizes):
+        nz = m > 0.0
+        if nz.any(axis=1).sum() > 1 and nz.any(axis=0).sum() > 1:
+            cells = m[nz]
+            with np.errstate(divide="ignore", invalid="ignore"):  # marginals may underflow
+                ratio = (cells * m.sum()) / np.outer(m.sum(axis=1), m.sum(axis=0))[nz]
+                nats += (cells * np.log(ratio)).sum()
+    return float(nats / LN2)
+
+
+def _marginal(probs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The marginal of a joint's `probs` over `axes`, kept in the given
+    order, as a view of its sum: its memory layout is the one every later
+    sum follows."""
+    drop = tuple(i for i in range(probs.ndim) if i not in axes)
+    reduced = probs.sum(axis=drop) if drop else probs
+    order = sorted(axes).index  # reduced axes appear in sorted order
+    return np.transpose(reduced, tuple(order(a) for a in axes))

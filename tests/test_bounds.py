@@ -495,7 +495,8 @@ def no_probes(rep1, rep2):
 
 def batchwise_sample(rep1, rep2, cfg, arity, rates, probes):
     """The reference for region sampling's draws: the probes, then every
-    seeded batch of up to _BATCH Dirichlet draws, each evaluated alone.
+    seeded batch of up to _BATCH Dirichlet draws, each validated as a lone
+    joint is and evaluated alone.
     Returns the points, the first smallest slack, its point and the joint
     and alphabets behind it."""
     ch1, ch2 = rep1.channel, rep2.channel
@@ -518,14 +519,21 @@ def batchwise_sample(rep1, rep2, cfg, arity, rates, probes):
 
 
 class TestDrawChunks:
-    """Draws are evaluated several seeded batches at a time; a sample is the
-    one its batches give evaluated alone, at every count around the joins."""
+    """Each seeded batch of draws is evaluated as it is drawn, unvalidated. A
+    sample's points, its batches' corners joined in order, are the ones its
+    batches give validated and evaluated alone: at every count around a
+    batch's end, and on the pair and cardinalities with the most cells per
+    joint here."""
 
-    @pytest.mark.parametrize("samples", [1, 511, 512, 513, 1023, 1024, 1025, 2000])
-    def test_joined_batches_equal_lone_batches(self, samples):
-        pair = make_partition_pair(3, 2)
+    @pytest.mark.parametrize("samples, sizes, cards", [
+        *(pytest.param(n, (3, 2), (2, 2, 2), id=str(n))
+          for n in (1, 511, 512, 513, 1023, 1024, 1025, 2000)),
+        pytest.param(1025, (5, 3), (3, 3, 2), id="8-inputs-1025"),
+    ])
+    def test_joined_batches_equal_lone_batches(self, samples, sizes, cards):
+        pair = make_partition_pair(*sizes)
         rep1, rep2 = analyze_channel(pair.first), analyze_channel(pair.second)
-        cfg = RunConfig(samples=samples, seed=3)
+        cfg = RunConfig(samples=samples, seed=3, cardinalities=cards)
         for arity, rates, probes, source in ((3, _marton, _timeshare_probes, MARTON),
                                              (2, _uv, _single_user_probes, UV)):
             # without probes, the worst joint is a draw

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdopt.bounds import sample_marton, sample_uv
@@ -330,9 +330,10 @@ def assert_same_verdict(a, b):
 
 @settings(max_examples=10, deadline=None)
 @given(check_pairs(), st.integers(0, 3), st.sampled_from([0, 3, 10]))
+@example((make_bsc(0.2), make_bsc(0.1)), 0, 3)  # a capacity gap, stronger channel second
 def test_one_descent_equals_the_lone_checks(pair, seed, starts):
-    # analyze's checks and the equal branch's two checks in one descent:
-    # every verdict is its lone check's, bit for bit
+    # analyze's checks and each branch's checks of the verdict in one
+    # descent: every verdict is its lone check's, bit for bit
     ch1, ch2 = pair
     cfg = RunConfig(seed=seed, starts=starts)
     rep1, rep2 = analyze_channel(ch1, cfg), analyze_channel(ch2, cfg)
@@ -360,6 +361,10 @@ def test_one_descent_equals_the_lone_checks(pair, seed, starts):
             forward, backward = backward, forward
         assert_same_verdict(verdict.checks["more_capable_forward"], lone[forward])
         assert_same_verdict(verdict.checks["more_capable_backward"], lone[backward])
+    else:
+        strong, weak = (rep2, rep1) if verdict.swapped else (rep1, rep2)
+        assert_same_verdict(verdict.checks["ratio_condition"], ratio_condition_check(
+            strong.channel, weak.channel, strong.capacity, weak.capacity, cfg))
 
 
 def test_pair_checks_judge_every_assumption_before_searching():

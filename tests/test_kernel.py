@@ -11,13 +11,13 @@ each row carries its check's index.
 The one exception is the search grid's path (`one_product`), where the whole
 batch goes through one `p @ rows`: BLAS sums a matrix product in another order
 than a vector product, so rows may differ in the last bits, and the bound is
-4096 float64 epsilons of the largest term summed. The joint kernel (I(A;B|C)
-over auxiliary joints, by the slice formula) and the Marton and UV bounds,
+4096 float64 epsilons of the largest term summed. The Marton and UV bounds,
 which sum entropies of marginals, agree bit for bit with their joints alone,
-and so do the batched time-sharing probes with the lone constructions. The
-slice formula does so in every memory layout and at the cell counts where
-numpy's sums change their order, with +0.0 and -0.0 zeros. The bounds'
-entropy form equals the slice formula within 1e-12 bits, also with
+and so do the batched time-sharing probes with the lone constructions. On
+one joint, I(A;B|C) by the slice formula (`mutual_information_pair`) equals
+its per-slice reference, with structural independence an exact +0.0, and
+`JointDistribution.marginal` equals an independent einsum marginal. The
+bounds' entropy form equals the slice formula within 1e-12 bits, also with
 structural zeros and a channel with one output.
 """
 
@@ -54,11 +54,10 @@ from tdopt.core import (
     Channel,
     JointDistribution,
     _clean_probs,
-    _marginal_batch,
-    conditional_information,
     extend_with_channel,
     information,
     kl,
+    mutual_information_pair,
     neg_entropy,
     row_divergences,
     row_log_ratios,
@@ -183,7 +182,7 @@ def test_divergence_gap_objective_and_gradient_rows_match(data):
 
 def reference_information(joint, axes_a, axes_b, axes_cond=()):
     """I(A;B|C) in bits from one joint, one conditioning slice at a time: the
-    per-slice arithmetic the batch kernel must reproduce bit for bit."""
+    per-slice arithmetic `mutual_information_pair` must reproduce bit for bit."""
     reduced = joint.marginal(tuple(axes_cond) + tuple(axes_a) + tuple(axes_b)).probs
     sizes = [math.prod(len(joint.alphabets[a]) for a in g) for g in (axes_cond, axes_a, axes_b)]
     total = 0.0
@@ -198,9 +197,8 @@ def reference_information(joint, axes_a, axes_b, axes_cond=()):
 
 
 def draw_joints(draw, shape):
-    """A batch of Dirichlet joints of `shape`, validated as region sampling
-    validates its draws. Some batches get zero cells, as the structured
-    probes have."""
+    """A batch of Dirichlet joints of `shape`, each validated as a lone
+    joint is. Some batches get zero cells, as the structured probes have."""
     s = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     probs = rng.dirichlet(np.ones(math.prod(shape)), s)
@@ -228,10 +226,10 @@ def joints_and_groups(draw):
 def test_conditional_information_rows_equal_reference(data):
     probs, axes_a, axes_b, axes_cond = data
     alphas = tuple(Alphabet.of_size(n) for n in probs.shape[1:])
-    batch = conditional_information(probs, axes_a, axes_b, axes_cond)
-    for i, row in enumerate(probs):
+    for row in probs:
         joint = JointDistribution(alphas, row)
-        assert batch[i] == reference_information(joint, axes_a, axes_b, axes_cond)
+        got = mutual_information_pair(joint, axes_a, axes_b, axes_cond)
+        assert got == reference_information(joint, axes_a, axes_b, axes_cond)
 
 
 @st.composite
@@ -271,14 +269,12 @@ def test_timeshare_cross_information_exactly_zero(nx, n1, n2, seed, fractions):
     plans = [rng.dirichlet(np.ones(nx * n)).reshape(nx, n) for n in (n1, n2)]
     first, second = (JointDistribution((x, Alphabet.of_size(p.shape[1], "a")), p) for p in plans)
     ch = channel(rng.dirichlet(np.ones(3), nx))
-    constructions = [timeshare_construction(first, second, lam) for lam in fractions]
-    # a dense joint in the same batch must not unmask the constructions' slices
-    shape = constructions[0].joint.probs.shape
-    dense = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
-    batch = np.stack([tc.joint.probs for tc in constructions] + [dense])
-    assert np.all(conditional_information(batch, (2,), (3,), (0, 1))[:-1] == 0.0)
-    for tc in constructions:
+    for lam in fractions:
+        tc = timeshare_construction(first, second, lam)
         assert timeshare_identities(tc, ch, ch)["aux_cross_information"] == (0.0, 0.0)
+        # also with (Q, W) merged into one W axis, as the probes lay it out
+        zero = mutual_information_pair(tc.marton_joint(), (0,), (1,), (2,))
+        assert zero == 0.0 and not np.signbit(zero)
 
 
 @st.composite
@@ -361,79 +357,53 @@ def test_negative_zero_channel_entries_give_the_positive_zero_bits():
 
 
 @st.composite
-def dead_cubes(draw):
-    """A batch of (C, A, B) marginals in which, on every slice of every
-    joint, A or B takes a single value: no slice is live anywhere."""
-    s, nc, na, nb = (draw(st.integers(1, 5)) for _ in range(4))
+def dead_cube(draw):
+    """A (C, A, B) joint in which, on every slice, A or B takes a single
+    value: no slice is live."""
+    nc, na, nb = (draw(st.integers(1, 5)) for _ in range(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cube = rng.dirichlet(np.ones(nc * na * nb), s).reshape(s, nc, na, nb)
-    for j in range(s):
-        for c in range(nc):
-            if rng.random() < 0.5:
-                keep = np.arange(na) == rng.integers(na)
-                cube[j, c, ~keep] = 0.0
-            else:
-                keep = np.arange(nb) == rng.integers(nb)
-                cube[j, c, :, ~keep] = 0.0
-    cube[cube.sum(axis=(1, 2, 3)) == 0.0, 0, 0, 0] = 1.0
-    return _clean_probs(cube / cube.sum(axis=(1, 2, 3), keepdims=True), "cube", batch=True)
+    cube = rng.dirichlet(np.ones(nc * na * nb)).reshape(nc, na, nb)
+    for c in range(nc):
+        if rng.random() < 0.5:
+            cube[c, np.arange(na) != rng.integers(na)] = 0.0
+        else:
+            cube[c, :, np.arange(nb) != rng.integers(nb)] = 0.0
+    if cube.sum() == 0.0:
+        cube[0, 0, 0] = 1.0
+    return JointDistribution(tuple(Alphabet.of_size(n) for n in cube.shape), cube / cube.sum())
 
 
-@given(dead_cubes())
-def test_cube_with_no_live_slice_returns_positive_zero(cube):
-    alphas = tuple(Alphabet.of_size(n) for n in cube.shape[1:])
-    batch = conditional_information(cube, (1,), (2,), (0,))
-    for i, row in enumerate(cube):
-        expected = reference_information(JointDistribution(alphas, row), (1,), (2,), (0,))
-        assert batch[i] == expected == 0.0
-        assert not np.signbit(batch[i]) and math.copysign(1.0, expected) == 1.0
-
-
-def same_layout(a, b) -> bool:
-    """Equal bits, laid out alike: equal strides on every axis of two or more
-    entries (a stride on an axis of one entry is never stepped)."""
-    def steps(arr):
-        return [step for step, n in zip(arr.strides, arr.shape) if n > 1]
-    return same_bits(a, b) and steps(a) == steps(b)
-
-
-@st.composite
-def mixed_batch(draw, shape):
-    """A batch of 1 to 600 Dirichlet joints of `shape`, at most 60,000 cells
-    in all, validated as region sampling validates its draws. None, some or
-    all of its joints get zero cells, as the structured probes have, so
-    all-positive batches, batches with zeros and mixed ones all occur. Some
-    batches are laid out in memory with their joint axes permuted, as a
-    JointDistribution copied from a transposed view is, so not C-contiguous."""
-    cells = math.prod(shape)
-    s = draw(st.integers(1, min(600, 60_000 // cells)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    probs = rng.dirichlet(np.ones(cells), s)
-    holed = rng.random(s) < draw(st.sampled_from([0.0, 0.2, 1.0]))
-    probs[holed] *= rng.random((int(holed.sum()), cells)) >= 0.3
-    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs = _clean_probs(probs.reshape((s,) + shape), "joint distribution", batch=True)
-    layout = (0,) + tuple(draw(st.permutations(range(1, len(shape) + 1))))
-    return np.ascontiguousarray(probs.transpose(layout)).transpose(np.argsort(layout))
-
-
-def subsets(n):
-    """Every subset of range(n), each in increasing and in decreasing order."""
-    for k in range(n + 1):
-        for kept in itertools.combinations(range(n), k):
-            yield from {kept, kept[::-1]}
+@given(dead_cube())
+def test_cube_with_no_live_slice_returns_positive_zero(joint):
+    got = mutual_information_pair(joint, (1,), (2,), (0,))
+    expected = reference_information(joint, (1,), (2,), (0,))
+    assert got == expected == 0.0
+    assert not np.signbit(got) and math.copysign(1.0, expected) == 1.0
 
 
 @given(st.data())
-def test_marginal_batch_equals_reference_on_every_drop_pattern(data):
-    # the reference is each joint alone, in the batch's memory layout
+def test_marginal_equals_einsum_on_every_drop_pattern(data):
     shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
-    probs = data.draw(mixed_batch(shape))
-    for axes in subsets(len(shape)):
-        batch = _marginal_batch(probs, axes)
-        for i in range(0, len(probs), max(1, len(probs) // 7)):
-            assert same_layout(batch[i:i + 1], _marginal_batch(probs[i:i + 1], axes))
+    assume(math.prod(shape) <= 2000)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(math.prod(shape)))
+    probs[rng.random(probs.shape) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if probs.sum() == 0.0:
+        probs[0] = 1.0
+    joint = JointDistribution(tuple(Alphabet.of_size(n, f"a{i}_") for i, n in enumerate(shape)),
+                              (probs / probs.sum()).reshape(shape))
+    letters = "abcd"[:len(shape)]
+    # a sum of n nonnegative cells of total mass 1 is off by at most n epsilons
+    tol = math.prod(shape) * np.finfo(float).eps
+    for k in range(len(shape) + 1):
+        for kept in itertools.combinations(range(len(shape)), k):
+            for axes in itertools.permutations(kept):
+                marginal = joint.marginal(axes)
+                want = np.einsum(f"{letters}->{''.join(letters[a] for a in axes)}", joint.probs)
+                assert marginal.alphabets == tuple(joint.alphabets[a] for a in axes)
+                if k == len(shape):  # nothing dropped: a transpose, exact
+                    assert np.array_equal(marginal.probs, want)
+                np.testing.assert_allclose(marginal.probs, want, rtol=0.0, atol=tol)
 
 
 def test_empty_batch_equals_reference():
@@ -442,59 +412,6 @@ def test_empty_batch_equals_reference():
         rates = _marton if probs.ndim == 5 else _uv
         assert all(same_bits(v, np.zeros(0)) for v in rates(probs, rows, rows))
         assert same_bits(reference_triples(probs, rows, rows), np.zeros((0, 3)))
-    assert same_bits(conditional_information(np.empty((0, 2, 3, 4)), (1,), (2,), (0,)), np.zeros(0))
-
-
-def boundary_batch(rng, shape, cells):
-    """6 joints of `shape`: all positive, with structural zeros, or with
-    -0.0 cells, where the zeros cover a row of the last axis and, on more
-    than one leading cell, everything under the first of them, so some sums
-    add only zeros."""
-    probs = rng.dirichlet(np.ones(math.prod(shape)), 6).reshape((6,) + shape)
-    if cells == "positive":
-        return probs
-    zero = rng.random(probs.shape) < 0.3
-    zero[(slice(None),) + (0,) * (len(shape) - 1)] = True
-    if shape[0] > 1:
-        zero[:, 0] = True
-    zero[(slice(None),) + (-1,) * len(shape)] = False  # every joint keeps some mass
-    probs[zero] = 0.0
-    probs /= probs.sum(axis=tuple(range(1, probs.ndim)), keepdims=True)
-    if cells == "-0.0":
-        probs[zero] = -0.0
-    return probs
-
-
-def laid_out(probs, order):
-    """`probs` with its joint axes stored in `order`, first to last."""
-    layout = (0,) + tuple(a + 1 for a in order)
-    return np.ascontiguousarray(probs.transpose(layout)).transpose(np.argsort(layout))
-
-
-# (|A|, |B|): |B| of 1, 2, 7, 8 and 9 cells, then |A x B| of 7, 8, 9, 128,
-# 129, 256 and 257 cells, where numpy's last-axis sums turn pairwise and
-# where its pairwise sums split a block of 128
-_CUBE_SIDES = ((3, 1), (3, 2), (3, 7), (3, 8), (3, 9),
-               (7, 1), (1, 7), (4, 2), (2, 4), (3, 3), (16, 8), (2, 64), (43, 3), (3, 43),
-               (16, 16), (32, 8), (257, 1), (1, 257))
-
-
-def test_cube_sums_at_the_ordered_sum_boundaries():
-    # the slice formula sums each slice in its memory order: at the cell
-    # counts where numpy's sums change their order, with every axis
-    # innermost, and with +0.0 and -0.0 zeros, each joint of a batch keeps
-    # the bits it gets alone
-    rng = np.random.default_rng(23)
-    for (na, nb), nc, cells in itertools.product(_CUBE_SIDES, (1, 3),
-                                                 ("positive", "zeros", "-0.0")):
-        probs = boundary_batch(rng, (nc, na, nb), cells)
-        alphas = tuple(Alphabet.of_size(n) for n in probs.shape[1:])
-        for order in ((0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0)):
-            cube = laid_out(probs, order)
-            batch = conditional_information(cube, (1,), (2,), (0,))
-            for i, row in enumerate(cube):
-                lone = reference_information(JointDistribution(alphas, row), (1,), (2,), (0,))
-                assert same_bits(batch[i:i + 1], np.array([lone]))
 
 
 def copy_plan(rep):

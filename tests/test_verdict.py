@@ -117,7 +117,7 @@ class TestDecide:
         assert v.second_report.support_union == ("b0", "b1")
         assert v.checks == {}
         assert v.evidence is not None
-        assert v.evidence.min_marton_slack >= -1e-9
+        assert v.evidence.marton.min_slack >= -1e-9
         assert v.evidence.violating_aux is None
 
     def test_degraded_bsc_status_matches_grid_oracle(self):
@@ -242,7 +242,7 @@ class TestEvidenceMode:
             BroadcastPair(make_bec(0.1), make_bec(0.4)),
         ):
             ev = evidence(pair)
-            assert ev.min_marton_slack >= -1e-6
+            assert ev.marton.min_slack >= -1e-6
             assert ev.violating_aux is None
 
     def test_identity_pair_corner_case(self):
@@ -256,7 +256,7 @@ class TestEvidenceMode:
         pair = BroadcastPair(make_bsc(0.1), make_bsc(0.3))
         a = evidence(pair)
         b = evidence(pair)
-        assert a.min_marton_slack == b.min_marton_slack
+        assert a.marton.min_slack == b.marton.min_slack
         assert np.array_equal(a.uv.sample.points, b.uv.sample.points)
 
     @pytest.mark.parametrize("slack, violating", [(-5e-9, False), (-5e-7, True)])

@@ -13,7 +13,7 @@ probes and no draws; its support union is not full, so `analyze` runs three
 checks and skips the divergence form), `region` of the `sec4 5 3` pair at `--samples 500` (its 8 inputs are
 the most of any pair here, so its marginals add the most X slices and its
 channel products are the longest), `verdict --json` of the `sec4 4 3` pair at
-`--samples 1025` (one draw past a whole kernel call of joined draw batches),
+`--samples 1025` (one draw past two whole generator batches),
 `capacity --json` of two channels whose
 capacity optimizer is not unique (so their achieving inputs come from the
 support-union simplex) and the four demos, all with tdopt imported from
