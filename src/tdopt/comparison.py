@@ -113,8 +113,13 @@ def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
     per start) after the points, so several objectives can share the batch.
 
     Each row takes exactly the steps a lone start would. An outer step (at
-    most _MAX_ITERS) takes the gradient and tries steps from the row's
-    `scale` on, halving up to 50 times until one passes the Armijo test. A
+    most _MAX_ITERS) takes the gradient and tries steps from a first one on,
+    halving up to 50 times until one passes the Armijo test. The first is
+    the spectral (Barzilai-Borwein) step <s,s>/<s,y>, capped at 64, where s
+    is the row's last accepted move and y the change of its gradient over
+    that move; on the first outer step, or where <s,y> <= 0 (the objectives
+    are differences of concave functions, so curvature can be negative), it
+    is the row's `scale`, twice its last accepted step up to 64. A
     row stops when a trial step does not move, when no trial passes, or
     after an accepted step that moved less than 1e-20. Every pass of the
     loop makes the next _TRIALS trials of each live row at once (steps
@@ -131,9 +136,11 @@ def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
     n, dim = x.shape
     out_x, out_fx, out_evals = x.copy(), fx.copy(), np.ones(n, dtype=int)
     # the live rows: start index, label, evaluations, step scale and size,
-    # gradient, outer steps and halvings taken, and whether an outer step begins
+    # gradient, point before the last pass (when an outer step begins, the one
+    # the gradient in g was taken at; x itself at first, so that s = 0 there),
+    # outer steps and halvings taken, and whether an outer step begins
     ids, labels, evals = np.arange(n), np.asarray(checks), np.ones(n, dtype=int)
-    scale, alpha, g = np.ones(n), np.ones(n), np.zeros_like(x)
+    scale, alpha, g, x_prev = np.ones(n), np.ones(n), np.zeros_like(x), x
     steps, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     fresh = np.ones(n, dtype=bool)
     halved, trial = 0.5 ** np.arange(_TRIALS), np.arange(1, _TRIALS + 1)
@@ -144,7 +151,10 @@ def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
             g_new = gradient(x[fresh], labels[fresh])
             if not np.isfinite(g_new).all():
                 g_new = np.nan_to_num(g_new, nan=0.0, posinf=1e6, neginf=-1e6)
-            g[fresh], alpha[fresh], halvings[fresh] = g_new, scale[fresh], 0
+            s = x[fresh] - x_prev[fresh]
+            ss, sy = ((s[:, None, :] @ v[:, :, None]).ravel() for v in (s, g_new - g[fresh]))
+            spectral = np.divide(ss, sy, out=scale[fresh], where=sy > 0.0)
+            g[fresh], alpha[fresh], halvings[fresh] = g_new, np.minimum(spectral, 64.0), 0
         alphas = alpha[:, None] * halved
         y = project_to_simplex(x[:, None, :] - alphas[:, :, None] * g[:, None, :])
         diff = (x[:, None, :] - y).reshape(-1, dim)
@@ -162,7 +172,7 @@ def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
         # every trial before the one that counts moved and failed
         evals += t + moved
         halvings += t + (moved & ~accepted)
-        x = np.where(accepted[:, None], y, x)
+        x_prev, x = x, np.where(accepted[:, None], y, x)
         fx = np.where(accepted, fy, fx)
         scale = np.where(accepted, np.minimum(alpha * 2.0, 64.0), scale)
         steps += accepted
@@ -173,8 +183,8 @@ def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
             done = ids[stop]
             out_x[done], out_fx[done], out_evals[done] = x[stop], fx[stop], evals[stop]
             live = ~stop
-            ids, labels, evals, scale, alpha, g, steps, halvings, fresh, x, fx = (
-                a[live] for a in (ids, labels, evals, scale, alpha, g, steps, halvings, fresh, x, fx)
+            ids, labels, evals, scale, alpha, g, x_prev, steps, halvings, fresh, x, fx = (
+                a[live] for a in (ids, labels, evals, scale, alpha, g, x_prev, steps, halvings, fresh, x, fx)
             )
             trial_labels, first = np.repeat(labels, _TRIALS), first[: len(ids)]
     return out_x, out_fx, out_evals
@@ -197,10 +207,11 @@ def dc_minimize(
     `objective` (say, with one matrix product over the whole grid); it only
     picks the grid's start.
 
-    Runs projected gradient descent from the uniform point, every vertex,
-    `cfg.starts` Dirichlet draws seeded by `cfg.seed`, and the best point of a
-    deterministic grid (searched whenever its size stays under a megapoint),
-    all starts as one batch. Every candidate value is a descent value, so the
+    Runs Armijo-backtracked projected gradient descent, each outer step
+    first trying the spectral step (see `_descend`), from the uniform point,
+    every vertex, `cfg.starts` Dirichlet draws seeded by `cfg.seed`, and the
+    best point of a deterministic grid (searched whenever its size stays
+    under a megapoint), all starts as one batch. Every candidate value is a descent value, so the
     reported value replays exactly at the reported minimizer. Ties are broken
     toward the lexicographically smallest minimizer, so results are
     reproducible regardless of evaluation order.

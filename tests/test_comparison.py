@@ -390,16 +390,16 @@ class TestSearchGolden:
         "nx, seed, golden",
         [
             (4, 40, {
-                "more_capable_forward": ("-0x1.2cf75c48a4cfap-2", 70, 15747),
-                "more_capable_backward": ("-0x1.9efcbaa44b446p-2", 70, 16157),
-                "ratio_condition": ("-0x1.060bb92711448p-1", 70, 18142),
-                "divergence_form": ("-0x1.060bb92711443p-1", 70, 18246),
+                "more_capable_forward": ("-0x1.2cf75c48a4cfap-2", 70, 13463),
+                "more_capable_backward": ("-0x1.9efcbaa44b446p-2", 70, 13378),
+                "ratio_condition": ("-0x1.060bb92711446p-1", 70, 13477),
+                "divergence_form": ("-0x1.060bb92711440p-1", 70, 13458),
             }),
             (5, 5, {
-                "more_capable_forward": ("-0x1.fb8c13d05e9e4p-3", 71, 14708),
-                "more_capable_backward": ("-0x1.f20d1d355db3ep-3", 71, 15737),
-                "ratio_condition": ("-0x1.71f319f518545p-2", 71, 20552),
-                "divergence_form": ("-0x1.71f319f51853cp-2", 71, 20624),
+                "more_capable_forward": ("-0x1.fb8c13d05e9e4p-3", 71, 12477),
+                "more_capable_backward": ("-0x1.f20d1d355db36p-3", 71, 11638),
+                "ratio_condition": ("-0x1.71f319f518543p-2", 71, 11744),
+                "divergence_form": ("-0x1.71f319f51853ap-2", 71, 11650),
             }),
         ],
         ids=["4-inputs", "5-inputs"],

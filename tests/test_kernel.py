@@ -473,9 +473,17 @@ def serial_descent(objective, gradient, x0):
     fx = objective(x)
     evals = 1
     scale = 1.0
+    x_prev = g_prev = None
     for _ in range(_MAX_ITERS):
         g = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
         alpha = scale
+        if x_prev is not None:
+            # the spectral step from the last accepted move and the change
+            # of the gradient over it, where the curvature is positive
+            s = x - x_prev
+            sy = float(s @ (g - g_prev))
+            if sy > 0.0:
+                alpha = min(float(s @ s) / sy, 64.0)
         accepted = False
         move = 0.0
         for _ in range(50):
@@ -492,7 +500,7 @@ def serial_descent(objective, gradient, x0):
             alpha *= 0.5
         if not accepted:
             break
-        x, fx = y, fy
+        x_prev, g_prev, x, fx = x, g, y, fy
         scale = min(alpha * 2.0, 64.0)
         if move < 1e-20:
             break
@@ -668,3 +676,52 @@ def test_non_finite_gradient_entries(data, c1, c2):
 
     assert not np.isfinite(non_finite(starts)).all()
     assert_any_trials_per_pass_equal_serial(objective, non_finite, starts)
+
+
+@settings(max_examples=15)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_spectral_step_falls_back_where_curvature_is_not_positive(nx, seed, non_finite):
+    # a concave objective has <s,y> < 0 at every step, so the first trial of
+    # each outer step must be the row's scale, not the negative (or, on the
+    # first step, 0/0) spectral quotient; some gradients get NaN and infinite
+    # entries, which the descent replaces before taking y. Every trial point
+    # of an outer step from x with gradient g is then finite, goes downhill
+    # (<g, x - y> >= 0) and lies within 64 |g| of x, projection being
+    # non-expansive: both up to how far x is off the simplex, which after a
+    # step of 1e6-sized entries is the rounding of the projected sum
+    rng = np.random.default_rng(seed)
+    w = 1.0 + rng.random(nx)
+
+    def objective(p):
+        return -(w * p * p).sum(-1)
+
+    def gradient(p):
+        g = -2.0 * w * p
+        if non_finite:
+            g = np.where(p > 0.8, np.nan, g)
+            g = np.where((p > 0.45) & (p < 0.5), -np.inf, g)
+        return g
+
+    for x0 in vertices_and_draws(nx, rng):
+        points = []  # (x, g) of each outer step, with its trial points
+
+        def spy_gradient(p):
+            g = gradient(p)
+            points.append((p[0].copy(), np.nan_to_num(g[0], nan=0.0, posinf=1e6, neginf=-1e6), []))
+            return g
+
+        def spy_objective(p):
+            if points:
+                points[-1][2].extend(p.copy())
+            return objective(p)
+
+        descend(spy_objective, spy_gradient, x0[None])
+        curvatures = [(x - x_prev) @ (g - g_prev) for (x_prev, g_prev, _), (x, g, _) in zip(points, points[1:])]
+        assert non_finite or all(c <= 0.0 for c in curvatures)
+        for x, g, trials in points:
+            off = abs(x.sum() - 1.0) + 1e-15
+            for y in trials:
+                assert np.isfinite(y).all()
+                assert g @ (x - y) >= -np.abs(g).sum() * off
+                assert np.linalg.norm(x - y) <= 64.0 * np.linalg.norm(g) * (1.0 + 1e-12) + off
+    assert_any_trials_per_pass_equal_serial(objective, gradient, vertices_and_draws(nx, rng))

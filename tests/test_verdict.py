@@ -143,7 +143,7 @@ class TestDecide:
     @pytest.mark.parametrize(
         "ch1, ch2, golden",
         [
-            (make_bsc(0.1), make_bsc(0.3), ("-0x1.04022285deaf8p-5", 68, 4006)),
+            (make_bsc(0.1), make_bsc(0.3), ("-0x1.04022285deb00p-5", 68, 2158)),
             (make_bec(0.2), make_bec(0.5), ("-0x1.0000000000000p-51", 68, 1272)),
         ],
         ids=["bsc-0.1-0.3", "bec-0.2-0.5"],
