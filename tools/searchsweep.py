@@ -49,9 +49,9 @@ def sweep_pair(seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.dirichlet(np.ones(n_y), size=n_x), rng.dirichlet(np.ones(n_z), size=n_x)
 
 
-def read_sweep(path: str) -> dict[tuple[str, str], tuple[str, float, int]]:
+def read_sweep(path: str) -> tuple[dict[tuple[str, str], tuple[str, float, int]], float]:
     """(pair index, check) -> (status, gap, evaluations) of a sweep output,
-    and the summed time of its pairs under the key ('time', '')."""
+    and the summed time of its pairs."""
     checks, total = {}, 0.0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -61,16 +61,13 @@ def read_sweep(path: str) -> dict[tuple[str, str], tuple[str, float, int]]:
                 name, _, value = field.partition("=")
                 status, gap, evals = value.split(",") if value else (name, "nan", "0")
                 checks[index, name] = (status, float(gap), int(evals))
-    checks["time", ""] = ("", total, 0)
-    return checks
+    return checks, total
 
 
 def compare(before_path: str, after_path: str):
-    before, after = read_sweep(before_path), read_sweep(after_path)
+    (before, before_time), (after, after_time) = read_sweep(before_path), read_sweep(after_path)
     if before.keys() != after.keys():
         sys.exit("the two sweeps ran different pairs or checks")
-    _, before_time, _ = before.pop(("time", ""))
-    _, after_time, _ = after.pop(("time", ""))
     moves = [key for key in before if before[key][0] != after[key][0]]
     deltas = np.array([after[key][1] - before[key][1] for key in before])
     deeper, shallower = deltas[deltas < 0.0], deltas[deltas > 0.0]
