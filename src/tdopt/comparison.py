@@ -18,17 +18,16 @@ import numpy as np
 from .capacity import OUTPUT_TOL, CapacityReport, full_support
 from .config import RunConfig
 from .core import (
+    FLOOR,
     LN2,
     AlphabetMismatchError,
     Channel,
     Distribution,
-    _point_dot,
     information,
     kl,
     neg_entropy,
     push_forward,
-    row_divergences,
-    row_log_ratios,
+    xlogx_form,
 )
 
 HOLDS_UP_TO_SEARCH = "HOLDS_UP_TO_SEARCH"
@@ -38,7 +37,8 @@ _GRID_LIMIT = 1_000_000
 _START_CELL_LIMIT = 1_000_000  # cells of the random starts, starts x |X|
 _AUTO_SUBDIVISIONS = {1: 1, 2: 1000, 3: 100, 4: 40, 5: 20, 6: 10, 7: 8, 8: 7}
 _MAX_ITERS = 400     # projected-gradient steps per start
-_TRIALS = 3          # backtracking trials each start makes per pass of the descent
+_MEMORY = 5          # accepted values the nonmonotone Armijo test looks back over
+_LADDER = 8          # halvings a row whose trial failed tries per pass of the descent
 _SCREEN_TOL = 1e-9   # slack allowed in the vertex screen's inequalities (bits)
 
 
@@ -106,93 +106,122 @@ def _grid_size(dim: int, subdivisions: int) -> int:
     return math.comb(subdivisions + dim - 1, dim - 1)
 
 
-def _descend(objective, gradient, starts: np.ndarray, checks: np.ndarray):
-    """Armijo-backtracked projected gradient descent from every row of
-    `starts` at once; returns (x, f(x), evaluations), one entry per row.
-    The objective and gradient take each point's label from `checks` (one
-    per start) after the points, so several objectives can share the batch.
+def _finite(g: np.ndarray) -> np.ndarray:
+    """Gradients with NaN entries set to 0 and infinite ones to +-1e6."""
+    return g if np.isfinite(g).all() else np.nan_to_num(g, nan=0.0, posinf=1e6, neginf=-1e6)
+
+
+def _lex_less(fa, xa, fb, xb) -> np.ndarray:
+    """Rows where (fa, xa) comes before (fb, xb): a lower value, or an equal
+    one at a lexicographically smaller point."""
+    first = (xa != xb).argmax(1)
+    at = np.arange(len(xa))
+    return (fa < fb) | ((fa == fb) & (xa[at, first] < xb[at, first]))
+
+
+def _descend(evaluate, starts: np.ndarray, checks: np.ndarray):
+    """Projected gradient descent with a nonmonotone Armijo test from every
+    row of `starts` at once; returns (x, f(x), evaluations), one entry per
+    row, where x is the best point the row reached. `evaluate` takes points
+    and each point's label from `checks` (one per start), so several
+    objectives can share the batch, and returns their values and gradients.
 
     Each row takes exactly the steps a lone start would. An outer step (at
-    most _MAX_ITERS) takes the gradient and tries steps from a first one on,
-    halving up to 50 times until one passes the Armijo test. The first is
-    the spectral (Barzilai-Borwein) step <s,s>/<s,y>, capped at 64, where s
-    is the row's last accepted move and y the change of its gradient over
-    that move; on the first outer step, or where <s,y> <= 0 (the objectives
-    are differences of concave functions, so curvature can be negative), it
-    is the row's `scale`, twice its last accepted step up to 64. A
-    row stops when a trial step does not move, when no trial passes, or
-    after an accepted step that moved less than 1e-20. Every pass of the
-    loop makes the next _TRIALS trials of each live row at once (steps
-    alpha, alpha/2, ... from the same point and gradient), and the row keeps
-    its first decisive one: it passed, did not move, or was the 50th to
-    fail. The row is credited the evaluations and halvings of the trials up
-    to that one, so rows keep their own outer-step and halving counts and
-    none waits for another's halvings. Halving by 0.5 is exact, and the
-    objective and gradient also see trials and rows whose value they do not
-    count, which leaves the counted rows' bits alone.
+    most _MAX_ITERS) tries steps from a first one on, halving up to 50 times
+    until one passes the test of Grippo, Lampariello & Lucidi: its value is
+    at most the largest of the row's last _MEMORY accepted values (the start
+    counting as one) less 1e-4 times the squared move over the step. The
+    first is the spectral (Barzilai-Borwein) step <s,s>/<s,y>, capped at 64,
+    where s is the row's last accepted move and y the change of its gradient
+    over that move; on the first outer step, or where <s,y> <= 0 (the
+    objectives are differences of concave functions, so curvature can be
+    negative), it is the row's `scale`, twice its last accepted step up to
+    64. A row stops when a trial step does not move, when no trial passes,
+    or after an accepted step that moved less than 1e-20. Since accepted
+    values may rise, each row keeps its best point, of lowest value and then
+    lexicographically smallest, and reports it, so the reported value is the
+    one evaluated there.
+
+    Every pass of the loop makes each live row's next trials at once, laid
+    out flat and indexed by row: a row beginning an outer step tries its
+    first step alone, and a row whose trial failed tries its next
+    min(_LADDER, 50 - halvings) halvings, so that a 50th failure ends its
+    pass. The row keeps its first decisive trial: it passed, did not move,
+    or was the last of the pass. It is credited
+    the evaluations and halvings of the trials up to that one, so rows keep
+    their own outer-step and halving counts and none waits for another's
+    halvings. An accepted trial's gradient is the one evaluated with its
+    value. Halving by 0.5 is exact, and `evaluate` also sees trials whose
+    value no row counts, which leaves the counted rows' bits alone.
     """
     x = project_to_simplex(np.asarray(starts, dtype=float))
-    fx = objective(x, checks)
-    n, dim = x.shape
+    labels = np.asarray(checks)
+    fx, g = (np.array(a, dtype=float) for a in evaluate(x, labels))  # updated in place below
+    g = _finite(g)
+    n = len(x)
     out_x, out_fx, out_evals = x.copy(), fx.copy(), np.ones(n, dtype=int)
-    # the live rows: start index, label, evaluations, step scale and size,
-    # gradient, point before the last pass (when an outer step begins, the one
-    # the gradient in g was taken at; x itself at first, so that s = 0 there),
-    # outer steps and halvings taken, and whether an outer step begins
-    ids, labels, evals = np.arange(n), np.asarray(checks), np.ones(n, dtype=int)
-    scale, alpha, g, x_prev = np.ones(n), np.ones(n), np.zeros_like(x), x
+    # the live rows: start index, label, evaluations, point and gradient,
+    # best point and value, last _MEMORY accepted values, step scale and
+    # next trial step, outer steps and halvings taken, and whether an outer
+    # step begins
+    ids, evals = np.arange(n), np.ones(n, dtype=int)
+    best_x, best_f, recent = x.copy(), fx, np.repeat(fx[:, None], _MEMORY, 1)
+    scale, alpha = np.ones(n), np.ones(n)
     steps, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     fresh = np.ones(n, dtype=bool)
-    halved, trial = 0.5 ** np.arange(_TRIALS), np.arange(1, _TRIALS + 1)
-    # the live rows' trial labels, and the flat index of each live row's first trial
-    trial_labels, first = np.repeat(labels, _TRIALS), np.arange(0, n * _TRIALS, _TRIALS)
     while ids.size:
-        if fresh.any():
-            g_new = gradient(x[fresh], labels[fresh])
-            if not np.isfinite(g_new).all():
-                g_new = np.nan_to_num(g_new, nan=0.0, posinf=1e6, neginf=-1e6)
-            s = x[fresh] - x_prev[fresh]
-            ss, sy = ((s[:, None, :] @ v[:, :, None]).ravel() for v in (s, g_new - g[fresh]))
-            spectral = np.divide(ss, sy, out=scale[fresh], where=sy > 0.0)
-            g[fresh], alpha[fresh], halvings[fresh] = g_new, np.minimum(spectral, 64.0), 0
-        alphas = alpha[:, None] * halved
-        y = project_to_simplex(x[:, None, :] - alphas[:, :, None] * g[:, None, :])
-        diff = (x[:, None, :] - y).reshape(-1, dim)
-        move = (diff[:, None, :] @ diff[:, :, None]).reshape(alphas.shape)
-        fy = objective(y.reshape(-1, dim), trial_labels).reshape(alphas.shape)
+        counts = np.where(fresh, 1, np.minimum(_LADDER, 50 - halvings))
+        ends = counts.cumsum()
+        firsts = ends - counts
+        row = np.repeat(np.arange(len(ids)), counts)
+        rung = np.arange(ends[-1]) - firsts[row]
+        alphas = alpha[row] * 0.5**rung
+        at = x[row]
+        y = project_to_simplex(at - alphas[:, None] * g[row])
+        diff = at - y
+        move = (diff[:, None, :] @ diff[:, :, None]).ravel()
+        fy, gy = evaluate(y, labels[row])
         moved = move != 0.0
-        passed = moved & (fy <= fx[:, None] - 1e-4 * move / alphas)
-        decisive = ~moved | passed | (halvings[:, None] + trial == 50)
-        # the trial that counts: the first decisive one, else the last
-        decisive[:, -1] = True
-        t = decisive.argmax(1)
-        counts = first + t
-        y = y.reshape(-1, dim)[counts]
-        move, fy, moved, accepted, alpha = (a.take(counts) for a in (move, fy, moved, passed, alphas))
+        passed = moved & (fy <= recent.max(1)[row] - 1e-4 * move / alphas)
+        # the trial that counts: the row's first that passed or did not
+        # move, else its last, which is the 50th to fail when that comes
+        decisive = ~moved | passed
+        decisive[ends - 1] = True
+        hits = np.flatnonzero(decisive)
+        pick = hits[np.searchsorted(hits, firsts)]
+        t = pick - firsts
+        move, moved, accepted, alpha = (a.take(pick) for a in (move, moved, passed, alphas))
         # every trial before the one that counts moved and failed
         evals += t + moved
         halvings += t + (moved & ~accepted)
-        x_prev, x = x, np.where(accepted[:, None], y, x)
-        fx = np.where(accepted, fy, fx)
-        scale = np.where(accepted, np.minimum(alpha * 2.0, 64.0), scale)
         steps += accepted
-        alpha = np.where(accepted, alpha, alpha * 0.5)
+        if accepted.any():
+            on = np.flatnonzero(accepted)
+            new_x, new_f, new_g = y[pick[on]], fy[pick[on]], _finite(gy[pick[on]])
+            s = new_x - x[on]
+            ss, sy = ((s[:, None, :] @ v[:, :, None]).ravel() for v in (s, new_g - g[on]))
+            scale[on] = np.minimum(alpha[on] * 2.0, 64.0)
+            alpha[on] = np.minimum(np.divide(ss, sy, out=scale[on], where=sy > 0.0), 64.0)
+            x[on], g[on], halvings[on] = new_x, new_g, 0
+            recent[on, steps[on] % _MEMORY] = new_f
+            better = _lex_less(new_f, new_x, best_f[on], best_x[on])
+            best_x[on[better]], best_f[on[better]] = new_x[better], new_f[better]
         stop = ~moved | (halvings >= 50) | (accepted & ((move < 1e-20) | (steps == _MAX_ITERS)))
+        alpha = np.where(accepted, alpha, alpha * 0.5)
         fresh = accepted
         if stop.any():
             done = ids[stop]
-            out_x[done], out_fx[done], out_evals[done] = x[stop], fx[stop], evals[stop]
+            out_x[done], out_fx[done], out_evals[done] = best_x[stop], best_f[stop], evals[stop]
             live = ~stop
-            ids, labels, evals, scale, alpha, g, x_prev, steps, halvings, fresh, x, fx = (
-                a[live] for a in (ids, labels, evals, scale, alpha, g, x_prev, steps, halvings, fresh, x, fx)
+            ids, labels, evals, x, g, best_x, best_f, recent, scale, alpha, steps, halvings, fresh = (
+                a[live] for a in (ids, labels, evals, x, g, best_x, best_f, recent, scale, alpha, steps,
+                                  halvings, fresh)
             )
-            trial_labels, first = np.repeat(labels, _TRIALS), first[: len(ids)]
     return out_x, out_fx, out_evals
 
 
 def dc_minimize(
-    objective,
-    gradient,
+    evaluate,
     dim: int,
     cfg: RunConfig = RunConfig(),
     grid_objective=None,
@@ -200,21 +229,22 @@ def dc_minimize(
 ) -> MinimizationResult | JointMinimization:
     """Minimize a (typically difference-of-concave) function over the simplex.
 
-    `objective` maps points of shape (S, dim) to values of shape (S,), and
-    `gradient` maps them to gradients of shape (S, dim); each row must get
-    the bits a lone point would, so that every start descends as it would
-    alone. `grid_objective`, if given, evaluates the grid instead of
-    `objective` (say, with one matrix product over the whole grid); it only
+    `evaluate` maps points of shape (S, dim) to their values, shape (S,), and
+    gradients, shape (S, dim); each row must get the bits a lone point
+    would, so that every start descends as it would alone.
+    `grid_objective`, if given, evaluates the grid's values instead of
+    `evaluate` (say, with one matrix product over the whole grid); it only
     picks the grid's start.
 
-    Runs Armijo-backtracked projected gradient descent, each outer step
-    first trying the spectral step (see `_descend`), from the uniform point,
-    every vertex, `cfg.starts` Dirichlet draws seeded by `cfg.seed`, and the
-    best point of a deterministic grid (searched whenever its size stays
-    under a megapoint), all starts as one batch. Every candidate value is a descent value, so the
-    reported value replays exactly at the reported minimizer. Ties are broken
-    toward the lexicographically smallest minimizer, so results are
-    reproducible regardless of evaluation order.
+    Runs projected gradient descent with a nonmonotone Armijo test, each
+    outer step first trying the spectral step (see `_descend`), from the
+    uniform point, every vertex, `cfg.starts` Dirichlet draws seeded by
+    `cfg.seed`, and the best point of a deterministic grid (searched
+    whenever its size stays under a megapoint), all starts as one batch.
+    Every candidate value is a descent value, the best one a start reached,
+    so the reported value replays exactly at the reported minimizer. Ties
+    are broken toward the lexicographically smallest minimizer, so results
+    are reproducible regardless of evaluation order.
 
     With `checks` = K, K objectives share the random starts and one descent
     (as in `_descend`, labelled by objective), `grid_objective(grid)` yields
@@ -229,9 +259,9 @@ def dc_minimize(
             f"(limit {_START_CELL_LIMIT}); reduce the starts"
         )
     single = checks is None
-    if single:  # functions of the points alone
-        grid_objective = (lambda grid, f=grid_objective or objective: [f(grid)])
-        objective, gradient = ((lambda p, k, f=f: f(p)) for f in (objective, gradient))
+    if single:  # a function of the points alone
+        grid_objective = (lambda grid, f=grid_objective, e=evaluate: [f(grid) if f else e(grid)[0]])
+        evaluate = (lambda p, k, e=evaluate: e(p))
         checks = 1
 
     rng = np.random.default_rng(cfg.seed)
@@ -246,21 +276,25 @@ def dc_minimize(
     picks = [] if grid is None else [grid[[int(np.argmin(v))]] for v in grid_objective(grid)]
     starts = np.concatenate([s for k in range(checks) for s in shared + picks[k : k + 1]])
     per = len(starts) // checks
-    x, fx, used = _descend(objective, gradient, starts, np.repeat(np.arange(checks), per))
+    labels = np.repeat(np.arange(checks), per)
+    x, fx, used = _descend(evaluate, starts, labels)
     grid_evals = 0 if grid is None else len(grid)
-    results = []
-    for rows in np.split(np.arange(len(x)), checks):
-        best = min(rows, key=lambda i: (float(fx[i]), tuple(x[i])))
-        results.append(MinimizationResult(float(fx[best]), x[best], per, grid_evals + int(used[rows].sum())))
+    # each check's rows by value, then point, in one stable sort: a check's
+    # first row is its best
+    order = np.lexsort((*x.T[::-1], fx, labels))
+    results = [
+        MinimizationResult(float(fx[best]), x[best], per, grid_evals + int(used[k * per : (k + 1) * per].sum()))
+        for k, best in enumerate(order[::per])
+    ]
     return results[0] if single else JointMinimization(tuple(results), sum(r.evaluations for r in results))
 
 
 def _check_terms(name: str, c1: float = 1.0, c2: float = 1.0) -> tuple[float, float, bool]:
     """Check `name` between channels of capacities c1 and c2, as
     `_pair_gaps` reads it: (d1, d2, divergence). The check minimizes
-    t1/d1 + t2/d2 over the two channels' terms; x/(-c) is -(x/c), a - b is
-    a + (-b) and addition commutes, all to the bit, so the sum is the
-    difference it stands for."""
+    t1/d1 + t2/d2 over the two channels' terms; 1/(-c) is -(1/c) to the bit,
+    so a check and its mirror, the same channels with d1 and d2 negated and
+    swapped, take the same coefficients up to sign."""
     return {
         "more_capable_forward": (1.0, -1.0, False),  # I1 - I2
         "more_capable_backward": (-1.0, 1.0, False),  # I2 - I1
@@ -270,66 +304,59 @@ def _check_terms(name: str, c1: float = 1.0, c2: float = 1.0) -> tuple[float, fl
 
 
 def _pair_gaps(ch1: Channel, ch2: Channel, terms, refs=(None, None)):
-    """`dc_minimize`'s objective, gradient and grid objective for the checks
-    `terms` (`_check_terms`) between ch1 and ch2, in bits. A check's terms
-    are I(p; ch1) and I(p; ch2), or D(p ch1 || refs[0]) and D(p ch2 ||
-    refs[1]); their gradients are D(W(.|x) || p_Y) and sum_y W(y|x)
-    ln(p_Y(y)/r(y)) up to constants, which projection ignores. Divisions are
-    per point, dividing by 1.0 is exact and each form is taken at its
-    checks' points only, so a point gets its check's bits alone. The grid
-    takes one product per channel (see `information`) and each form once."""
-    rows = (ch1.reduced_rows, ch2.reduced_rows)
-    rne = (ch1.reduced_neg_ent, ch2.reduced_neg_ent)
-    table = np.array(terms, dtype=float)
+    """`dc_minimize`'s value-and-gradient function and grid objective for
+    the checks `terms` (`_check_terms`) between ch1 and ch2, in bits.
 
-    def gap(c, t1, t2):  # `c`: a table row per point, or one row for every point
-        d1, d2 = c[:, 0], c[:, 1]
-        if t1.ndim > 1:  # gradients: one term per input symbol
-            d1, d2 = d1[:, None], d2[:, None]
-        return t1 / d1 + t2 / d2
+    A check's terms are I(p; ch1) and I(p; ch2), or D(p ch1 || refs[0]) and
+    D(p ch2 || refs[1]). Over the stacked product q = p @ [W1 | W2] each
+    check is one row of coefficients of `core.xlogx_form`: since
+    I = p.neg_ent - sum q ln q and D = sum q ln q - p.(W ln r), the check
+    t1/d1 + t2/d2 takes a = -1/d (rates) or +1/d (divergences) on each
+    channel's outputs and u = neg_ent/d or -(W ln r)/d summed over the two
+    channels, all over ln 2. Its gradient, D(W(.|x) || p_Y) and
+    sum_y W(y|x) ln(p_Y(y)/r(y)) summed the same way up to constants, comes
+    from the same evaluation. Every point takes its own product and its own
+    check's coefficients, so its bits are its check's alone. The channels
+    are stacked in an order fixed by their bytes (twin channels by their
+    d), so a check of (ch2, ch1) and its mirror on (ch1, ch2) take the same
+    arithmetic and agree to the bit. The grid takes one product over the
+    whole grid for all checks."""
 
-    def by_form(rate, divergence):  # `rate` at rate checks' points, `divergence` at the others'
-        def f(p, k):
-            c = table.take(k, 0)
-            div = c[:, 2] != 0.0
-            n_div = np.count_nonzero(div)
-            if n_div in (0, len(div)):
-                return (divergence if n_div else rate)(p, c)
-            on_rates = ~div
-            at_rates, at_divergences = rate(p[on_rates], c[on_rates]), divergence(p[div], c[div])
-            value = np.empty((len(p),) + at_rates.shape[1:])
-            value[on_rates], value[div] = at_rates, at_divergences
-            return value
+    def order(sides):  # by the channels' bytes, twin channels by their scale
+        return sorted(sides, key=lambda s: (s[0].reduced_rows.shape, s[0].reduced_rows.tobytes(), s[1]))
 
-        return f
+    rows = np.hstack([ch.reduced_rows for ch, _, _ in order([(ch1, 0.0, None), (ch2, 0.0, None)])])
+    a, u = [], []
+    for d1, d2, divergence in terms:
+        sides = order([(ch1, d1 * LN2, refs[0]), (ch2, d2 * LN2, refs[1])])
+        sign = 1.0 if divergence else -1.0
+        a.append(np.concatenate([np.full(ch.reduced_rows.shape[1], sign / s) for ch, s, _ in sides]))
+        first, second = (
+            (-(ch.reduced_rows @ np.log(ref)) if divergence else ch.reduced_neg_ent) / s for ch, s, ref in sides
+        )
+        u.append(first + second)
+    a, u = np.array(a), np.array(u)
 
-    def rates(p, one_product=False):
-        return [information(p, r, e, one_product) for r, e in zip(rows, rne)]
-
-    def divergences(p, one_product=False):
-        dot = np.matmul if one_product else _point_dot
-        return [kl(dot(p, r), ref) for r, ref in zip(rows, refs)]
+    def evaluate(p, k):
+        return xlogx_form(p, rows, a.take(k, 0), u.take(k, 0))
 
     def grid_objective(grid):
-        forms = {}
-        for i, c in enumerate(terms):
-            if c[2] not in forms:
-                forms[c[2]] = (divergences if c[2] else rates)(grid, one_product=True)
-            yield gap(table[[i]], *forms[c[2]])
+        # q ln q in place, 0 ln 0 = 0 by the floor: the grid is large, so no
+        # more than one temporary of its stacked product's size
+        q = grid @ rows
+        log_q = np.maximum(q, FLOOR)
+        q *= np.log(log_q, out=log_q)
+        for a_k, u_k in zip(a, u):
+            yield q @ a_k + grid @ u_k
 
-    objective = by_form(lambda p, c: gap(c, *rates(p)), lambda p, c: gap(c, *divergences(p)))
-    gradient = by_form(
-        lambda p, c: gap(c, *(row_divergences(r, e, _point_dot(p, r)) / LN2 for r, e in zip(rows, rne))),
-        lambda p, c: gap(c, *(row_log_ratios(r, _point_dot(p, r), ref) for r, ref in zip(rows, refs))) / LN2,
-    )
-    return objective, gradient, grid_objective
+    return evaluate, grid_objective
 
 
 def _search(ch1: Channel, ch2: Channel, terms, cfg: RunConfig, refs=(None, None)) -> list[SearchVerdict]:
     """Minimize the checks `terms` between ch1 and ch2 in one descent and
     judge each minimum at `cfg.violation_tol`."""
-    objective, gradient, grid_objective = _pair_gaps(ch1, ch2, terms, refs)
-    joint = dc_minimize(objective, gradient, len(ch1.input), cfg, grid_objective, len(terms))
+    evaluate, grid_objective = _pair_gaps(ch1, ch2, terms, refs)
+    joint = dc_minimize(evaluate, len(ch1.input), cfg, grid_objective, len(terms))
     return [
         SearchVerdict(VIOLATED, r.value, Distribution(ch1.input, r.argmin), r.starts, r.evaluations)
         if r.value < -cfg.violation_tol

@@ -265,19 +265,11 @@ def neg_entropy(a: np.ndarray) -> np.ndarray:
     return xlogx(a).sum(axis=-1)
 
 
-def information(
-    p: np.ndarray, rows: np.ndarray, rows_neg_ent: np.ndarray, one_product: bool = False
-) -> np.ndarray:
+def information(p: np.ndarray, rows: np.ndarray, rows_neg_ent: np.ndarray) -> np.ndarray:
     """I(X;Y) in bits for input distributions `p` (shape (..., |X|)) through
     the channel matrix `rows`, given `neg_entropy(rows)`. Each point takes a
-    lone point's products, so a batch agrees bit for bit with single calls.
-
-    With `one_product` (the search grid's path), the whole batch takes one
-    matrix product instead: much faster on large batches, but BLAS may sum it
-    in another order than a single point's, so rows can differ from single
-    calls in the last bits."""
-    dot = np.matmul if one_product else _point_dot
-    return (dot(p, rows_neg_ent) - neg_entropy(dot(p, rows))) / LN2
+    lone point's products, so a batch agrees bit for bit with single calls."""
+    return (_point_dot(p, rows_neg_ent) - neg_entropy(_point_dot(p, rows))) / LN2
 
 
 def row_divergences(rows: np.ndarray, rows_neg_ent: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -298,6 +290,24 @@ def row_log_ratios(rows: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray
     output, the same stand-in as in `row_divergences` replaces the log ratio.
     """
     return _rows_dot(rows, np.where(q > 0.0, _log(q) - np.log(r), _ZERO_REF_LOG))
+
+
+def xlogx_form(p: np.ndarray, rows: np.ndarray, a: np.ndarray, u: np.ndarray):
+    """Values sum_y a[y] q(y) ln q(y) + p.u and their gradients in p, for
+    q = p @ rows, points `p` of shape (..., |X|) and coefficients `a`
+    (..., |Y|) and `u` (..., |X|) that broadcast against them. Each point
+    takes a lone point's products, so a batch agrees bit for bit with single
+    calls.
+
+    The gradient is rows @ (a ln q) + u. It leaves out the term
+    sum_y a[y] rows[x, y], which is the same for every x when `a` is
+    constant on blocks of columns over which each row sums to one (a
+    channel's outputs); projection onto the simplex ignores such a constant.
+    Where q misses an output, ln q takes the stand-in of `row_divergences`.
+    """
+    q = _point_dot(p, rows)
+    a_log = a * np.where(q > 0.0, _log(q), _ZERO_REF_LOG)
+    return (q * a_log).sum(axis=-1) + (p * u).sum(axis=-1), _rows_dot(rows, a_log) + u
 
 
 def kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:

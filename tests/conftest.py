@@ -23,13 +23,14 @@ def same_bits(a, b) -> bool:
 
 
 def at_check_0(f):
-    """`comparison._pair_gaps`'s objective or gradient `f` of its first
-    check, as a function of one point or a batch of points alone."""
+    """`comparison._pair_gaps`'s value-and-gradient function `f` of its
+    first check, as a function of one point or a batch of points alone."""
 
     def f0(p):
         batch = np.atleast_2d(p)
-        value = f(batch, np.zeros(len(batch), dtype=int))
-        return value.reshape(np.shape(p)[:-1] + value.shape[1:])
+        value, gradient = f(batch, np.zeros(len(batch), dtype=int))
+        shape = np.shape(p)[:-1]
+        return value.reshape(shape), gradient.reshape(shape + gradient.shape[1:])
 
     return f0
 

@@ -34,8 +34,7 @@ def test_result_counts_are_int_attributes():
     cost = np.array([0.3, 0.1, 0.2])
     results = {
         "compute_capacity": compute_capacity(make_bsc(0.1)),
-        "dc_minimize": dc_minimize(lambda p: p @ cost, lambda p: np.broadcast_to(cost, p.shape),
-                                   3, RunConfig(starts=2)),
+        "dc_minimize": dc_minimize(lambda p: (p @ cost, np.broadcast_to(cost, p.shape)), 3, RunConfig(starts=2)),
     }
     counts = load_literal("RESULT_COUNTS")
     assert set(counts) == set(results)

@@ -2,14 +2,16 @@
 on it (the search objectives and their batched descent, the region bounds): a
 batch evaluates as each of its rows alone.
 
-The kernel functions, the checks' objectives and gradients, the row-wise
+The kernel functions, the checks' values and gradients, the row-wise
 simplex projection and the batched descent agree bit for bit: each row takes
 the elementwise arithmetic and the BLAS call a lone point takes, and the
-descent does so whatever number of backtracking trials one of its passes
-makes per start, also when the starts of several checks share one batch and
-each row carries its check's index.
-The one exception is the search grid's path (`one_product`), where the whole
-batch goes through one `p @ rows`: BLAS sums a matrix product in another order
+descent does so whatever number of halvings one of its passes tries per
+failing start, also when the starts of several checks share one batch and
+each row carries its check's index. The checks' values and gradients, one
+stacked product per point, equal the information functions they are built
+from within 1e-12.
+The one exception is the search grid's objective, where the whole grid
+goes through one `grid @ rows`: BLAS sums a matrix product in another order
 than a vector product, so rows may differ in the last bits, and the bound is
 4096 float64 epsilons of the largest term summed. The Marton and UV bounds,
 which sum entropies of marginals, agree bit for bit with their joints alone,
@@ -21,6 +23,7 @@ bounds' entropy form equals the slice formula within 1e-12 bits, also with
 structural zeros and a channel with one output.
 """
 
+import collections
 import itertools
 import math
 from unittest.mock import patch
@@ -42,6 +45,7 @@ from tdopt.bounds import (
 from tdopt.capacity import analyze_channel
 from tdopt.comparison import (
     _MAX_ITERS,
+    _MEMORY,
     _check_terms,
     _descend,
     _pair_gaps,
@@ -97,10 +101,15 @@ def optimal_outputs(rep1, rep2):
 
 
 def lone_gap(name, ch1, ch2, c1=1.0, c2=1.0, refs=(None, None)):
-    """The objective, gradient and grid objective of check `name` alone, as
-    functions of the points alone."""
-    objective, gradient, grid_objective = _pair_gaps(ch1, ch2, [_check_terms(name, c1, c2)], refs)
-    return at_check_0(objective), at_check_0(gradient), lambda p: next(grid_objective(p))
+    """The value-and-gradient function and the grid objective of check
+    `name` alone, as functions of the points alone."""
+    evaluate, grid_objective = _pair_gaps(ch1, ch2, [_check_terms(name, c1, c2)], refs)
+    return at_check_0(evaluate), lambda p: next(grid_objective(p))
+
+
+def assert_gap_rows_exact(evaluate, points):
+    assert_rows_exact(lambda p: evaluate(p)[0], points)
+    assert_rows_exact(lambda p: evaluate(p)[1], points)
 
 
 def assert_rows_exact(fn, points):
@@ -146,20 +155,18 @@ def test_information_rows_match(data):
     rows, pts, _ = data
     rne = neg_entropy(rows)
     assert_rows_exact(lambda p: information(p, rows, rne), pts)
-    assert_rows_close(lambda p: information(p, rows, rne, one_product=True), pts, lambda p: 3.0)
 
 
 @given(channel_pair_and_points(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
 def test_rate_gap_objective_and_gradient_rows_match(data, c1, c2):
     rows1, rows2, pts = data
     ch1, ch2 = channel(rows1), channel(rows2)
-    for (objective, gradient, grid_objective), c_min in (
+    for (evaluate, grid_objective), c_min in (
         (lone_gap("more_capable_forward", ch1, ch2), 1.0),
         (lone_gap("more_capable_backward", ch1, ch2), 1.0),
         (lone_gap("ratio_condition", ch1, ch2, c1, c2), min(c1, c2)),
     ):
-        assert_rows_exact(objective, pts)
-        assert_rows_exact(gradient, pts)
+        assert_gap_rows_exact(evaluate, pts)
         assert_rows_close(grid_objective, pts, lambda p: 10.0 / c_min)
 
 
@@ -170,14 +177,59 @@ def test_divergence_gap_objective_and_gradient_rows_match(data):
     rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
     c_min = min(rep1.capacity, rep2.capacity)
     assume(c_min > 0.01)
-    objective, gradient, grid_objective = lone_gap(
+    evaluate, grid_objective = lone_gap(
         "divergence_form", ch1, ch2, rep1.capacity, rep2.capacity, optimal_outputs(rep1, rep2)
     )
-    assert_rows_exact(objective, pts)
-    assert_rows_exact(gradient, pts)
+    assert_gap_rows_exact(evaluate, pts)
     refs = np.concatenate([rep.optimal_output.probs for rep in (rep1, rep2)])
     log_ref = -math.log(refs[refs > 0.0].min())
     assert_rows_close(grid_objective, pts, lambda p: (log_ref + 10.0) / (LN2 * c_min))
+
+
+def reference_gap(ch1, ch2, terms, refs, p):
+    """(value, gradient, sizes, stand_in) of the check `terms` at one point
+    p, in bits, from `information`, `kl`, `row_divergences` and
+    `row_log_ratios`; `sizes` are the value's and the gradient's summed term
+    sizes, and `stand_in` marks the inputs that reach an output p misses."""
+    d1, d2, divergence = terms
+    value, gradient, value_size, gradient_size, stand_in = 0.0, 0.0, 0.0, 0.0, False
+    for ch, ref, d in zip((ch1, ch2), refs, (d1, d2)):
+        rows, rne = ch.reduced_rows, ch.reduced_neg_ent
+        q = p @ rows
+        if divergence:
+            term, slope = kl(q, ref), row_log_ratios(rows, q, ref) / LN2
+        else:
+            term, slope = information(p, rows, rne), row_divergences(rows, rne, q) / LN2
+        value, gradient = value + term / d, gradient + slope / d
+        value_size, gradient_size = value_size + abs(term / d), gradient_size + np.abs(slope / d)
+        stand_in = stand_in | (rows[:, q == 0.0] > 0.0).any(1)
+    return value, gradient, (value_size, gradient_size), stand_in
+
+
+@given(channel_pair_and_points(), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+def test_gap_values_and_gradients_match_the_information_functions(data, c1, c2):
+    # each check's stacked kernel against the per-channel functions, within
+    # 1e-12 of the size of the terms the reference sums; inputs that reach an
+    # output the point misses get a huge stand-in slope, ln q's in the kernel
+    # and the whole log ratio's in `row_log_ratios`, so on the divergence
+    # form they are left out
+    rows1, rows2, pts = data
+    ch1, ch2 = channel(rows1), channel(rows2)
+    rep1, rep2 = analyze_channel(ch1), analyze_channel(ch2)
+    refs = optimal_outputs(rep1, rep2)
+    checks = [("more_capable_forward", 1.0, 1.0), ("more_capable_backward", 1.0, 1.0),
+              ("ratio_condition", c1, c2)]
+    if min(rep1.capacity, rep2.capacity) > 0.01:
+        checks.append(("divergence_form", rep1.capacity, rep2.capacity))
+    for name, a, b in checks:
+        terms = _check_terms(name, a, b)
+        values, gradients = lone_gap(name, ch1, ch2, a, b, refs)[0](pts)
+        for p, value, gradient in zip(pts, values, gradients):
+            ref_value, ref_gradient, sizes, stand_in = reference_gap(ch1, ch2, terms, refs, p)
+            value_size, gradient_size = sizes
+            assert abs(value - ref_value) <= 1e-12 * (1.0 + value_size)
+            keep = ~stand_in if terms[2] else slice(None)
+            assert np.all(np.abs(gradient - ref_gradient)[keep] <= 1e-12 * (1.0 + gradient_size[keep]))
 
 
 def reference_information(joint, axes_a, axes_b, axes_cond=()):
@@ -465,25 +517,24 @@ def serial_projection(v):
     return np.maximum(v + tau, 0.0)
 
 
-def serial_descent(objective, gradient, x0):
-    """One start's Armijo-backtracked projected gradient descent, one point
-    at a time: the reference every row of the batched descent must reproduce.
-    Returns (x, f(x), evaluations)."""
+def serial_descent(evaluate, x0, trace=None):
+    """One start's projected gradient descent under the nonmonotone Armijo
+    test, one point at a time: the reference every row of the batched
+    descent must reproduce. `evaluate` maps a point to its value and
+    gradient. Returns (x, f(x), evaluations) of the best point reached, of
+    lowest value and then lexicographically smallest; `trace`, if given,
+    receives each outer step's (point, finite gradient, trial points)."""
     x = serial_projection(np.asarray(x0, dtype=float))
-    fx = objective(x)
+    fx, g = evaluate(x)
     evals = 1
-    scale = 1.0
-    x_prev = g_prev = None
+    recent = collections.deque([fx], maxlen=_MEMORY)
+    best_x, best_f = x, fx
+    g = np.nan_to_num(g, nan=0.0, posinf=1e6, neginf=-1e6)
+    alpha = 1.0
     for _ in range(_MAX_ITERS):
-        g = np.nan_to_num(gradient(x), nan=0.0, posinf=1e6, neginf=-1e6)
-        alpha = scale
-        if x_prev is not None:
-            # the spectral step from the last accepted move and the change
-            # of the gradient over it, where the curvature is positive
-            s = x - x_prev
-            sy = float(s @ (g - g_prev))
-            if sy > 0.0:
-                alpha = min(float(s @ s) / sy, 64.0)
+        trials = []
+        if trace is not None:
+            trace.append((x, g, trials))
         accepted = False
         move = 0.0
         for _ in range(50):
@@ -492,19 +543,30 @@ def serial_descent(objective, gradient, x0):
             move = float(diff @ diff)
             if move == 0.0:
                 break
-            fy = objective(y)
+            fy, gy = evaluate(y)
+            trials.append(y)
             evals += 1
-            if fy <= fx - 1e-4 * move / alpha:
+            if fy <= max(recent) - 1e-4 * move / alpha:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-        x_prev, g_prev, x, fx = x, g, y, fy
+        recent.append(fy)
+        if (fy, tuple(y)) < (best_f, tuple(best_x)):
+            best_x, best_f = y, fy
+        gy = np.nan_to_num(gy, nan=0.0, posinf=1e6, neginf=-1e6)
+        # the next first trial: the spectral step from this move and the
+        # change of the gradient over it where the curvature is positive,
+        # else twice this step
+        s = y - x
+        sy = float(s @ (gy - g))
         scale = min(alpha * 2.0, 64.0)
+        alpha = min(float(s @ s) / sy, 64.0) if sy > 0.0 else scale
+        x, fx, g = y, fy, gy
         if move < 1e-20:
             break
-    return x, fx, evals
+    return best_x, best_f, evals
 
 
 @st.composite
@@ -557,11 +619,11 @@ def gap_checks(data, c1, c2):
 
 
 def labelled_batch(ch1, ch2, checks, refs, starts):
-    """(objective, gradient, starts, labels): every check's starts in one
-    batch, check after check, each row labelled with its check."""
-    objective, gradient, _ = _pair_gaps(ch1, ch2, [_check_terms(*check) for check in checks], refs)
+    """(evaluate, starts, labels): every check's starts in one batch, check
+    after check, each row labelled with its check."""
+    evaluate, _ = _pair_gaps(ch1, ch2, [_check_terms(*check) for check in checks], refs)
     labels = np.repeat(np.arange(len(checks)), len(starts))
-    return objective, gradient, np.tile(starts, (len(checks), 1)), labels
+    return evaluate, np.tile(starts, (len(checks), 1)), labels
 
 
 @settings(max_examples=30)
@@ -570,10 +632,10 @@ def test_batched_descent_rows_equal_serial(data, c1, c2):
     ch1, ch2, checks, refs, starts = gap_checks(data, c1, c2)
     serial = []
     for name, a, b in checks:
-        objective, gradient, _ = lone_gap(name, ch1, ch2, a, b, refs)
-        x, fx, evals = descend(objective, gradient, starts)
+        evaluate, _ = lone_gap(name, ch1, ch2, a, b, refs)
+        x, fx, evals = descend(evaluate, starts)
         for i, x0 in enumerate(starts):
-            one_x, one_fx, one_evals = serial_descent(objective, gradient, x0)
+            one_x, one_fx, one_evals = serial_descent(evaluate, x0)
             assert np.array_equal(x[i], one_x)
             assert fx[i] == one_fx
             assert evals[i] == one_evals
@@ -590,33 +652,33 @@ def test_batched_descent_rows_equal_serial(data, c1, c2):
 def test_mixed_batch_rows_equal_serial_at_any_trials_per_pass(data, c1, c2):
     ch1, ch2, checks, refs, starts = gap_checks(data, c1, c2)
     serial = [
-        serial_descent(*lone_gap(name, ch1, ch2, a, b, refs)[:2], x0)
+        serial_descent(lone_gap(name, ch1, ch2, a, b, refs)[0], x0)
         for name, a, b in checks
         for x0 in starts
     ]
-    objective, gradient, batch, labels = labelled_batch(ch1, ch2, checks, refs, starts)
-    assert_any_trials_per_pass_equal_serial(objective, gradient, batch, serial, labels)
+    evaluate, batch, labels = labelled_batch(ch1, ch2, checks, refs, starts)
+    assert_any_ladder_equals_serial(evaluate, batch, serial, labels)
 
 
-def descend(objective, gradient, starts, checks=None):
-    """`_descend` from `starts`: of functions of the points alone with every
+def descend(evaluate, starts, checks=None):
+    """`_descend` from `starts`: of a function of the points alone with every
     start labelled 0, or, given the labels `checks`, of points and labels."""
     if checks is None:
-        f, g, checks = objective, gradient, np.zeros(len(starts), dtype=int)
-        objective, gradient = (lambda p, k: f(p)), (lambda p, k: g(p))
-    return _descend(objective, gradient, starts, checks)
+        f, checks = evaluate, np.zeros(len(starts), dtype=int)
+        evaluate = (lambda p, k: f(p))
+    return _descend(evaluate, starts, checks)
 
 
-def assert_any_trials_per_pass_equal_serial(objective, gradient, starts, serial=None, checks=None):
-    """Descend from `starts` with 1 to 4 backtracking trials per pass, and
-    compare every row with its lone descent, `serial` (by default, each
-    start's from `objective` and `gradient`); `checks` labels the rows for
+def assert_any_ladder_equals_serial(evaluate, starts, serial=None, checks=None):
+    """Descend from `starts` trying 1 to 8 halvings per pass of a failing
+    start, and compare every row with its lone descent, `serial` (by
+    default, each start's under `evaluate`); `checks` labels the rows for
     `_descend`. Returns the lone evaluations."""
     if serial is None:
-        serial = [serial_descent(objective, gradient, x0) for x0 in starts]
-    for trials in (1, 2, 3, 4):
-        with patch("tdopt.comparison._TRIALS", trials):
-            x, fx, evals = descend(objective, gradient, starts, checks)
+        serial = [serial_descent(evaluate, x0) for x0 in starts]
+    for ladder in range(1, 9):
+        with patch("tdopt.comparison._LADDER", ladder):
+            x, fx, evals = descend(evaluate, starts, checks)
         for i, (one_x, one_fx, one_evals) in enumerate(serial):
             assert np.array_equal(x[i], one_x)
             assert fx[i] == one_fx
@@ -624,9 +686,9 @@ def assert_any_trials_per_pass_equal_serial(objective, gradient, starts, serial=
     return np.array([one_evals for _, _, one_evals in serial])
 
 
-def linear(c):
-    """p -> c.p and its constant gradient."""
-    return (lambda p: (p * c).sum(-1)), (lambda p: np.broadcast_to(c, p.shape).copy())
+def linear(c, sign=1.0):
+    """p -> c.p and sign times its constant gradient."""
+    return lambda p: ((p * c).sum(-1), np.broadcast_to(sign * c, p.shape).copy())
 
 
 def vertices_and_draws(nx, rng):
@@ -639,12 +701,11 @@ def test_uphill_rows_stop_at_the_halving_cap_mid_pass(nx, seed):
     # with the gradient's sign flipped every moving trial raises a linear
     # objective, by far more than its rounding, so each start but the
     # vertex of the largest coefficient fails 50 trials in its first outer
-    # step; 50 is no multiple of 3 or 4
+    # step; after the first trial, 49 is no multiple of 2 to 8 but 7
     rng = np.random.default_rng(seed)
     c = 100.0 * (rng.permutation(nx) + rng.random(nx) * 0.5)
-    objective, gradient = linear(c)
     starts = vertices_and_draws(nx, rng)
-    evals = assert_any_trials_per_pass_equal_serial(objective, lambda p: -gradient(p), starts)
+    evals = assert_any_ladder_equals_serial(linear(c, -1.0), starts)
     assert evals[c.argmax()] == 1
     assert (np.delete(evals, c.argmax()) == 51).all()
 
@@ -656,7 +717,7 @@ def test_vertex_start_whose_trial_does_not_move(nx, seed):
     # where every trial step projects back onto the point itself
     rng = np.random.default_rng(seed)
     c = rng.permutation(nx) + rng.random(nx) * 0.5
-    evals = assert_any_trials_per_pass_equal_serial(*linear(c), vertices_and_draws(nx, rng))
+    evals = assert_any_ladder_equals_serial(linear(c), vertices_and_draws(nx, rng))
     assert evals[c.argmin()] == 1
 
 
@@ -666,16 +727,16 @@ def test_non_finite_gradient_entries(data, c1, c2):
     # NaN, +inf and -inf entries chosen by the point's own coordinates, so a
     # lone point and a batch row get the same ones
     rows1, rows2, starts = data
-    objective, gradient, _ = lone_gap("ratio_condition", channel(rows1), channel(rows2), c1, c2)
+    evaluate, _ = lone_gap("ratio_condition", channel(rows1), channel(rows2), c1, c2)
 
     def non_finite(p):
-        g = gradient(p)
+        value, g = evaluate(p)
         g = np.where(p > 0.8, np.nan, g)
         g = np.where((p > 0.45) & (p < 0.5), np.inf, g)
-        return np.where(p == 0.0, -np.inf, g)
+        return value, np.where(p == 0.0, -np.inf, g)
 
-    assert not np.isfinite(non_finite(starts)).all()
-    assert_any_trials_per_pass_equal_serial(objective, non_finite, starts)
+    assert not np.isfinite(non_finite(starts)[1]).all()
+    assert_any_ladder_equals_serial(non_finite, starts)
 
 
 @settings(max_examples=15)
@@ -688,40 +749,27 @@ def test_spectral_step_falls_back_where_curvature_is_not_positive(nx, seed, non_
     # of an outer step from x with gradient g is then finite, goes downhill
     # (<g, x - y> >= 0) and lies within 64 |g| of x, projection being
     # non-expansive: both up to how far x is off the simplex, which after a
-    # step of 1e6-sized entries is the rounding of the projected sum
+    # step of 1e6-sized entries is the rounding of the projected sum. The
+    # outer steps are the lone descent's, which every batched row equals
     rng = np.random.default_rng(seed)
     w = 1.0 + rng.random(nx)
 
-    def objective(p):
-        return -(w * p * p).sum(-1)
-
-    def gradient(p):
+    def evaluate(p):
         g = -2.0 * w * p
         if non_finite:
             g = np.where(p > 0.8, np.nan, g)
             g = np.where((p > 0.45) & (p < 0.5), -np.inf, g)
-        return g
+        return -(w * p * p).sum(-1), g
 
     for x0 in vertices_and_draws(nx, rng):
-        points = []  # (x, g) of each outer step, with its trial points
-
-        def spy_gradient(p):
-            g = gradient(p)
-            points.append((p[0].copy(), np.nan_to_num(g[0], nan=0.0, posinf=1e6, neginf=-1e6), []))
-            return g
-
-        def spy_objective(p):
-            if points:
-                points[-1][2].extend(p.copy())
-            return objective(p)
-
-        descend(spy_objective, spy_gradient, x0[None])
-        curvatures = [(x - x_prev) @ (g - g_prev) for (x_prev, g_prev, _), (x, g, _) in zip(points, points[1:])]
+        steps = []
+        serial_descent(evaluate, x0, steps)
+        curvatures = [(x - x_prev) @ (g - g_prev) for (x_prev, g_prev, _), (x, g, _) in zip(steps, steps[1:])]
         assert non_finite or all(c <= 0.0 for c in curvatures)
-        for x, g, trials in points:
+        for x, g, trials in steps:
             off = abs(x.sum() - 1.0) + 1e-15
             for y in trials:
                 assert np.isfinite(y).all()
                 assert g @ (x - y) >= -np.abs(g).sum() * off
                 assert np.linalg.norm(x - y) <= 64.0 * np.linalg.norm(g) * (1.0 + 1e-12) + off
-    assert_any_trials_per_pass_equal_serial(objective, gradient, vertices_and_draws(nx, rng))
+    assert_any_ladder_equals_serial(evaluate, vertices_and_draws(nx, rng))

@@ -143,8 +143,8 @@ class TestDecide:
     @pytest.mark.parametrize(
         "ch1, ch2, golden",
         [
-            (make_bsc(0.1), make_bsc(0.3), ("-0x1.04022285deb00p-5", 68, 2158)),
-            (make_bec(0.2), make_bec(0.5), ("-0x1.0000000000000p-51", 68, 1272)),
+            (make_bsc(0.1), make_bsc(0.3), ("-0x1.04022285deb00p-5", 68, 1745)),
+            (make_bec(0.2), make_bec(0.5), ("-0x1.0000000000000p-50", 68, 1279)),
         ],
         ids=["bsc-0.1-0.3", "bec-0.2-0.5"],
     )

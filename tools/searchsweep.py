@@ -23,7 +23,10 @@ across checkouts; `time` compares their speed pair by pair.
 
 `--compare` reads two such outputs of the same seeds and prints the number
 of checks, how many changed status, how many gaps got deeper or shallower
-and by at most how much, the evaluations and the total time of each side.
+and by at most how much, the evaluations and the total time of each side,
+and the median and quartiles of the per-pair time ratios, before over after.
+A summed time is swayed by a few slow pairs and by the host's speed while
+they ran; the median of the ratios is not.
 """
 
 from __future__ import annotations
@@ -49,23 +52,23 @@ def sweep_pair(seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.dirichlet(np.ones(n_y), size=n_x), rng.dirichlet(np.ones(n_z), size=n_x)
 
 
-def read_sweep(path: str) -> tuple[dict[tuple[str, str], tuple[str, float, int]], float]:
+def read_sweep(path: str) -> tuple[dict[tuple[str, str], tuple[str, float, int]], dict[str, float]]:
     """(pair index, check) -> (status, gap, evaluations) of a sweep output,
-    and the summed time of its pairs."""
-    checks, total = {}, 0.0
+    and pair index -> time."""
+    checks, times = {}, {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             index, _, *fields, seconds = line.split()
-            total += float(seconds)
+            times[index] = float(seconds)
             for field in fields:
                 name, _, value = field.partition("=")
                 status, gap, evals = value.split(",") if value else (name, "nan", "0")
                 checks[index, name] = (status, float(gap), int(evals))
-    return checks, total
+    return checks, times
 
 
 def compare(before_path: str, after_path: str):
-    (before, before_time), (after, after_time) = read_sweep(before_path), read_sweep(after_path)
+    (before, before_times), (after, after_times) = read_sweep(before_path), read_sweep(after_path)
     if before.keys() != after.keys():
         sys.exit("the two sweeps ran different pairs or checks")
     moves = [key for key in before if before[key][0] != after[key][0]]
@@ -76,7 +79,12 @@ def compare(before_path: str, after_path: str):
     print(f"gaps deeper {len(deeper)} (by at most {-deeper.min() if len(deeper) else 0.0:.3g}),"
           f" shallower {len(shallower)} (by at most {shallower.max() if len(shallower) else 0.0:.3g})")
     print(f"evaluations {sum(v[2] for v in before.values())} -> {sum(v[2] for v in after.values())}")
-    print(f"time {before_time:.2f} -> {after_time:.2f} s")
+    print(f"time {sum(before_times.values()):.2f} -> {sum(after_times.values()):.2f} s")
+    # pairs whose certificate failed ran no search and print a time of 0
+    ratios = [before_times[i] / after_times[i] for i in before_times if before_times[i] > 0.0 < after_times[i]]
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75]) if ratios else (np.nan,) * 3
+    print(f"per-pair time ratio (before/after) median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}]"
+          f" over {len(ratios)} pairs")
 
 
 def main(argv=None):
